@@ -40,7 +40,7 @@ for lam, g in zip(grid.lambdas, samples.values):
 
 print("\n=== moments of the internal-energy change ===")
 terms = spectral_decomposition(rho0, drive)
-h = default_fd_step(terms)
+h = default_fd_step(terms.support)
 fd_samples = characteristic_function(rho0, drive, fd_stencil_grid(h, order=2, richardson=True))
 u = evolution_operator(drive).matrix
 balance = np.trace(drive.h_end.matrix @ u @ rho0.matrix @ u.conj().T) - np.trace(

@@ -51,7 +51,7 @@ rho = pure_state_density(cyclic_qubit_state(alpha))
 outcomes = tmp_distribution(rho, drive)
 print(f"\nprojective outcome table at alpha = pi/3:")
 print(f"{'initial':>8} {'final':>6} {'probability':>12} {'work':>8}")
-for o in outcomes:
-    print(f"{o.i:>8} {o.k:>6} {o.probability:>12.6f} {o.work:>+8.3f}")
+for i, k, probability, work in zip(outcomes.i, outcomes.k, outcomes.probability, outcomes.work):
+    print(f"{i:>8} {k:>6} {probability:>12.6f} {work:>+8.3f}")
 closed_form = GAP * np.cos(2 * alpha) * np.sin(2 * alpha) ** 2 * np.sin(XI) ** 2
 print(f"projective average {tmp_average(outcomes):+.8f} = dE cos(2a) sin^2(2a) sin^2(xi) = {closed_form:+.8f}")

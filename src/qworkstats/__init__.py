@@ -57,7 +57,7 @@ from .fcs import (
     CharacteristicSamples,
     CountingGrid,
     QuasiDistribution,
-    SpectralWorkTerm,
+    SpectralExpansion,
     characteristic_function,
     coherent_classical_split,
     fd_stencil_grid,
@@ -70,7 +70,7 @@ from .fcs import (
     symmetric_grid,
     two_kick_propagator,
 )
-from .tmp import TmpOutcome, dephase, tmp_average, tmp_characteristic, tmp_distribution, tmp_moment
+from .tmp import TmpDistribution, dephase, tmp_average, tmp_characteristic, tmp_distribution, tmp_moment
 from .open_system import (
     CompositeModel,
     HeatLedger,

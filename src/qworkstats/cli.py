@@ -28,6 +28,7 @@ from .scenario import (
     SCENARIO_KINDS,
     Scenario,
     ScenarioError,
+    _parse_scalar,
 )
 
 __all__ = ["main"]
@@ -71,12 +72,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--duality", action="store_true", help="open: report the environment-counting deviation")
 
 
-def _parse_value(token: str):
-    from .scenario import _parse_scalar
-
-    return _parse_scalar(token)
-
-
 def _flag_overrides(args, kind: str) -> dict:
     overrides: dict[str, object] = {}
     if args.seed is not None:
@@ -107,7 +102,7 @@ def _flag_overrides(args, kind: str) -> dict:
         key, sep, value = item.partition("=")
         if not sep:
             raise ScenarioError(f"--set expects KEY=VALUE, got {item!r}")
-        overrides[key.strip()] = _parse_value(value)
+        overrides[key.strip()] = _parse_scalar(value)
     return overrides
 
 
@@ -183,7 +178,7 @@ def _cmd_run(args) -> int:
 
 def _sweep_values(args) -> list:
     if args.values is not None:
-        parsed = _parse_value(args.values)
+        parsed = _parse_scalar(args.values)
         return parsed if isinstance(parsed, list) else [parsed]
     if args.values_linspace is not None:
         try:

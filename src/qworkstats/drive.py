@@ -18,6 +18,7 @@ drive window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from .linalg import (
     HermitianOperator,
     NumericalError,
     UnitaryOperator,
+    eig_hermitian,
     max_abs,
     mat,
 )
@@ -132,6 +134,18 @@ class DiscretizedDrive:
     def dim(self) -> int:
         return self.steps[0][1].dim
 
+    @cached_property
+    def propagator(self) -> UnitaryOperator:
+        """``U(T)`` from :func:`evolution_operator`, computed once per drive."""
+        return evolution_operator(self)
+
+    @cached_property
+    def boundary_eigensystems(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(eps0, v0, epst, vt)`` from :func:`eig_hermitian` of ``h_start`` and
+        ``h_end``, eigenvectors as plain arrays; computed once per drive."""
+        (eps0, v0), (epst, vt) = eig_hermitian(self.h_start), eig_hermitian(self.h_end)
+        return eps0, v0.matrix, epst, vt.matrix
+
 
 def discretize(protocol: DriveProtocol, n_steps: int) -> DiscretizedDrive:
     """Sample ``protocol`` at the left endpoints of ``n_steps`` equal steps."""
@@ -205,7 +219,7 @@ def discretize_to_tolerance(
     while True:
         fine = discretize(protocol, 2 * n)
         dev = max_abs(
-            evolution_operator(_coarse_view(fine)).matrix - evolution_operator(fine).matrix
+            evolution_operator(_coarse_view(fine)).matrix - fine.propagator.matrix
         )
         if dev <= tol:
             return fine

@@ -23,6 +23,10 @@ values. The weights are real after merging but may be negative when the
 initial state carries coherences between energy eigenstates; a dephased
 (diagonal) initial state reproduces the nonnegative two-measurement result.
 
+:class:`SpectralExpansion` holds the terms as arrays with the eigendata
+they came from; moments, binning, the classical/coherent split, ``G`` on a
+grid and the two-measurement distribution are array expressions over it.
+
 A windowed Fourier inversion of ``G`` sampled on a wide counting-field grid
 is provided as an independent validation path for the binned distribution;
 it carries the usual windowing artifacts and is not used in production.
@@ -32,22 +36,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .drive import DiscretizedDrive, evolution_operator
-from .linalg import (
-    DensityOperator,
-    NumericalError,
-    UnitaryOperator,
-    eig_hermitian,
-)
+from .drive import DiscretizedDrive
+from .linalg import DensityOperator, NumericalError, UnitaryOperator
 
 __all__ = [
     "CountingGrid",
     "CharacteristicSamples",
-    "SpectralWorkTerm",
+    "SpectralExpansion",
     "QuasiDistribution",
     "symmetric_grid",
     "fd_stencil_grid",
@@ -109,8 +107,8 @@ def symmetric_grid(lambda_max: float, points: int) -> CountingGrid:
     """Uniform symmetric grid; ``points`` must be odd so 0 is included."""
     if lambda_max <= 0:
         raise ValueError("lambda_max must be positive")
-    if points < 1 or points % 2 == 0:
-        raise ValueError("points must be a positive odd number")
+    if points < 3 or points % 2 == 0:
+        raise ValueError("points must be an odd number >= 3")
     return CountingGrid(np.linspace(-lambda_max, lambda_max, points))
 
 
@@ -166,19 +164,27 @@ class CharacteristicSamples:
         return self.grid.size
 
 
-class SpectralWorkTerm(NamedTuple):
-    """One exact phase term of ``G``: ``weight * exp(i lam support)``.
+@dataclass(frozen=True, eq=False)
+class SpectralExpansion:
+    """The exact phase terms of ``G`` as arrays: ``G = sum_t weight_t exp(i lam support_t)``.
 
-    ``i, j`` index the initial eigenbasis, ``k`` the final one. Terms with
-    ``i == j`` carry the coherence-free (two-measurement) part and have real
-    nonnegative weight; ``i != j`` terms encode initial coherences.
+    Term ``t`` has initial eigenbasis indices ``i[t], j[t]`` and final index
+    ``k[t]``; terms are ordered by ``k``, then ``i``, then ``j``, after pruning.
+    Terms with ``i == j`` carry the coherence-free (two-measurement) part and
+    have real nonnegative weight; ``i != j`` terms encode initial coherences.
+
+    ``eps0`` holds the eigenvalues of ``H(0)`` that ``i`` and ``j`` index.
     """
 
-    i: int
-    j: int
-    k: int
-    support: float
-    weight: complex
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    support: np.ndarray
+    weight: np.ndarray
+    eps0: np.ndarray
+
+    def __len__(self) -> int:
+        return self.support.size
 
 
 @dataclass(frozen=True)
@@ -217,54 +223,64 @@ class QuasiDistribution:
 
 def two_kick_propagator(drive: DiscretizedDrive, lam: float) -> UnitaryOperator:
     """``exp(+i lam/2 H(T)) U(T) exp(-i lam/2 H(0))`` as three unitary factors."""
-    u = evolution_operator(drive)
-    kick_end = _boundary_kick(drive.h_end, +0.5 * lam)
-    kick_start = _boundary_kick(drive.h_start, -0.5 * lam)
-    return UnitaryOperator(kick_end @ u.matrix @ kick_start)
+    eps0, v0, epst, vt = drive.boundary_eigensystems
+    kick_end = (vt * np.exp(0.5j * lam * epst)) @ vt.conj().T
+    kick_start = (v0 * np.exp(-0.5j * lam * eps0)) @ v0.conj().T
+    return UnitaryOperator(kick_end @ drive.propagator.matrix @ kick_start)
 
 
-def _boundary_kick(h, angle: float) -> np.ndarray:
-    """``exp(+i angle H)`` from the cached eigensystem of ``h``."""
-    values, vectors = eig_hermitian(h)
-    v = vectors.matrix
-    return (v * np.exp(1j * angle * values)) @ v.conj().T
+def _eigendata(rho0: DensityOperator, drive: DiscretizedDrive) -> tuple:
+    """``(eps0, epst, m, rho)`` from the drive's cached ``U`` and eigensystems:
+    ``m[k, i] = <eps_k(T)|U|eps_i(0)>`` and ``rho = v0^dag rho0 v0``."""
+    if rho0.dim != drive.dim:
+        raise ValueError(f"state dim {rho0.dim} != drive dim {drive.dim}")
+    eps0, v0, epst, vt = drive.boundary_eigensystems
+    m = vt.conj().T @ drive.propagator.matrix @ v0
+    rho = v0.conj().T @ rho0.matrix @ v0
+    return eps0, epst, m, rho
 
 
-class _KickCache:
-    """Eigen-systems of the boundary Hamiltonians plus the drive propagator."""
-
-    def __init__(self, drive: DiscretizedDrive):
-        self.u = evolution_operator(drive).matrix
-        self.w0, v0 = eig_hermitian(drive.h_start)
-        self.v0 = v0.matrix
-        self.wt, vt = eig_hermitian(drive.h_end)
-        self.vt = vt.matrix
-
-    def propagator(self, lam: float) -> np.ndarray:
-        end = (self.vt * np.exp(0.5j * lam * self.wt)) @ self.vt.conj().T
-        start = (self.v0 * np.exp(-0.5j * lam * self.w0)) @ self.v0.conj().T
-        return end @ self.u @ start
+# Complex elements per (lambda, d, d) block in characteristic_function; keeps
+# its temporaries at a few MB for any grid size.
+_G_BLOCK = 1 << 18
 
 
 def characteristic_function(
     rho0: DensityOperator, drive: DiscretizedDrive, grid: CountingGrid
 ) -> CharacteristicSamples:
-    """Evaluate ``G(lam) = Tr[K(lam) rho0 K(-lam)^dag]`` on the grid."""
-    if rho0.dim != drive.dim:
-        raise ValueError(f"state dim {rho0.dim} != drive dim {drive.dim}")
-    cache = _KickCache(drive)
-    rho = rho0.matrix
-    values = np.empty(grid.size, dtype=complex)
-    for n, lam in enumerate(grid.lambdas):
-        k_plus = cache.propagator(float(lam))
-        k_minus = cache.propagator(-float(lam))
-        values[n] = np.trace(k_plus @ rho @ k_minus.conj().T)
+    """Evaluate ``G(lam) = Tr[K(lam) rho0 K(-lam)^dag]`` on the grid.
+
+    In the boundary eigenbases ``G(lam) = sum_k e^{i lam eps_k(T)} sum_ij
+    A_ki rho_ij B_kj`` with ``A = m e^{-i lam eps(0)/2}`` and ``B = m^*
+    e^{-i lam eps(0)/2}``: one batched matmul per block of grid points, each
+    point evaluated independently.
+    """
+    eps0, epst, m, rho = _eigendata(rho0, drive)
+    lambdas = grid.lambdas
+    values = np.empty(lambdas.size, dtype=complex)
+    block = max(1, _G_BLOCK // m.size)
+    for start in range(0, lambdas.size, block):
+        lam = lambdas[start : start + block, None]
+        half = np.exp(-0.5j * lam * eps0)[:, None, :]
+        a, b = m * half, m.conj() * half
+        inner = np.sum((a @ rho) * b, axis=2)
+        values[start : start + block] = np.sum(np.exp(1j * lam * epst) * inner, axis=1)
     return CharacteristicSamples(grid, values)
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise complex product by the plain four-multiply formula.
+
+    NumPy's vectorized complex multiply may fuse multiply-adds, depending on
+    the CPU's SIMD path; this form rounds like its scalar complex product, so
+    written spectral terms do not depend on the SIMD path.
+    """
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
 
 
 def spectral_decomposition(
     rho0: DensityOperator, drive: DiscretizedDrive, prune: float = 1e-14
-) -> list[SpectralWorkTerm]:
+) -> SpectralExpansion:
     """Exact expansion of ``G`` in the initial and final eigenbases.
 
     Terms with ``|weight| < prune`` are dropped. Eigenvectors inside
@@ -272,30 +288,21 @@ def spectral_decomposition(
     binned support/weight pairs are basis-independent, which is what
     :func:`quasi_distribution` exposes.
     """
-    if rho0.dim != drive.dim:
-        raise ValueError(f"state dim {rho0.dim} != drive dim {drive.dim}")
-    eps0, v0 = eig_hermitian(drive.h_start)
-    epst, vt = eig_hermitian(drive.h_end)
-    u = evolution_operator(drive).matrix
-    m = vt.matrix.conj().T @ u @ v0.matrix  # m[k, i] = <eps_k(T)|U|eps_i(0)>
-    rho = v0.matrix.conj().T @ rho0.matrix @ v0.matrix
+    eps0, epst, m, rho = _eigendata(rho0, drive)
     d = rho0.dim
-    terms: list[SpectralWorkTerm] = []
-    for k in range(d):
-        for i in range(d):
-            for j in range(d):
-                w = rho[i, j] * m[k, i] * np.conj(m[k, j])
-                if abs(w) < prune:
-                    continue
-                u_val = epst[k] - 0.5 * (eps0[i] + eps0[j])
-                terms.append(SpectralWorkTerm(i, j, k, float(u_val), complex(w)))
-    total = sum(t.weight for t in terms)
+    # axes (k, i, j): w = rho_ij M_ki M*_kj, u = eps_k(T) - (eps_i(0) + eps_j(0)) / 2
+    weight = _cmul(_cmul(rho[None, :, :], m[:, :, None]), m.conj()[:, None, :])
+    support = epst[:, None, None] - 0.5 * (eps0[:, None] + eps0[None, :])
+    keep = np.flatnonzero(np.abs(weight) >= prune)
+    k, i, j = np.unravel_index(keep, (d, d, d))
+    weight = weight.ravel()[keep]
+    total = weight.sum()
     if abs(total - 1.0) > 1e-10:
         raise NumericalError(f"spectral weights sum to {total}, not 1")
-    return terms
+    return SpectralExpansion(i, j, k, support.ravel()[keep], weight, eps0)
 
 
-def moment(terms: Sequence[SpectralWorkTerm], n: int) -> float:
+def moment(terms: SpectralExpansion, n: int) -> float:
     """n-th moment ``Re sum_t w_t u_t^n`` from the exact spectral terms.
 
     The imaginary residue of the sum cancels pairwise between ``(i, j)`` and
@@ -303,7 +310,7 @@ def moment(terms: Sequence[SpectralWorkTerm], n: int) -> float:
     """
     if n < 1:
         raise ValueError("moment order must be >= 1")
-    total = sum(t.weight * t.support**n for t in terms)
+    total = np.sum(terms.weight * terms.support**n)
     if abs(total.imag) > 1e-10:
         raise NumericalError(f"moment has imaginary residue {total.imag:.3e}")
     return float(total.real)
@@ -360,9 +367,9 @@ def moment_fd(
     return float(out.real)
 
 
-def default_fd_step(terms: Sequence[SpectralWorkTerm]) -> float:
+def default_fd_step(support: np.ndarray) -> float:
     """Default stencil step ``1e-3 / max|support|`` for the spectral scale."""
-    radius = max((abs(t.support) for t in terms), default=0.0)
+    radius = float(np.max(np.abs(support), initial=0.0))
     return 1e-3 / max(radius, 1e-12)
 
 
@@ -371,60 +378,71 @@ def merge_support_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge support points closer than ``bin_tol``; weights add.
 
-    Merged positions are magnitude-weighted means, so dominant contributions
-    anchor the bin.
+    Sorted neighbours at most ``bin_tol`` apart share a bin. Merged positions
+    are magnitude-weighted means, so dominant contributions anchor the bin.
     """
     order = np.argsort(supports)
     u = supports[order]
     w = weights[order]
-    out_u: list[float] = []
-    out_w: list[complex] = []
-    start = 0
-    for stop in range(1, u.size + 1):
-        if stop < u.size and u[stop] - u[stop - 1] <= bin_tol:
-            continue
-        chunk_w = w[start:stop]
-        chunk_u = u[start:stop]
-        mass = np.abs(chunk_w)
-        center = float(np.average(chunk_u, weights=mass)) if mass.sum() > 0 else float(chunk_u.mean())
-        out_u.append(center)
-        out_w.append(complex(chunk_w.sum()))
-        start = stop
-    return np.array(out_u), np.array(out_w)
+    starts = np.flatnonzero(np.diff(u, prepend=-np.inf) > bin_tol)
+    if starts.size == 0:
+        return u, w
+    magnitude = np.abs(w)
+    mass = np.add.reduceat(magnitude, starts)
+    plain_mean = np.add.reduceat(u, starts) / np.diff(starts, append=u.size)
+    centers = np.divide(np.add.reduceat(u * magnitude, starts), mass, out=plain_mean, where=mass > 0)
+    return centers, np.add.reduceat(w, starts)
 
 
 def quasi_distribution(
-    terms: Sequence[SpectralWorkTerm], bin_tol: float | None = None
+    terms: SpectralExpansion, bin_tol: float | None = None
 ) -> QuasiDistribution:
     """Bin the spectral terms into the energy-change quasi-probability.
 
     ``bin_tol`` defaults to ``1e-9`` times the support scale. Imaginary parts
     of the merged weights must cancel pairwise; a residue above 1e-10 raises.
     """
-    if not terms:
+    if len(terms) == 0:
         raise ValueError("no spectral terms to bin")
-    supports = np.array([t.support for t in terms])
-    weights = np.array([t.weight for t in terms])
     if bin_tol is None:
-        bin_tol = 1e-9 * max(1.0, float(np.max(np.abs(supports))))
+        bin_tol = 1e-9 * max(1.0, float(np.max(np.abs(terms.support))))
     if bin_tol <= 0:
         raise ValueError("bin_tol must be positive")
-    u, w = merge_support_points(supports, weights, bin_tol)
+    u, w = merge_support_points(terms.support, terms.weight, bin_tol)
     residue = float(np.max(np.abs(w.imag)))
     if residue > 1e-10:
         raise NumericalError(f"imaginary weight residue {residue:.3e} after binning")
     return QuasiDistribution(u, w.real)
 
 
-def coherent_classical_split(terms: Sequence[SpectralWorkTerm]) -> tuple[float, float]:
+# Relative eigenvalue gap below which levels form one degenerate group.
+DEGENERACY_TOL = 1e-9
+
+
+def _level_groups(values: np.ndarray, tol: float) -> np.ndarray:
+    """Group label of each sorted eigenvalue; a gap above ``tol`` (relative to
+    the spectral scale) starts a new degenerate group."""
+    scale = max(1.0, float(np.max(np.abs(values))))
+    return np.concatenate(([0], np.cumsum(np.diff(values) > tol * scale)))
+
+
+def coherent_classical_split(
+    terms: SpectralExpansion, degeneracy_tol: float = DEGENERACY_TOL
+) -> tuple[float, float]:
     """Split the first moment into its two-measurement and coherence parts.
 
-    The classical part sums the diagonal (``i == j``) terms and equals the
-    two-measurement average; the coherent part is the remainder, carried by
-    the initial coherences and destroyed by a projective first measurement.
+    The classical part sums the terms whose initial levels ``i, j`` share one
+    degenerate group (``i == j`` on a nondegenerate spectrum) and equals the
+    two-measurement average of :func:`qworkstats.tmp.tmp_distribution` at the
+    same ``degeneracy_tol`` (to within the level spread inside a group, as
+    the two-measurement work takes each group's mean level); the coherent part is the remainder, carried by
+    the coherences between distinct energies that a projective first
+    measurement destroys.
     """
-    classical = sum(t.weight.real * t.support for t in terms if t.i == t.j)
-    return float(classical), moment(terms, 1) - float(classical)
+    labels = _level_groups(terms.eps0, degeneracy_tol)
+    diagonal = labels[terms.i] == labels[terms.j]
+    classical = float(np.sum(terms.weight.real[diagonal] * terms.support[diagonal]))
+    return classical, moment(terms, 1) - classical
 
 
 # ---------------------------------------------------------------------------

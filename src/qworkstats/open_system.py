@@ -46,6 +46,7 @@ from .fcs import CharacteristicSamples, CountingGrid
 from .linalg import (
     DensityOperator,
     HermitianOperator,
+    NumericalError,
     UnitaryOperator,
     eig_hermitian,
     gibbs_state,
@@ -288,7 +289,7 @@ class HeatLedger:
 
     def __post_init__(self):
         if abs(self.work - (self.internal_energy_change - self.heat)) > 1e-10:
-            raise ValueError("ledger identity W = dU - Q violated")
+            raise NumericalError("ledger identity W = dU - Q violated")
 
     @property
     def heat_increments(self) -> np.ndarray:

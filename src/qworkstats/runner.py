@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fcs, open_system, paths, serialize, tmp
-from .drive import cyclic_qubit_unitary, discretize, evolution_operator
+from .drive import cyclic_qubit_unitary, discretize
 from .linalg import mat, max_abs
 from .scenario import (
     Scenario,
@@ -44,13 +44,9 @@ class RunResult:
     files: list[Path] = field(default_factory=list)
 
 
-def _fd_step_for(terms) -> float:
-    return fcs.default_fd_step(terms)
-
-
 def _fd_first_moments(rho0, drive, terms, orders=(1, 2)):
     """Finite-difference moments on a dedicated stencil grid."""
-    h = _fd_step_for(terms)
+    h = fcs.default_fd_step(terms.support)
     grid = fcs.fd_stencil_grid(h, order=max(orders), richardson=True)
     samples = fcs.characteristic_function(rho0, drive, grid)
     return {n: fcs.moment_fd(samples, n, h=h, richardson=True) for n in orders}
@@ -58,23 +54,30 @@ def _fd_first_moments(rho0, drive, terms, orders=(1, 2)):
 
 def _energy_balance_first_moment(rho0, drive) -> float:
     """Independent first moment: final minus initial energy expectation."""
-    u = evolution_operator(drive).matrix
+    u = drive.propagator.matrix
     rho_t = u @ rho0.matrix @ u.conj().T
     return float(
         (np.trace(mat(drive.h_end) @ rho_t) - np.trace(mat(drive.h_start) @ rho0.matrix)).real
     )
 
 
-def _quasi_payload(dist: fcs.QuasiDistribution) -> dict:
-    return {
-        "support": dist.support,
-        "weights": dist.weights,
-        "min_weight": dist.min_weight,
-    }
-
-
 def _check(name, value, tol):
     return {"name": name, "value": float(value), "tolerance": float(tol), "pass": bool(abs(value) <= tol)}
+
+
+def _spectral_statistics(rho0, drive, grid) -> tuple[dict, dict]:
+    """``G`` on the grid, and the moments, split and bins of the spectral expansion."""
+    terms = fcs.spectral_decomposition(rho0, drive)
+    dist = fcs.quasi_distribution(terms)
+    classical, coherent = fcs.coherent_classical_split(terms)
+    results = {
+        "moments": {str(n): fcs.moment(terms, n) for n in (1, 2, 3, 4)},
+        "classical_part": classical,
+        "coherent_part": coherent,
+        "quasi": {"support": dist.support, "weights": dist.weights, "min_weight": dist.min_weight},
+    }
+    samples = fcs.characteristic_function(rho0, drive, grid)
+    return results, {"samples": samples, "quasi": dist, "terms": terms, "rho0": rho0, "drive": drive}
 
 
 def _run_closed(scenario: Scenario, compare_tmp: bool) -> tuple[dict, dict]:
@@ -82,45 +85,35 @@ def _run_closed(scenario: Scenario, compare_tmp: bool) -> tuple[dict, dict]:
     drive = build_discretized_drive(scenario)
     rho0 = build_initial_state(cfg["initial_state"], drive.h_start)
     grid = build_grid(scenario)
-    samples = fcs.characteristic_function(rho0, drive, grid)
-    terms = fcs.spectral_decomposition(rho0, drive)
-    dist = fcs.quasi_distribution(terms)
-    moments = {str(n): fcs.moment(terms, n) for n in (1, 2, 3, 4)}
-    fd = _fd_first_moments(rho0, drive, terms)
-    classical, coherent = fcs.coherent_classical_split(terms)
-    balance = _energy_balance_first_moment(rho0, drive)
-    results = {
-        "n_steps": drive.n_steps,
-        "moments": moments,
-        "fd_moments": {str(n): v for n, v in fd.items()},
-        "first_moment_energy_balance": balance,
-        "classical_part": classical,
-        "coherent_part": coherent,
-        "quasi": _quasi_payload(dist),
-    }
-    artifacts = {"samples": samples, "quasi": dist, "rho0": rho0, "drive": drive, "terms": terms}
+    results, artifacts = _spectral_statistics(rho0, drive, grid)
+    dist = artifacts["quasi"]
+    fd = _fd_first_moments(rho0, drive, artifacts["terms"])
+    results["n_steps"] = drive.n_steps
+    results["fd_moments"] = {str(n): v for n, v in fd.items()}
+    results["first_moment_energy_balance"] = _energy_balance_first_moment(rho0, drive)
     if compare_tmp:
         outcomes = tmp.tmp_distribution(rho0, drive)
         tmp_samples = tmp.tmp_characteristic(outcomes, grid)
         tmp_support, tmp_weights = fcs.merge_support_points(
-            np.array([o.work for o in outcomes]),
-            np.array([o.probability for o in outcomes], dtype=complex),
-            bin_tol=1e-9 * max(1.0, float(np.max(np.abs([o.work for o in outcomes])))),
+            outcomes.work,
+            outcomes.probability,
+            bin_tol=1e-9 * max(1.0, float(np.max(np.abs(outcomes.work)))),
         )
-        matched = []
-        for u_t, w_t in zip(tmp_support, tmp_weights.real):
-            idx = int(np.argmin(np.abs(dist.support - u_t)))
-            matched.append((abs(dist.support[idx] - u_t), abs(dist.weights[idx] - w_t)))
+        # nearest quasi bin of each TMP bin (ascending supports; ties go low)
+        u = dist.support
+        hi = np.minimum(np.searchsorted(u, tmp_support), u.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        idx = np.where(np.abs(tmp_support - u[lo]) <= np.abs(u[hi] - tmp_support), lo, hi)
         results["tmp"] = {
             "average": tmp.tmp_average(outcomes),
             "moments": {str(n): tmp.tmp_moment(outcomes, n) for n in (1, 2, 3, 4)},
             "support": tmp_support,
-            "weights": tmp_weights.real,
+            "weights": tmp_weights,
         }
         results["comparison"] = {
-            "max_support_distance": max(m[0] for m in matched),
-            "max_weight_difference": max(m[1] for m in matched),
-            "first_moment_difference": moments["1"] - tmp.tmp_average(outcomes),
+            "max_support_distance": float(np.max(np.abs(dist.support[idx] - tmp_support))),
+            "max_weight_difference": float(np.max(np.abs(dist.weights[idx] - tmp_weights))),
+            "first_moment_difference": results["moments"]["1"] - tmp.tmp_average(outcomes),
         }
         artifacts["tmp_outcomes"] = outcomes
         artifacts["tmp_samples"] = tmp_samples
@@ -145,40 +138,27 @@ def _run_cyclic(scenario: Scenario) -> tuple[dict, dict]:
         {"kind": "superposition", "amplitudes": [np.cos(alpha), np.sin(alpha)], "phases": None},
         drive.h_start,
     )
-    grid = build_grid(scenario)
-    samples = fcs.characteristic_function(rho0, drive, grid)
-    terms = fcs.spectral_decomposition(rho0, drive)
-    dist = fcs.quasi_distribution(terms)
+    results, artifacts = _spectral_statistics(rho0, drive, build_grid(scenario))
     outcomes = tmp.tmp_distribution(rho0, drive)
-    classical, coherent = fcs.coherent_classical_split(terms)
     oracle = _cyclic_average_from_unitary(alpha, xi, gap)
     closed_form = gap * np.cos(2 * alpha) * np.sin(2 * alpha) ** 2 * np.sin(xi) ** 2
     printed_form = gap * np.cos(2 * alpha) * np.sin(2 * alpha) ** 2 * np.sin(2 * xi) ** 2
-    results = {
-        "alpha": alpha,
-        "xi": xi,
-        "gap": gap,
-        "physical_realization": cyc["physical"],
-        "moments": {str(n): fcs.moment(terms, n) for n in (1, 2, 3, 4)},
-        "fcs_first_moment": fcs.moment(terms, 1),
-        "tmp_average": tmp.tmp_average(outcomes),
-        "oracle_average": oracle,
-        "closed_form_sin_xi_sq": float(closed_form),
-        "printed_form_sin_2xi_sq": float(printed_form),
-        "oracle_vs_closed_form": float(abs(oracle - closed_form)),
-        "oracle_vs_printed_form": float(abs(oracle - printed_form)),
-        "classical_part": classical,
-        "coherent_part": coherent,
-        "quasi": _quasi_payload(dist),
-    }
-    artifacts = {
-        "samples": samples,
-        "quasi": dist,
-        "terms": terms,
-        "tmp_outcomes": outcomes,
-        "rho0": rho0,
-        "drive": drive,
-    }
+    results.update(
+        {
+            "alpha": alpha,
+            "xi": xi,
+            "gap": gap,
+            "physical_realization": cyc["physical"],
+            "fcs_first_moment": results["moments"]["1"],
+            "tmp_average": tmp.tmp_average(outcomes),
+            "oracle_average": oracle,
+            "closed_form_sin_xi_sq": float(closed_form),
+            "printed_form_sin_2xi_sq": float(printed_form),
+            "oracle_vs_closed_form": float(abs(oracle - closed_form)),
+            "oracle_vs_printed_form": float(abs(oracle - printed_form)),
+        }
+    )
+    artifacts["tmp_outcomes"] = outcomes
     return results, artifacts
 
 
@@ -247,7 +227,7 @@ def _run_paths_check(scenario: Scenario) -> tuple[dict, dict]:
     base_steps = cfg["drive"]["steps"]
     drive = discretize(protocol, base_steps)
     d = drive.dim
-    u = evolution_operator(drive).matrix
+    u = drive.propagator.matrix
     basis = np.eye(d, dtype=complex)
     residual = 0.0
     records_for_dump = None

@@ -411,8 +411,8 @@ def _check_semantics(cfg: dict) -> None:
         grid = cfg["lambda_grid"]
         if grid["max"] <= 0:
             raise ScenarioError("'lambda_grid.max' must be positive")
-        if grid["points"] < 1 or grid["points"] % 2 == 0:
-            raise ScenarioError("'lambda_grid.points' must be a positive odd number")
+        if grid["points"] < 3 or grid["points"] % 2 == 0:
+            raise ScenarioError("'lambda_grid.points' must be an odd number >= 3")
     if "drive" in cfg:
         drive = cfg["drive"]
         if drive["duration"] <= 0:

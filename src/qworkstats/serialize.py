@@ -16,9 +16,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fcs import CharacteristicSamples, QuasiDistribution
+from .fcs import CharacteristicSamples, QuasiDistribution, SpectralExpansion
 from .open_system import HeatLedger
-from .tmp import TmpOutcome
+from .tmp import TmpDistribution
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -168,7 +168,7 @@ def write_quasi_distribution(
 def write_tmp_distribution(
     directory: Path,
     stem: str,
-    outcomes: Sequence[TmpOutcome],
+    outcomes: TmpDistribution,
     config: Mapping,
     formats: Sequence[str],
 ) -> list[Path]:
@@ -178,7 +178,7 @@ def write_tmp_distribution(
     header = {"kind": "quasi_distribution", "protocol": "tmp"}
     header.update(flatten_config(config))
     if "csv" in targets:
-        rows = [(o.work, o.probability) for o in outcomes]
+        rows = zip(outcomes.work, outcomes.probability)
         _write_csv(targets["csv"], ["support", "weight"], rows, header)
         written.append(targets["csv"])
     if "json" in targets:
@@ -188,10 +188,10 @@ def write_tmp_distribution(
                 "kind": "quasi_distribution",
                 "protocol": "tmp",
                 "config": config,
-                "support": [o.work for o in outcomes],
-                "weight": [o.probability for o in outcomes],
-                "initial_index": [o.i for o in outcomes],
-                "final_index": [o.k for o in outcomes],
+                "support": outcomes.work,
+                "weight": outcomes.probability,
+                "initial_index": outcomes.i,
+                "final_index": outcomes.k,
             },
         )
         written.append(targets["json"])
@@ -201,7 +201,7 @@ def write_tmp_distribution(
 def write_spectral_terms(
     directory: Path,
     stem: str,
-    terms,
+    terms: SpectralExpansion,
     config: Mapping,
     formats: Sequence[str],
 ) -> list[Path]:
@@ -211,7 +211,7 @@ def write_spectral_terms(
     header = {"kind": "spectral_terms"}
     header.update(flatten_config(config))
     if "csv" in targets:
-        rows = [(t.i, t.j, t.k, t.support, t.weight.real, t.weight.imag) for t in terms]
+        rows = zip(terms.i, terms.j, terms.k, terms.support, terms.weight.real, terms.weight.imag)
         _write_csv(
             targets["csv"],
             ["i", "j", "k", "support", "weight_re", "weight_im"],
@@ -225,12 +225,12 @@ def write_spectral_terms(
             {
                 "kind": "spectral_terms",
                 "config": config,
-                "i": [t.i for t in terms],
-                "j": [t.j for t in terms],
-                "k": [t.k for t in terms],
-                "support": [t.support for t in terms],
-                "weight_re": [t.weight.real for t in terms],
-                "weight_im": [t.weight.imag for t in terms],
+                "i": terms.i,
+                "j": terms.j,
+                "k": terms.k,
+                "support": terms.support,
+                "weight_re": terms.weight.real,
+                "weight_im": terms.weight.imag,
             },
         )
         written.append(targets["json"])

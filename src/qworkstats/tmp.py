@@ -18,16 +18,16 @@ onward when it is not.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .drive import DiscretizedDrive, evolution_operator
-from .fcs import CharacteristicSamples, CountingGrid
-from .linalg import DensityOperator, HermitianOperator, eig_hermitian
+from .drive import DiscretizedDrive
+from .fcs import DEGENERACY_TOL, CharacteristicSamples, CountingGrid, _eigendata, _level_groups
+from .linalg import DensityOperator, HermitianOperator, NumericalError, eig_hermitian
 
 __all__ = [
-    "TmpOutcome",
+    "TmpDistribution",
     "tmp_distribution",
     "tmp_average",
     "tmp_moment",
@@ -36,99 +36,88 @@ __all__ = [
 ]
 
 
-class TmpOutcome(NamedTuple):
-    """One joint outcome: initial level group ``i``, final level group ``k``."""
+@dataclass(frozen=True, eq=False)
+class TmpDistribution:
+    """Joint outcomes as arrays: outcome ``n`` pairs initial level group ``i[n]``
+    with final level group ``k[n]``, has ``probability[n]`` and work
+    ``work[n] = E_k(T) - E_i(0)``. Ordered by ``i``, then ``k``."""
 
-    i: int
-    k: int
-    probability: float
-    work: float
+    i: np.ndarray
+    k: np.ndarray
+    probability: np.ndarray
+    work: np.ndarray
 
-
-def _eigenvalue_groups(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Indices of eigenvalues grouped within ``tol`` (degenerate subspaces)."""
-    groups: list[list[int]] = [[0]]
-    for idx in range(1, values.size):
-        if values[idx] - values[groups[-1][-1]] <= tol:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return [np.array(g) for g in groups]
+    def __len__(self) -> int:
+        return self.probability.size
 
 
-def _spectral_projectors(
-    h: HermitianOperator, tol: float
-) -> tuple[list[np.ndarray], np.ndarray]:
-    values, vectors = eig_hermitian(h)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    groups = _eigenvalue_groups(values, tol * scale)
-    v = vectors.matrix
-    projectors = [v[:, g] @ v[:, g].conj().T for g in groups]
-    energies = np.array([values[g].mean() for g in groups])
-    return projectors, energies
+def _group_energies(values: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index and mean eigenvalue of each group."""
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    return starts, np.add.reduceat(values, starts) / np.bincount(labels)
 
 
 def tmp_distribution(
     rho0: DensityOperator,
     drive: DiscretizedDrive,
     *,
-    degeneracy_tol: float = 1e-9,
+    degeneracy_tol: float = DEGENERACY_TOL,
     prune: float = 1e-14,
-) -> list[TmpOutcome]:
+) -> TmpDistribution:
     """Joint outcome distribution of the two projective energy measurements.
 
     Outcomes are labeled by distinct eigenvalues of the boundary
     Hamiltonians; joint probabilities below ``prune`` are dropped. The
-    remaining probabilities are nonnegative and sum to one.
+    remaining probabilities are nonnegative and sum to one. In the boundary
+    eigenbases this is the spectral tensor of :mod:`qworkstats.fcs`
+    restricted to pairs inside one initial group,
+    ``p(g, h) = sum_{k in h} sum_{i, j in g} rho_ij M_ki M*_kj``; its
+    average is the classical part of
+    :func:`qworkstats.fcs.coherent_classical_split` at the same
+    ``degeneracy_tol``, to within the level spread inside a group.
     """
-    if rho0.dim != drive.dim:
-        raise ValueError(f"state dim {rho0.dim} != drive dim {drive.dim}")
-    proj0, eps0 = _spectral_projectors(drive.h_start, degeneracy_tol)
-    projt, epst = _spectral_projectors(drive.h_end, degeneracy_tol)
-    u = evolution_operator(drive).matrix
-    rho = rho0.matrix
-    outcomes = []
-    for i, p_i in enumerate(proj0):
-        collapsed = u @ (p_i @ rho @ p_i) @ u.conj().T
-        for k, p_k in enumerate(projt):
-            prob = float(np.trace(p_k @ collapsed).real)
-            if prob < prune:
-                continue
-            outcomes.append(TmpOutcome(i, k, prob, float(epst[k] - eps0[i])))
-    total = sum(o.probability for o in outcomes)
+    eps0, epst, m, rho = _eigendata(rho0, drive)
+    labels0 = _level_groups(eps0, degeneracy_tol)
+    starts0, energies0 = _group_energies(eps0, labels0)
+    startst, energiest = _group_energies(epst, _level_groups(epst, degeneracy_tol))
+    within = np.where(labels0[:, None] == labels0[None, :], rho, 0.0)
+    # q[k, j] = sum_{i in g(j)} M_ki rho_ij M*_kj, summed over j in g and k in h
+    q = ((m @ within) * m.conj()).real
+    p = np.add.reduceat(np.add.reduceat(q, startst, axis=0), starts0, axis=1).T
+    keep = np.flatnonzero(p >= prune)
+    i, k = np.unravel_index(keep, p.shape)
+    probability = p.ravel()[keep]
+    total = probability.sum()
     if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"outcome probabilities sum to {total}, not 1")
-    return outcomes
+        raise NumericalError(f"outcome probabilities sum to {total}, not 1")
+    return TmpDistribution(i, k, probability, energiest[k] - energies0[i])
 
 
-def tmp_average(outcomes: Sequence[TmpOutcome]) -> float:
+def tmp_average(outcomes: TmpDistribution) -> float:
     """Average work ``sum_o p_o w_o``."""
-    return float(sum(o.probability * o.work for o in outcomes))
+    return float(np.sum(outcomes.probability * outcomes.work))
 
 
-def tmp_moment(outcomes: Sequence[TmpOutcome], n: int) -> float:
-    return float(sum(o.probability * o.work**n for o in outcomes))
+def tmp_moment(outcomes: TmpDistribution, n: int) -> float:
+    return float(np.sum(outcomes.probability * outcomes.work**n))
 
 
-def tmp_characteristic(
-    outcomes: Sequence[TmpOutcome], grid: CountingGrid
-) -> CharacteristicSamples:
+def tmp_characteristic(outcomes: TmpDistribution, grid: CountingGrid) -> CharacteristicSamples:
     """Characteristic function ``sum_o p_o exp(i lam w_o)`` on the grid."""
-    lam = grid.lambdas
-    values = np.zeros(lam.size, dtype=complex)
-    for o in outcomes:
-        values += o.probability * np.exp(1j * lam * o.work)
+    values = [np.exp(1j * lam * outcomes.work) @ outcomes.probability for lam in grid.lambdas]
     return CharacteristicSamples(grid, values)
 
 
-def dephase(rho0: DensityOperator, h: HermitianOperator, degeneracy_tol: float = 1e-9) -> DensityOperator:
+def dephase(
+    rho0: DensityOperator, h: HermitianOperator, degeneracy_tol: float = DEGENERACY_TOL
+) -> DensityOperator:
     """Erase coherences of ``rho0`` between eigenspaces of ``h``.
 
     Returns ``sum_g P_g rho P_g``: what the first projective measurement
     leaves behind on average.
     """
-    projectors, _ = _spectral_projectors(h, degeneracy_tol)
-    out = np.zeros_like(rho0.matrix)
-    for p in projectors:
-        out = out + p @ rho0.matrix @ p
-    return DensityOperator(out)
+    values, vectors = eig_hermitian(h)
+    v = vectors.matrix
+    labels = _level_groups(values, degeneracy_tol)
+    rho = v.conj().T @ rho0.matrix @ v
+    return DensityOperator(v @ np.where(labels[:, None] == labels[None, :], rho, 0.0) @ v.conj().T)

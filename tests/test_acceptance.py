@@ -140,11 +140,7 @@ def test_criterion_2_mixture_equivalence():
         rho = DensityOperator((v * pops) @ v.conj().T)
         dist = quasi_distribution(spectral_decomposition(rho, drive))
         outcomes = tmp_distribution(rho, drive)
-        tmp_u, tmp_w = merge_support_points(
-            np.array([o.work for o in outcomes]),
-            np.array([o.probability for o in outcomes], dtype=complex),
-            1e-9,
-        )
+        tmp_u, tmp_w = merge_support_points(outcomes.work, outcomes.probability, 1e-9)
         assert len(tmp_u) == len(dist.support)
         worst_support = max(worst_support, float(np.max(np.abs(tmp_u - dist.support))))
         worst_weight = max(worst_weight, float(np.max(np.abs(tmp_w.real - dist.weights))))
@@ -208,7 +204,7 @@ def test_criterion_4_first_moment_identity():
         ) - np.trace(drive.h_start.matrix @ rho.matrix)
         m1 = moment(terms, 1)
         worst_identity = max(worst_identity, abs(m1 - balance.real))
-        h = default_fd_step(terms)
+        h = default_fd_step(terms.support)
         samples = characteristic_function(rho, drive, fd_stencil_grid(h, order=2, richardson=True))
         for n in (1, 2):
             spectral = moment(terms, n)

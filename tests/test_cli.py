@@ -191,6 +191,13 @@ class TestRun:
         assert code == EXIT_VALIDATION
         assert "lambda_grid.points" in capsys.readouterr().err
 
+    def test_single_point_lambda_grid_rejected(self, tmp_path, capsys):
+        code = main(["run", "closed", "--set", "lambda_grid.points=1", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "lambda_grid.points" in err
+        assert "Traceback" not in err
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         import qworkstats.cli as cli_module
 

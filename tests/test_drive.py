@@ -125,6 +125,22 @@ class TestEvolutionOperator:
         drive = discretize_to_tolerance(constant_protocol(PAULI_Z, 1.0), tol=1e-9)
         assert drive.n_steps <= 64
 
+    def test_propagator_is_cached_evolution_operator(self):
+        drive = discretize(rabi_fixture(), 32)
+        assert drive.propagator is drive.propagator
+        assert np.array_equal(drive.propagator.matrix, evolution_operator(drive).matrix)
+
+    def test_closed_run_computes_propagator_once(self, monkeypatch):
+        import qworkstats.drive as drive_module
+        from qworkstats import Scenario
+        from qworkstats.runner import run_scenario
+
+        calls = []
+        original = drive_module.evolution_operator
+        monkeypatch.setattr(drive_module, "evolution_operator", lambda d: calls.append(d) or original(d))
+        run_scenario(Scenario.from_kind("tmp-compare", {"drive.steps": 16}), tol_report=True)
+        assert len(calls) == 1
+
 
 class TestCyclicQubit:
     @pytest.mark.parametrize("alpha,xi", [(np.pi / 3, np.pi / 4), (0.3, 1.1), (1.2, 2.7)])

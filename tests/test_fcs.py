@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qworkstats import (
+    DiscretizedDrive,
     HermitianOperator,
     characteristic_function,
     coherent_classical_split,
@@ -18,6 +19,7 @@ from qworkstats import (
     random_ramp_protocol,
     spectral_decomposition,
     symmetric_grid,
+    tmp_average,
     tmp_characteristic,
     tmp_distribution,
     two_kick_propagator,
@@ -25,7 +27,7 @@ from qworkstats import (
 from qworkstats.fcs import (
     CharacteristicSamples,
     CountingGrid,
-    SpectralWorkTerm,
+    SpectralExpansion,
     default_fd_step,
     fd_stencil_grid,
     fourier_grid_for_supports,
@@ -34,6 +36,18 @@ from qworkstats.fcs import (
 from qworkstats.linalg import NumericalError, max_abs
 
 from conftest import PAULI_X, PAULI_Z, cyclic_fixture, make_static_drive, random_diagonal_state
+
+
+def synthetic_expansion(supports, weights, i, j):
+    """Spectral expansion with the given terms and placeholder initial levels."""
+    return SpectralExpansion(
+        i=np.asarray(i),
+        j=np.asarray(j),
+        k=np.zeros(len(supports), dtype=int),
+        support=np.asarray(supports, dtype=float),
+        weight=np.asarray(weights, dtype=complex),
+        eps0=np.zeros(2),
+    )
 
 
 def tmp_brute_force(rho0, drive):
@@ -163,9 +177,9 @@ class TestSpectralDecomposition:
     def test_diagonal_state_keeps_only_diagonal_terms(self, rng, random_qubit_drive):
         rho = random_diagonal_state(random_qubit_drive.h_start, rng)
         terms = spectral_decomposition(rho, random_qubit_drive)
-        assert all(t.i == t.j for t in terms)
-        assert all(t.weight.imag == pytest.approx(0.0, abs=1e-14) for t in terms)
-        assert all(t.weight.real >= -1e-14 for t in terms)
+        assert np.all(terms.i == terms.j)
+        assert np.all(np.abs(terms.weight.imag) <= 1e-14)
+        assert np.all(terms.weight.real >= -1e-14)
 
     def test_trivial_drive_with_sigma_z_kicks(self):
         # zero generator with sigma_z boundary kicks: the kicks cancel and
@@ -175,9 +189,7 @@ class TestSpectralDecomposition:
         terms = spectral_decomposition(rho, drive)
         grid = symmetric_grid(4.0, 17)
         samples = characteristic_function(rho, drive, grid)
-        recon = np.array(
-            [sum(t.weight * np.exp(1j * lam * t.support) for t in terms) for lam in grid.lambdas]
-        )
+        recon = np.array([np.sum(terms.weight * np.exp(1j * lam * terms.support)) for lam in grid.lambdas])
         assert np.max(np.abs(recon - samples.values)) <= 1e-12
 
     def test_coherent_state_off_diagonal_support_pattern(self):
@@ -186,14 +198,12 @@ class TestSpectralDecomposition:
         drive = make_static_drive(PAULI_Z, generator=(np.pi / 4) * PAULI_X)
         rho = pure_state_density(np.array([1.0, 1.0]) / np.sqrt(2.0))
         terms = spectral_decomposition(rho, drive)
-        off_diag = [t for t in terms if t.i != t.j]
-        assert off_diag
-        assert {round(t.support, 12) for t in off_diag} <= {-1.0, 0.0, 1.0}
+        off_diag = terms.i != terms.j
+        assert np.any(off_diag)
+        assert set(np.round(terms.support[off_diag], 12)) <= {-1.0, 0.0, 1.0}
         grid = symmetric_grid(4.0, 17)
         samples = characteristic_function(rho, drive, grid)
-        recon = np.array(
-            [sum(t.weight * np.exp(1j * lam * t.support) for t in terms) for lam in grid.lambdas]
-        )
+        recon = np.array([np.sum(terms.weight * np.exp(1j * lam * terms.support)) for lam in grid.lambdas])
         assert np.max(np.abs(recon - samples.values)) <= 1e-12
 
     def test_reconstruction_random(self, rng):
@@ -204,18 +214,18 @@ class TestSpectralDecomposition:
             grid = symmetric_grid(3.0, 13)
             samples = characteristic_function(rho, drive, grid)
             recon = np.array(
-                [sum(t.weight * np.exp(1j * lam * t.support) for t in terms) for lam in grid.lambdas]
+                [np.sum(terms.weight * np.exp(1j * lam * terms.support)) for lam in grid.lambdas]
             )
             assert np.max(np.abs(recon - samples.values)) <= 1e-10
 
     def test_cyclic_first_moment_vanishes(self):
         drive, rho = cyclic_fixture(np.pi / 3, np.pi / 5)
         terms = spectral_decomposition(rho, drive)
-        assert abs(sum((t.weight * t.support).real for t in terms)) <= 1e-10
+        assert abs(np.sum((terms.weight * terms.support).real)) <= 1e-10
 
     def test_weight_sum_is_one(self, rng, random_qubit_drive):
         terms = spectral_decomposition(random_density(2, rng), random_qubit_drive)
-        assert abs(sum(t.weight for t in terms) - 1.0) <= 1e-10
+        assert abs(np.sum(terms.weight) - 1.0) <= 1e-10
 
 
 class TestMoments:
@@ -251,7 +261,7 @@ class TestMoments:
             moment(terms, 0)
 
     def test_imaginary_residue_guard(self):
-        broken = [SpectralWorkTerm(0, 1, 0, 1.0, 0.5 + 0.5j), SpectralWorkTerm(0, 0, 0, 0.0, 0.5 - 0.5j)]
+        broken = synthetic_expansion([1.0, 0.0], [0.5 + 0.5j, 0.5 - 0.5j], i=[0, 0], j=[1, 0])
         with pytest.raises(NumericalError, match="imaginary"):
             moment(broken, 1)
 
@@ -282,7 +292,7 @@ class TestMomentFd:
     def test_cyclic_example_agrees_with_spectral(self):
         drive, rho = cyclic_fixture(np.pi / 3, np.pi / 5)
         terms = spectral_decomposition(rho, drive)
-        h = default_fd_step(terms)
+        h = default_fd_step(terms.support)
         samples = characteristic_function(rho, drive, fd_stencil_grid(h, order=2, richardson=True))
         assert moment_fd(samples, 1, h=h) == pytest.approx(moment(terms, 1), abs=1e-6)
 
@@ -292,7 +302,7 @@ class TestMomentFd:
             drive = discretize(random_ramp_protocol(dim, 1.0, rng), 12)
             rho = random_density(dim, rng)
             terms = spectral_decomposition(rho, drive)
-            h = default_fd_step(terms)
+            h = default_fd_step(terms.support)
             samples = characteristic_function(rho, drive, fd_stencil_grid(h, order=2, richardson=True))
             for n in (1, 2):
                 spectral = moment(terms, n)
@@ -308,11 +318,7 @@ class TestQuasiDistribution:
             outcomes = tmp_distribution(rho, drive)
             from qworkstats.fcs import merge_support_points
 
-            tmp_u, tmp_w = merge_support_points(
-                np.array([o.work for o in outcomes]),
-                np.array([o.probability for o in outcomes], dtype=complex),
-                1e-9,
-            )
+            tmp_u, tmp_w = merge_support_points(outcomes.work, outcomes.probability, 1e-9)
             assert len(tmp_u) == len(dist.support)
             assert np.max(np.abs(dist.support - tmp_u)) <= 1e-9
             assert np.max(np.abs(dist.weights - tmp_w.real)) <= 1e-10
@@ -333,16 +339,11 @@ class TestQuasiDistribution:
         assert dist.weights[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_binning_merges_close_supports(self):
-        terms = [
-            SpectralWorkTerm(0, 0, 0, 0.0, 0.5 + 0.0j),
-            SpectralWorkTerm(1, 1, 1, 1e-12, 0.5 + 0.0j),
-        ]
+        terms = synthetic_expansion([0.0, 1e-12], [0.5 + 0.0j, 0.5 + 0.0j], i=[0, 1], j=[0, 1])
         dist = quasi_distribution(terms, bin_tol=1e-9)
         assert len(dist.support) == 1
 
     def test_gauge_shift_invariance(self, rng):
-        from qworkstats import DiscretizedDrive
-
         drive = discretize(random_ramp_protocol(2, 1.0, rng), 8)
         rho = random_density(2, rng)
         shift = 0.73
@@ -377,6 +378,31 @@ class TestCoherentClassicalSplit:
             gap * np.cos(2 * alpha) * np.sin(2 * alpha) ** 2 * np.sin(xi) ** 2, abs=1e-12
         )
         assert coherent == pytest.approx(-classical, abs=1e-10)
+
+    def test_classical_part_is_tmp_average_at_same_degeneracy_tol(self, rng):
+        # initial levels 1e-6 apart: separate groups at the default tolerance,
+        # one group at 1e-3
+        drive = discretize(random_ramp_protocol(3, 1.0, rng), 8)
+        values, vectors = eig_hermitian(drive.h_start)
+        v = vectors.matrix
+        levels = np.array([values[0], values[0] + 1e-6, values[2]])
+        drive = DiscretizedDrive(
+            steps=drive.steps,
+            dt=drive.dt,
+            h_start=HermitianOperator((v * levels) @ v.conj().T),
+            h_end=drive.h_end,
+        )
+        rho = random_density(3, rng)
+        terms = spectral_decomposition(rho, drive)
+        parts = {}
+        # TMP assigns a group its mean level: agreement to within the 1e-6 spread
+        for tol, agree in ((1e-9, 1e-10), (1e-3, 1e-6)):
+            classical, coherent = coherent_classical_split(terms, degeneracy_tol=tol)
+            average = tmp_average(tmp_distribution(rho, drive, degeneracy_tol=tol))
+            assert classical == pytest.approx(average, abs=agree)
+            assert classical + coherent == pytest.approx(moment(terms, 1), abs=1e-12)
+            parts[tol] = classical
+        assert abs(parts[1e-9] - parts[1e-3]) > 1e-3
 
     def test_equal_superposition_both_parts_vanish(self):
         drive, rho = cyclic_fixture(np.pi / 4, 0.9)

@@ -3,6 +3,7 @@ import pytest
 
 from qworkstats import (
     CompositeModel,
+    HeatLedger,
     HermitianOperator,
     characteristic_function,
     constant_protocol,
@@ -32,7 +33,7 @@ from qworkstats import (
     work_via_increments,
 )
 from qworkstats.fcs import fd_stencil_grid, moment_fd
-from qworkstats.linalg import max_abs
+from qworkstats.linalg import NumericalError, max_abs
 
 from conftest import PAULI_X, PAULI_Z
 
@@ -154,6 +155,11 @@ class TestHeatLedger:
         assert abs(ledger.work) <= 1e-10
         assert ledger.heat == pytest.approx(ledger.internal_energy_change, abs=1e-10)
         assert abs(ledger.heat) > 1e-3  # something actually flows
+
+    def test_broken_identity_is_numerical_error(self):
+        ledger = heat_ledger(exchange_model(0.05), *thermal_pair(exchange_model(0.05)), 16)
+        with pytest.raises(NumericalError, match="W = dU - Q"):
+            HeatLedger(ledger.rows, ledger.heat, ledger.internal_energy_change, ledger.work + 1e-9)
 
     def test_ledger_identity(self):
         model = exchange_model(0.05)

@@ -20,6 +20,7 @@ from qworkstats import (
 )
 from qworkstats import moment as fcs_moment
 from qworkstats.fcs import moment_fd, fd_stencil_grid, default_fd_step
+from qworkstats.linalg import NumericalError
 
 from conftest import PAULI_Z, cyclic_fixture, make_static_drive, random_diagonal_state
 
@@ -30,15 +31,15 @@ class TestDistribution:
         rho = pure_state_density(np.array([0.0, 1.0]))
         outcomes = tmp_distribution(rho, drive)
         assert len(outcomes) == 1
-        assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
-        assert outcomes[0].work == pytest.approx(0.0, abs=1e-12)
+        assert outcomes.probability[0] == pytest.approx(1.0, abs=1e-12)
+        assert outcomes.work[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_probabilities_nonnegative_and_normalized(self, rng):
         for dim in (2, 3, 5):
             drive = discretize(random_ramp_protocol(dim, 1.0, rng), 12)
             outcomes = tmp_distribution(random_density(dim, rng), drive)
-            assert all(o.probability >= 0.0 for o in outcomes)
-            assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
+            assert np.all(outcomes.probability >= 0.0)
+            assert np.sum(outcomes.probability) == pytest.approx(1.0, abs=1e-12)
 
     def test_cyclic_example_against_printed_matrix(self):
         alpha, xi, gap = np.pi / 3, np.pi / 4, 1.0
@@ -63,9 +64,15 @@ class TestDistribution:
         a = tmp_distribution(rho, random_qubit_drive)
         b = tmp_distribution(rho_dephased, random_qubit_drive)
         assert len(a) == len(b)
-        for oa, ob in zip(a, b):
-            assert oa.probability == pytest.approx(ob.probability, abs=1e-12)
-            assert oa.work == pytest.approx(ob.work, abs=1e-12)
+        assert np.max(np.abs(a.probability - b.probability)) <= 1e-12
+        assert np.max(np.abs(a.work - b.work)) <= 1e-12
+
+    def test_probability_sum_failure_is_numerical_error(self, random_qubit_drive):
+        # a state whose trace is off by 1e-9 passes a loosened constructor
+        # but cannot give outcome probabilities summing to one
+        corrupted = DensityOperator(np.diag([0.5, 0.5 + 1e-9]), trace_tol=1e-6)
+        with pytest.raises(NumericalError, match="sum to"):
+            tmp_distribution(corrupted, random_qubit_drive)
 
     def test_degenerate_initial_levels_grouped(self, rng):
         h0 = HermitianOperator(np.diag([1.0, 1.0, 2.0]).astype(complex))
@@ -73,9 +80,9 @@ class TestDistribution:
         rho = random_density(3, rng)
         outcomes = tmp_distribution(rho, drive)
         # two distinct initial eigenvalues, identity evolution keeps them
-        assert {o.i for o in outcomes} == {0, 1}
-        assert all(o.i == o.k for o in outcomes)
-        p_low = sum(o.probability for o in outcomes if o.i == 0)
+        assert set(outcomes.i) == {0, 1}
+        assert np.all(outcomes.i == outcomes.k)
+        p_low = np.sum(outcomes.probability[outcomes.i == 0])
         assert p_low == pytest.approx(rho.matrix[0, 0].real + rho.matrix[1, 1].real, abs=1e-12)
 
 
@@ -123,7 +130,7 @@ class TestCharacteristic:
         # the coherent part of the first moment
         drive, rho = cyclic_fixture(np.pi / 3, np.pi / 4)
         terms = spectral_decomposition(rho, drive)
-        h = default_fd_step(terms)
+        h = default_fd_step(terms.support)
         grid = fd_stencil_grid(h, order=1, richardson=True)
         fcs_samples = characteristic_function(rho, drive, grid)
         tmp_samples = tmp_characteristic(tmp_distribution(rho, drive), grid)
