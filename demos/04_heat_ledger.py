@@ -15,10 +15,7 @@ from qworkstats import (
     eigenstate_density,
     gap_ramp_protocol,
     gibbs_state,
-    heat_ledger,
-    open_characteristic_function,
     qubit_exchange_environment,
-    work_via_increments,
 )
 from qworkstats.fcs import fd_stencil_grid, moment_fd
 
@@ -29,7 +26,8 @@ model = CompositeModel(protocol, h_env, h_se, coupling_scale=0.05)
 rho_s = eigenstate_density(protocol(0.0), 1)  # excited system
 rho_e = gibbs_state(h_env, 1.0)
 
-ledger = heat_ledger(model, rho_s, rho_e, N)
+composite = model.discretize(N)  # step propagators, formed once for every quantity below
+ledger, increments = composite.trajectory(rho_s, rho_e)
 
 print("per-step heat (every 8th step):")
 print(f"{'k':>4} {'t_k':>8} {'Q_k':>14} {'cumulative Q':>14}")
@@ -44,13 +42,12 @@ print(f"  dU                 = {ledger.internal_energy_change:+.10f}")
 print(f"  Q (into system)    = {ledger.heat:+.10f}")
 print(f"  W = dU - Q         = {ledger.work:+.10f}")
 
-increments = work_via_increments(model, rho_s, rho_e, N)
 print(f"  Hamiltonian-increment form of W = {increments:+.10f}")
 print(f"  |difference| = {abs(increments - ledger.work):.2e}")
 
 h = 1e-3
-samples = open_characteristic_function(
-    model, rho_s, rho_e, N, fd_stencil_grid(h, order=1, richardson=True)
+samples = composite.characteristic_function(
+    rho_s, rho_e, fd_stencil_grid(h, order=1, richardson=True)
 )
 fd_work = moment_fd(samples, 1, h=h)
 print(f"  first moment of the counting function = {fd_work:+.10f}")
@@ -58,12 +55,12 @@ print(f"  |difference from ledger W| = {abs(fd_work - ledger.work):.2e}")
 
 print("\nsanity limits:")
 decoupled = CompositeModel(protocol, h_env, h_se, coupling_scale=0.0)
-led0 = heat_ledger(decoupled, rho_s, rho_e, N)
+led0, _ = decoupled.discretize(N).trajectory(rho_s, rho_e)
 print(f"  g = 0: max |Q_k| = {np.max(np.abs(led0.heat_increments)):.2e} (no dissipation)")
 from qworkstats import constant_protocol, cyclic_qubit_hamiltonian
 
 static = CompositeModel(
     constant_protocol(cyclic_qubit_hamiltonian(0.8), 6.0), h_env, h_se, coupling_scale=0.05
 )
-led_c = heat_ledger(static, rho_s, rho_e, N)
+led_c, _ = static.discretize(N).trajectory(rho_s, rho_e)
 print(f"  constant drive: W = {led_c.work:+.2e}, dU - Q = {led_c.internal_energy_change - led_c.heat:+.2e}")

@@ -16,7 +16,6 @@ from qworkstats import (
     CompositeModel,
     constant_protocol,
     cyclic_qubit_hamiltonian,
-    duality_deviation,
     eigenstate_density,
     gibbs_state,
     pure_state_density,
@@ -34,7 +33,7 @@ h_env, h_se = qubit_exchange_environment(1.8)
 previous = None
 for g in (0.1, 0.05, 0.025, 0.0125):
     model = CompositeModel(protocol, h_env, h_se, coupling_scale=g)
-    dev = duality_deviation(model, plus, plus, 48, grid)
+    dev = model.discretize(48).duality_deviation(plus, plus, grid)
     ratio = "" if previous is None else f"{previous / dev:8.3f}"
     print(f"{g:>12.4f} {dev:>16.6e} {ratio:>8}")
     previous = dev
@@ -47,7 +46,7 @@ rho_e = gibbs_state(h_env, 1.0)
 previous = None
 for g in (0.1, 0.05, 0.025):
     model = CompositeModel(protocol, h_env, h_se, coupling_scale=g)
-    dev = duality_deviation(model, rho_s, rho_e, 48, grid)
+    dev = model.discretize(48).duality_deviation(rho_s, rho_e, grid)
     ratio = "" if previous is None else f"{previous / dev:8.3f}"
     print(f"{g:>12.4f} {dev:>16.6e} {ratio:>8}")
     previous = dev
@@ -58,7 +57,7 @@ h_env_res, h_se_res = qubit_exchange_environment(1.0)
 rho_e_res = gibbs_state(h_env_res, 1.0)
 for g in (0.1, 0.025):
     model = CompositeModel(protocol, h_env_res, h_se_res, coupling_scale=g)
-    dev = duality_deviation(model, rho_s, rho_e_res, 48, grid)
+    dev = model.discretize(48).duality_deviation(rho_s, rho_e_res, grid)
     print(f"  g = {g:<6}: deviation {dev:.2e}")
 print("-> at exact resonance the exchange coupling conserves bare energy and the")
 print("   duality becomes exact for diagonal states, at any coupling strength")

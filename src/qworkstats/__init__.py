@@ -73,20 +73,13 @@ from .fcs import (
 from .tmp import TmpDistribution, dephase, tmp_average, tmp_characteristic, tmp_distribution, tmp_moment
 from .open_system import (
     CompositeModel,
+    DiscretizedComposite,
     HeatLedger,
     LedgerRow,
-    duality_deviation,
-    environment_counting_operator,
     fast_decoherence_run,
-    full_counting_operator,
-    heat_counting_operator,
-    heat_ledger,
-    measurement_block,
-    open_characteristic_function,
     oscillator_environment,
     qubit_exchange_environment,
     two_qubit_exchange_environment,
-    work_via_increments,
 )
 from .paths import (
     PathBasisSequence,

@@ -310,7 +310,10 @@ def moment(terms: SpectralExpansion, n: int) -> float:
     """
     if n < 1:
         raise ValueError("moment order must be >= 1")
-    total = np.sum(terms.weight * terms.support**n)
+    power = terms.support
+    for _ in range(n - 1):  # repeated products; ``**`` calls libm pow for n > 2
+        power = power * terms.support
+    total = np.sum(terms.weight * power)
     if abs(total.imag) > 1e-10:
         raise NumericalError(f"moment has imaginary residue {total.imag:.3e}")
     return float(total.real)

@@ -30,8 +30,12 @@ as a cross-check.
 Counting on the environment energy instead of the system reproduces the
 system-side heat statistics to first order in the coupling ``g``
 (``Gbar(lam) = G(-lam)`` in the boundary-kick sign convention, which equals
-the block-kick ``G`` at ``+lam``); :func:`duality_deviation` measures the
-residual, which shrinks linearly with ``g``.
+the block-kick ``G`` at ``+lam``); :meth:`DiscretizedComposite.duality_deviation`
+measures the residual, which shrinks linearly with ``g``.
+
+All of these are methods of one :class:`DiscretizedComposite`, built once per
+run by :meth:`CompositeModel.discretize`, which holds the step propagators and
+eigensystems they share.
 """
 
 from __future__ import annotations
@@ -41,14 +45,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .drive import DriveProtocol, discretize
+from .drive import DiscretizedDrive, DriveProtocol, discretize
 from .fcs import CharacteristicSamples, CountingGrid
 from .linalg import (
     DensityOperator,
     HermitianOperator,
     NumericalError,
     UnitaryOperator,
-    eig_hermitian,
     gibbs_state,
     max_abs,
     mat,
@@ -59,17 +62,10 @@ from .linalg import (
 
 __all__ = [
     "CompositeModel",
+    "DiscretizedComposite",
     "LedgerRow",
     "HeatLedger",
-    "measurement_block",
-    "full_counting_operator",
-    "heat_counting_operator",
-    "environment_counting_operator",
-    "open_characteristic_function",
-    "heat_ledger",
-    "work_via_increments",
     "fast_decoherence_run",
-    "duality_deviation",
     "qubit_exchange_environment",
     "two_qubit_exchange_environment",
     "oscillator_environment",
@@ -120,149 +116,9 @@ class CompositeModel:
         )
         return HermitianOperator(full)
 
-
-class _StepCache:
-    """Per-step composite propagators and system-kick eigensystems."""
-
-    def __init__(self, model: CompositeModel, n_steps: int):
-        self.model = model
-        self.drive = discretize(model.drive, n_steps)
-        self.dim_s = model.dim_s
-        self.dim_e = model.dim_e
-        self.eye_e = np.eye(model.dim_e)
-        self.propagators: list[np.ndarray] = []
-        self.kick_eigs: list[tuple[np.ndarray, np.ndarray]] = []
-        for _, h_s in self.drive.steps:
-            full = model.step_hamiltonian(h_s)
-            w, v = eig_hermitian(full)
-            self.propagators.append((v.matrix * np.exp(-1j * w * self.drive.dt)) @ v.matrix.conj().T)
-            ws, vs = eig_hermitian(h_s)
-            self.kick_eigs.append((ws, vs.matrix))
-        self.w_start, v = eig_hermitian(self.drive.h_start)
-        self.v_start = v.matrix
-        self.w_end, v = eig_hermitian(self.drive.h_end)
-        self.v_end = v.matrix
-        self.w_env, v = eig_hermitian(model.h_env)
-        self.v_env = v.matrix
-
-    def system_kick(self, w, v, angle: float) -> np.ndarray:
-        """``exp(+i angle H_S) (x) 1`` on the composite space."""
-        small = (v * np.exp(1j * angle * w)) @ v.conj().T
-        return np.kron(small, self.eye_e)
-
-    def env_kick(self, angle: float) -> np.ndarray:
-        """``1 (x) exp(+i angle H_E)`` on the composite space."""
-        small = (self.v_env * np.exp(1j * angle * self.w_env)) @ self.v_env.conj().T
-        return np.kron(np.eye(self.dim_s), small)
-
-    def block(self, k: int, lam: float) -> np.ndarray:
-        w, v = self.kick_eigs[k]
-        return (
-            self.system_kick(w, v, -0.5 * lam)
-            @ self.propagators[k]
-            @ self.system_kick(w, v, +0.5 * lam)
-        )
-
-    def block_product(self, lam: float) -> np.ndarray:
-        u = np.eye(self.model.dim, dtype=complex)
-        for k in range(len(self.propagators)):
-            u = self.block(k, lam) @ u
-        return u
-
-    def counting_operator(self, lam: float, counting: str) -> np.ndarray:
-        if counting == "heat":
-            return self.block_product(lam)
-        if counting == "work":
-            return (
-                self.system_kick(self.w_end, self.v_end, +0.5 * lam)
-                @ self.block_product(lam)
-                @ self.system_kick(self.w_start, self.v_start, -0.5 * lam)
-            )
-        if counting == "environment":
-            self._require_constant_system()
-            u = np.eye(self.model.dim, dtype=complex)
-            for e in self.propagators:
-                u = e @ u
-            return self.env_kick(+0.5 * lam) @ u @ self.env_kick(-0.5 * lam)
-        raise ValueError(f"unknown counting mode {counting!r}")
-
-    def _require_constant_system(self) -> None:
-        h0 = self.drive.h_start.matrix
-        scale = max(1.0, max_abs(h0))
-        for _, h in self.drive.steps:
-            if max_abs(h.matrix - h0) > 1e-12 * scale:
-                raise ValueError("environment counting requires a constant system Hamiltonian")
-        if max_abs(self.drive.h_end.matrix - h0) > 1e-12 * scale:
-            raise ValueError("environment counting requires a constant system Hamiltonian")
-
-
-def measurement_block(model: CompositeModel, n_steps: int, k: int, lam: float) -> UnitaryOperator:
-    """The step-``k`` measurement block on the composite space.
-
-    Negative kick first (leftmost), opposite in sign to the closed-system
-    boundary kicks: the block tracks the heat exchanged during the step.
-    """
-    if not 0 <= k < n_steps:
-        raise ValueError(f"step index {k} outside 0..{n_steps - 1}")
-    return UnitaryOperator(_StepCache(model, n_steps).block(k, lam))
-
-
-def full_counting_operator(model: CompositeModel, n_steps: int, lam: float) -> UnitaryOperator:
-    """Work-counting operator: boundary kicks around the block product.
-
-    At zero coupling it reduces to the closed-system two-kick propagator
-    tensored with the environment's free evolution.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    return UnitaryOperator(_StepCache(model, n_steps).counting_operator(lam, "work"))
-
-
-def heat_counting_operator(model: CompositeModel, n_steps: int, lam: float) -> UnitaryOperator:
-    """Block product alone: counts dissipated heat, no boundary kicks."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    return UnitaryOperator(_StepCache(model, n_steps).counting_operator(lam, "heat"))
-
-
-def environment_counting_operator(model: CompositeModel, n_steps: int, lam: float) -> UnitaryOperator:
-    """Counting operator with kicks on the environment Hamiltonian instead.
-
-    Requires a constant system Hamiltonian over the window. Used to probe the
-    weak-coupling duality between environment- and system-side counting.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    return UnitaryOperator(_StepCache(model, n_steps).counting_operator(lam, "environment"))
-
-
-def open_characteristic_function(
-    model: CompositeModel,
-    rho_s: DensityOperator,
-    rho_e: DensityOperator,
-    n_steps: int,
-    grid: CountingGrid,
-    counting: str = "work",
-) -> CharacteristicSamples:
-    """``G(lam) = Tr_{S+E}[K(lam) (rho_S (x) rho_E) K(-lam)^dag]``.
-
-    ``counting`` selects the operator family: ``"work"`` (boundary kicks plus
-    blocks, first moment W), ``"heat"`` (blocks only, first moment -Q) or
-    ``"environment"`` (kicks on H_E, constant system Hamiltonian only).
-    """
-    if rho_s.dim != model.dim_s or rho_e.dim != model.dim_e:
-        raise ValueError(
-            f"state dims ({rho_s.dim}, {rho_e.dim}) != model dims "
-            f"({model.dim_s}, {model.dim_e})"
-        )
-    cache = _StepCache(model, n_steps)
-    rho = tensor(rho_s, rho_e)
-    values = np.empty(grid.size, dtype=complex)
-    for n, lam in enumerate(grid.lambdas):
-        k_plus = cache.counting_operator(float(lam), counting)
-        k_minus = cache.counting_operator(-float(lam), counting)
-        values[n] = np.trace(k_plus @ rho @ k_minus.conj().T)
-    return CharacteristicSamples(grid, values)
+    def discretize(self, n_steps: int) -> DiscretizedComposite:
+        """The model on ``n_steps`` left-endpoint steps of its drive."""
+        return DiscretizedComposite(self, discretize(self.drive, n_steps))
 
 
 class LedgerRow(NamedTuple):
@@ -304,70 +160,227 @@ def _expect(h, rho) -> float:
     return float(np.trace(mat(h) @ mat(rho)).real)
 
 
-def heat_ledger(
-    model: CompositeModel,
-    rho_s: DensityOperator,
-    rho_e: DensityOperator,
-    n_steps: int,
-    refresh_every: int | None = None,
-) -> HeatLedger:
-    """Evolve the composite state at ``lam = 0`` and account heat per step.
+def _dag(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -1, -2))
 
-    ``refresh_every = m`` resets the environment to ``rho_e`` after every m
-    blocks (a collision-style refresh, discarding system-environment
-    correlations) so long evolutions do not saturate a small environment.
-    Off by default; when enabled the counting-operator cross-checks no longer
-    apply since the refresh is not unitary on the composite space.
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystems of a (stack of) Hermitian matrices, symmetrized first."""
+    return np.linalg.eigh(0.5 * (h + _dag(h)))
+
+
+def _no_kick(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem of the zero Hamiltonian, whose kicks are the identity."""
+    return np.zeros(dim), np.eye(dim)
+
+
+def _kicks(eigensystems, lams: np.ndarray):
+    """Yield ``exp(+i lam/2 s_{j+1}) exp(-i lam/2 s_j)`` for consecutive
+    Hamiltonians ``s_j`` given by their eigensystems ``(w_j, v_j)``, each for
+    every ``lam``: shape ``(L, d, d)``.
+
+    Each kick is ``sum_bc exp(i lam/2 (w_{j+1,b} - w_{j,c})) T_bc
+    v_{j+1,b} v_{j,c}^dag`` with ``T = v_{j+1}^dag v_j``: one product of the
+    grid's phases with lambda-independent terms.
     """
-    if rho_s.dim != model.dim_s or rho_e.dim != model.dim_e:
-        raise ValueError("state dimensions do not match the model")
-    if refresh_every is not None and refresh_every < 1:
-        raise ValueError("refresh_every must be a positive integer")
-    cache = _StepCache(model, n_steps)
-    drive = cache.drive
-    rho = tensor(rho_s, rho_e)
-    rho_s_prev = rho_s.matrix
-    entropy_prev = von_neumann_entropy(rho_s)
-    u_initial = _expect(drive.h_start, rho_s_prev)
-    rows = []
-    for k, (t_k, h_s) in enumerate(drive.steps):
-        rho = cache.propagators[k] @ rho @ cache.propagators[k].conj().T
-        if refresh_every is not None and (k + 1) % refresh_every == 0:
-            rho = tensor(partial_trace_env(rho, model.dim_s, model.dim_e), rho_e)
-        rho_s_now = partial_trace_env(rho, model.dim_s, model.dim_e)
-        heat_k = _expect(h_s, rho_s_now - rho_s_prev)
-        entropy_now = von_neumann_entropy(DensityOperator(rho_s_now, psd_tol=1e-8))
-        rows.append(LedgerRow(k, t_k, heat_k, entropy_now - entropy_prev))
-        rho_s_prev = rho_s_now
-        entropy_prev = entropy_now
-    du = _expect(drive.h_end, rho_s_prev) - u_initial
-    q = float(sum(r.heat for r in rows))
-    return HeatLedger(tuple(rows), q, du, du - q)
+    w = np.stack([e[0] for e in eigensystems])
+    v = np.stack([e[1] for e in eigensystems])
+    d = w.shape[-1]
+    freqs = (w[1:, :, None] - w[:-1, None, :]).reshape(-1, d * d)
+    terms = np.einsum("jbc,jab,jec->jbcae", _dag(v[1:]) @ v[:-1], v[1:], v[:-1].conj())
+    for freq, term in zip(freqs, terms.reshape(-1, d * d, d * d)):
+        yield (np.exp(0.5j * np.multiply.outer(lams, freq)) @ term).reshape(-1, d, d)
 
 
-def work_via_increments(
-    model: CompositeModel,
-    rho_s: DensityOperator,
-    rho_e: DensityOperator,
-    n_steps: int,
-) -> float:
-    """Average work from the Hamiltonian increments.
+class DiscretizedComposite:
+    """A composite model on a fixed step grid; one per open-system run.
 
-    ``W = sum_k Tr_S[(H_S^{k+1} - H_S^k) rho_{S,k}]`` with the final increment
-    taken to the boundary Hamiltonian at ``t = T``; equal to the ledger work
-    by pure algebra (Abel summation of the same telescoping sum).
+    Built by :meth:`CompositeModel.discretize`. Holds the step propagators
+    ``E_k = exp(-i dt H^k)``, the eigensystems of the step Hamiltonians
+    ``H_S^k`` and of ``H_E`` and, through the drive, the boundary
+    eigensystems, and evaluates every open-system quantity from them. Kicks
+    are formed on their own factor and applied to ``(dim_s, dim_e)``-reshaped
+    blocks, so no Kronecker product is formed per step or per counting field.
     """
-    cache = _StepCache(model, n_steps)
-    drive = cache.drive
-    rho = tensor(rho_s, rho_e)
-    work = 0.0
-    for k in range(n_steps):
-        rho = cache.propagators[k] @ rho @ cache.propagators[k].conj().T
-        rho_s_now = partial_trace_env(rho, model.dim_s, model.dim_e)
-        h_now = drive.steps[k][1].matrix
-        h_next = drive.steps[k + 1][1].matrix if k + 1 < n_steps else drive.h_end.matrix
-        work += _expect(h_next - h_now, rho_s_now)
-    return work
+
+    def __init__(self, model: CompositeModel, drive: DiscretizedDrive):
+        self.model = model
+        self.drive = drive
+        self.dim_s, self.dim_e, self.dim = model.dim_s, model.dim_e, model.dim
+        eye = np.eye(self.dim)
+        # H_S^0 ... H_S^{N-1}, then H_S(T)
+        self.hamiltonians = np.stack([h.matrix for _, h in drive.steps] + [drive.h_end.matrix])
+        static = (
+            self._on_factor(model.h_env.matrix, eye, env=True)
+            + model.coupling_scale * model.coupling.matrix
+        )
+        # step by step, so no second (N, D, D) stack is alive next to the result
+        self.propagators = np.empty((drive.n_steps, self.dim, self.dim), dtype=complex)
+        for e, h_s in zip(self.propagators, self.hamiltonians[:-1]):
+            w, v = _eigh(self._on_factor(h_s, eye) + static)
+            e[...] = (v * np.exp(-1j * drive.dt * w)) @ v.conj().T
+        self.step_eigensystems = _eigh(self.hamiltonians[:-1])
+        self.env_eigensystem = _eigh(model.h_env.matrix)
+
+    def _on_factor(self, a: np.ndarray, m: np.ndarray, env: bool = False) -> np.ndarray:
+        """``(a (x) 1) m``, or ``(1 (x) a) m`` with ``env``, on reshaped blocks.
+
+        ``a`` acts on one factor, ``m`` on the composite space; leading stack
+        axes of both broadcast.
+        """
+        d = m.shape[-1]
+        if env:
+            out = a[..., None, :, :] @ m.reshape(*m.shape[:-2], -1, self.dim_e, d)
+            return out.reshape(*out.shape[:-3], d, d)
+        out = a @ m.reshape(*m.shape[:-2], a.shape[-1], -1)
+        return out.reshape(*out.shape[:-2], d, d)
+
+    def _product_state(self, rho_s, rho_e) -> np.ndarray:
+        """``rho_S (x) rho_E`` on the composite space."""
+        a, b = mat(rho_s), mat(rho_e)
+        if a.shape[0] != self.dim_s or b.shape[0] != self.dim_e:
+            raise ValueError(
+                f"state dims ({a.shape[0]}, {b.shape[0]}) != model dims ({self.dim_s}, {self.dim_e})"
+            )
+        return self._on_factor(a, self._on_factor(b, np.eye(self.dim), env=True))
+
+    def _chain(self, kicks, factors, env: bool = False) -> np.ndarray:
+        """``k_n F_{n-1} ... k_1 F_0 k_0`` for kicks ``k_j`` on one factor, each
+        stacked over the counting fields."""
+        kicks = iter(kicks)
+        u = self._on_factor(next(kicks), np.eye(self.dim, dtype=complex), env)
+        for f, k in zip(factors, kicks):
+            u = f @ u  # separate statements: at most two (L, D, D) stacks alive
+            u = self._on_factor(k, u, env)
+        return u
+
+    def _operators(self, lams: np.ndarray, counting: str) -> np.ndarray:
+        """Counting operators ``K(lam)`` for every ``lam``: shape ``(L, D, D)``.
+
+        Each is ``k_N E_{N-1} ... E_0 k_0``, where the kicks ``k_j`` merge the
+        kicks of neighbouring blocks (``B_k = exp(-i lam/2 H_S^k) E_k
+        exp(+i lam/2 H_S^k)``) and, for work counting, the boundary kicks.
+        """
+        lams = np.asarray(lams, dtype=float)
+        if counting == "environment":
+            h0 = self.drive.h_start.matrix
+            if max_abs(self.hamiltonians - h0) > 1e-12 * max(1.0, max_abs(h0)):
+                raise ValueError("environment counting requires a constant system Hamiltonian")
+            product = np.eye(self.dim, dtype=complex)
+            for e in self.propagators:
+                product = e @ product
+            kicks = _kicks([self.env_eigensystem, _no_kick(self.dim_e), self.env_eigensystem], lams)
+            return self._chain(kicks, [product], env=True)
+        if counting == "work":
+            eps0, v0, epst, vt = self.drive.boundary_eigensystems
+            first, last = (eps0, v0), (epst, vt)
+        elif counting == "heat":
+            first = last = _no_kick(self.dim_s)
+        else:
+            raise ValueError(f"unknown counting mode {counting!r}")
+        kicks = _kicks([first, *zip(*self.step_eigensystems), last], lams)
+        return self._chain(kicks, self.propagators)
+
+    def block(self, k: int, lam: float) -> UnitaryOperator:
+        """The step-``k`` measurement block ``exp(-i lam/2 H_S^k) E_k exp(+i lam/2 H_S^k)``.
+
+        Negative kick first (leftmost), opposite in sign to the closed-system
+        boundary kicks: the block tracks the heat exchanged during the step.
+        """
+        if not 0 <= k < self.drive.n_steps:
+            raise ValueError(f"step index {k} outside 0..{self.drive.n_steps - 1}")
+        step = tuple(e[k] for e in self.step_eigensystems)
+        kicks = _kicks([_no_kick(self.dim_s), step, _no_kick(self.dim_s)], np.array([float(lam)]))
+        return UnitaryOperator(self._chain(kicks, [self.propagators[k]])[0])
+
+    def counting_operator(self, lam: float, counting: str) -> UnitaryOperator:
+        """``K(lam)`` of one counting family.
+
+        ``"work"``: boundary kicks on ``H_S(0)`` and ``H_S(T)`` around the
+        block product; at zero coupling the closed-system two-kick propagator
+        tensored with the environment's free evolution. ``"heat"``: the block
+        product alone. ``"environment"``: kicks on ``H_E`` around the plain
+        product; requires a constant system Hamiltonian over the window.
+        """
+        return UnitaryOperator(self._operators(np.array([float(lam)]), counting)[0])
+
+    def characteristic_function(
+        self,
+        rho_s: DensityOperator,
+        rho_e: DensityOperator,
+        grid: CountingGrid,
+        counting: str = "work",
+    ) -> CharacteristicSamples:
+        """``G(lam) = Tr_{S+E}[K(lam) (rho_S (x) rho_E) K(-lam)^dag]`` on ``grid``.
+
+        ``counting`` selects the operator family of :meth:`counting_operator`;
+        ``"work"`` has first moment W, ``"heat"`` first moment -Q. Counting
+        grids are symmetric, so ``K(-lam)`` is the operator at the mirrored
+        grid index.
+        """
+        k = self._operators(grid.lambdas, counting)
+        k_rho = k @ self._product_state(rho_s, rho_e)
+        np.conjugate(k, out=k)
+        return CharacteristicSamples(grid, np.einsum("lij,lij->l", k_rho, k[::-1]))
+
+    def duality_deviation(
+        self, rho_s: DensityOperator, rho_e: DensityOperator, grid: CountingGrid
+    ) -> float:
+        """``max_lam |Gbar(lam) - G(-lam)|`` between environment- and system-side counting.
+
+        ``G(-lam)`` in the boundary-kick sign convention equals the block-kick
+        heat CGF at ``+lam`` (an exact identity for constant system
+        Hamiltonians), so the deviation is evaluated pointwise on the same
+        grid. It vanishes linearly as the coupling is switched off.
+        """
+        g_env = self.characteristic_function(rho_s, rho_e, grid, counting="environment")
+        g_sys = self.characteristic_function(rho_s, rho_e, grid, counting="heat")
+        return float(np.max(np.abs(g_env.values - g_sys.values)))
+
+    def trajectory(
+        self,
+        rho_s: DensityOperator,
+        rho_e: DensityOperator,
+        refresh_every: int | None = None,
+    ) -> tuple[HeatLedger, float]:
+        """Evolve the composite state at ``lam = 0`` once; return the heat
+        ledger and the Hamiltonian-increment work of the same reduced states.
+
+        The ledger accounts ``Q_k = Tr_S[H_S^k (rho_{S,k} - rho_{S,k-1})]``;
+        the increment form is ``W = sum_k Tr_S[(H_S^{k+1} - H_S^k) rho_{S,k}]``
+        with the final increment taken to the boundary Hamiltonian at
+        ``t = T``. The two agree by pure algebra (Abel summation of the same
+        telescoping sum) and are computed separately as a cross-check.
+
+        ``refresh_every = m`` resets the environment to ``rho_e`` after every m
+        blocks (a collision-style refresh, discarding system-environment
+        correlations) so long evolutions do not saturate a small environment.
+        Off by default; when enabled the counting-operator cross-checks no
+        longer apply since the refresh is not unitary on the composite space.
+        """
+        if refresh_every is not None and refresh_every < 1:
+            raise ValueError("refresh_every must be a positive integer")
+        rho = self._product_state(rho_s, rho_e)
+        states = [rho_s.matrix]
+        for k, e in enumerate(self.propagators, start=1):
+            rho = e @ rho @ e.conj().T
+            states.append(partial_trace_env(rho, self.dim_s, self.dim_e))
+            if refresh_every is not None and k % refresh_every == 0:
+                rho = self._product_state(states[-1], rho_e)
+        h = self.hamiltonians
+        n = self.drive.n_steps
+        heat = [_expect(h[k], states[k + 1] - states[k]) for k in range(n)]
+        increments = sum(_expect(h[k + 1] - h[k], states[k + 1]) for k in range(n))
+        entropy = [von_neumann_entropy(rho_s)] + [
+            von_neumann_entropy(DensityOperator(s, psd_tol=1e-8)) for s in states[1:]
+        ]
+        rows = tuple(
+            LedgerRow(k, t_k, heat[k], entropy[k + 1] - entropy[k])
+            for k, (t_k, _) in enumerate(self.drive.steps)
+        )
+        du = _expect(h[-1], states[-1]) - _expect(self.drive.h_start, rho_s)
+        q = float(sum(heat))
+        return HeatLedger(rows, q, du, du - q), increments
 
 
 def fast_decoherence_run(
@@ -398,25 +411,6 @@ def fast_decoherence_run(
     du = _expect(drive.h_end, state_prev) - u_initial
     q = float(sum(r.heat for r in rows))
     return HeatLedger(tuple(rows), q, du, du - q, temperature=temperature)
-
-
-def duality_deviation(
-    model: CompositeModel,
-    rho_s: DensityOperator,
-    rho_e: DensityOperator,
-    n_steps: int,
-    grid: CountingGrid,
-) -> float:
-    """``max_lam |Gbar(lam) - G(-lam)|`` between environment- and system-side counting.
-
-    ``G(-lam)`` in the boundary-kick sign convention equals the block-kick
-    heat CGF at ``+lam`` (an exact identity for constant system Hamiltonians),
-    so the deviation is evaluated pointwise on the same grid. It vanishes
-    linearly as the coupling is switched off.
-    """
-    g_env = open_characteristic_function(model, rho_s, rho_e, n_steps, grid, counting="environment")
-    g_sys = open_characteristic_function(model, rho_s, rho_e, n_steps, grid, counting="heat")
-    return float(np.max(np.abs(g_env.values - g_sys.values)))
 
 
 # ---------------------------------------------------------------------------

@@ -167,15 +167,15 @@ def _run_open(scenario: Scenario) -> tuple[dict, dict]:
     model, rho_s, rho_e = build_composite(scenario)
     n_steps = cfg["drive"]["steps"]
     grid = build_grid(scenario)
-    ledger = open_system.heat_ledger(
-        model, rho_s, rho_e, n_steps, refresh_every=cfg["environment"]["refresh_every"]
+    composite = model.discretize(n_steps)
+    ledger, increments = composite.trajectory(
+        rho_s, rho_e, refresh_every=cfg["environment"]["refresh_every"]
     )
-    increments = open_system.work_via_increments(model, rho_s, rho_e, n_steps)
-    samples = open_system.open_characteristic_function(model, rho_s, rho_e, n_steps, grid)
+    samples = composite.characteristic_function(rho_s, rho_e, grid)
     scale = max(max_abs(model.drive(0.0)), max_abs(model.drive(model.drive.duration)), 1e-6)
     h = 1e-3 / scale
     fd_grid = fcs.fd_stencil_grid(h, order=1, richardson=True)
-    fd_samples = open_system.open_characteristic_function(model, rho_s, rho_e, n_steps, fd_grid)
+    fd_samples = composite.characteristic_function(rho_s, rho_e, fd_grid)
     fd_work = fcs.moment_fd(fd_samples, 1, h=h, richardson=True)
     results = {
         "n_steps": n_steps,
@@ -192,9 +192,7 @@ def _run_open(scenario: Scenario) -> tuple[dict, dict]:
         "fd_vs_ledger_work": float(abs(fd_work - ledger.work)),
     }
     if cfg["duality"]:
-        results["duality_deviation"] = open_system.duality_deviation(
-            model, rho_s, rho_e, n_steps, grid
-        )
+        results["duality_deviation"] = composite.duality_deviation(rho_s, rho_e, grid)
     artifacts = {"ledger": ledger, "samples": samples}
     return results, artifacts
 

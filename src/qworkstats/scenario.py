@@ -423,6 +423,8 @@ def _check_semantics(cfg: dict) -> None:
         state = cfg["initial_state"]
         if state["kind"] == "superposition" and not state["amplitudes"]:
             raise ScenarioError("'initial_state.amplitudes' is required for a superposition")
+        if state["kind"] == "superposition" and not any(state["amplitudes"]):
+            raise ScenarioError("'initial_state.amplitudes' must not all be zero")
         if state["kind"] == "mixture" and not state["populations"]:
             raise ScenarioError("'initial_state.populations' is required for a mixture")
         if state["kind"] == "gibbs" and state["temperature"] <= 0:
@@ -433,6 +435,8 @@ def _check_semantics(cfg: dict) -> None:
             raise ScenarioError("'environment.coupling' must be nonnegative")
         if env["temperature"] <= 0:
             raise ScenarioError("'environment.temperature' must be positive")
+        if not 2 <= env["levels"] <= 8:
+            raise ScenarioError("'environment.levels' must be between 2 and 8")
         if env["refresh_every"] is not None and env["refresh_every"] < 1:
             raise ScenarioError("'environment.refresh_every' must be >= 1 or null")
         if cfg["duality"] and cfg["drive"]["protocol"] != "constant":

@@ -17,19 +17,16 @@ from qworkstats import (
     cyclic_qubit_state,
     dephase,
     discretize,
-    duality_deviation,
     eig_hermitian,
     enumerate_paths,
     evolution_operator,
     fast_decoherence_run,
     gap_ramp_protocol,
     gibbs_state,
-    heat_ledger,
     eigenstate_density,
     counting_weighted_sum,
     linear_ramp_protocol,
     moment,
-    open_characteristic_function,
     path_sum,
     pure_state_density,
     qubit_exchange_environment,
@@ -43,7 +40,6 @@ from qworkstats import (
     tmp_characteristic,
     tmp_distribution,
     two_kick_propagator,
-    work_via_increments,
 )
 from qworkstats.fcs import default_fd_step, fd_stencil_grid, merge_support_points, moment_fd
 from qworkstats.linalg import max_abs
@@ -172,10 +168,9 @@ def test_criterion_3_normalization_and_hermiticity():
     model = CompositeModel(protocol, h_env, h_se, coupling_scale=0.1)
     rho_s = eigenstate_density(protocol(0.0), 1)
     rho_e = gibbs_state(h_env, 1.0)
+    composite = model.discretize(24)
     for counting in ("work", "heat", "environment"):
-        batteries.append(
-            open_characteristic_function(model, rho_s, rho_e, 24, grid, counting=counting)
-        )
+        batteries.append(composite.characteristic_function(rho_s, rho_e, grid, counting=counting))
     worst_norm = max(abs(s.value_at(0.0) - 1.0) for s in batteries)
     worst_sym = max(float(np.max(np.abs(s.values[::-1] - np.conj(s.values)))) for s in batteries)
     passed = worst_norm <= 1e-12 and worst_sym <= 1e-10
@@ -247,16 +242,16 @@ def test_criterion_6_open_ledger():
         model = CompositeModel(ramp, h_env, h_se, coupling_scale=g)
         rho_s = eigenstate_density(ramp(0.0), 1)
         rho_e = gibbs_state(h_env, 1.0)
-        ledger = heat_ledger(model, rho_s, rho_e, 96)
+        ledger, increments = model.discretize(96).trajectory(rho_s, rho_e)
         checks.append(abs(ledger.work - (ledger.internal_energy_change - ledger.heat)))
-        checks.append(abs(work_via_increments(model, rho_s, rho_e, 96) - ledger.work))
+        checks.append(abs(increments - ledger.work))
         if g == 0.0:
             unitary_limit = float(np.max(np.abs(ledger.heat_increments)))
     constant = constant_protocol(cyclic_qubit_hamiltonian(1.0), 3.0)
     model = CompositeModel(constant, h_env, h_se, coupling_scale=0.2)
     rho_s = eigenstate_density(constant(0.0), 1)
     rho_e = gibbs_state(h_env, 0.5)
-    ledger = heat_ledger(model, rho_s, rho_e, 48)
+    ledger, _ = model.discretize(48).trajectory(rho_s, rho_e)
     constant_work = abs(ledger.work)
     checks.append(abs(ledger.work - (ledger.internal_energy_change - ledger.heat)))
     worst = max(checks)
@@ -280,7 +275,7 @@ def test_criterion_7_environment_duality():
     devs = []
     for g in (0.1, 0.05, 0.025):
         model = CompositeModel(protocol, h_env, h_se, coupling_scale=g)
-        devs.append(duality_deviation(model, plus, plus, 48, grid))
+        devs.append(model.discretize(48).duality_deviation(plus, plus, grid))
     ratios = [devs[i] / devs[i + 1] for i in range(2)]
     passed = all(1.5 <= r <= 2.5 for r in ratios) and devs[0] > devs[1] > devs[2]
     report(

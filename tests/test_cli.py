@@ -198,6 +198,23 @@ class TestRun:
         assert "lambda_grid.points" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            (["initial_state.kind=superposition", "initial_state.amplitudes=0,0"], "initial_state.amplitudes"),
+            (["environment.preset=oscillator", "environment.levels=9"], "environment.levels"),
+        ],
+        ids=["zero-amplitudes", "oscillator-levels"],
+    )
+    def test_unbuildable_state_or_environment_rejected(self, tmp_path, capsys, overrides, field):
+        argv = ["run", "open", "--out", str(tmp_path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         import qworkstats.cli as cli_module
 

@@ -9,19 +9,12 @@ from qworkstats import (
     constant_protocol,
     cyclic_qubit_hamiltonian,
     discretize,
-    duality_deviation,
     eigenstate_density,
-    environment_counting_operator,
     expm_unitary,
     fast_decoherence_run,
-    full_counting_operator,
     gap_ramp_protocol,
     gibbs_state,
-    heat_counting_operator,
-    heat_ledger,
     linear_ramp_protocol,
-    measurement_block,
-    open_characteristic_function,
     oscillator_environment,
     partial_trace_env,
     pure_state_density,
@@ -30,7 +23,6 @@ from qworkstats import (
     symmetric_grid,
     tensor,
     two_qubit_exchange_environment,
-    work_via_increments,
 )
 from qworkstats.fcs import fd_stencil_grid, moment_fd
 from qworkstats.linalg import NumericalError, max_abs
@@ -58,7 +50,7 @@ class TestMeasurementBlock:
         model = exchange_model(0.3)
         n, k = 8, 2
         drive = discretize(model.drive, n)
-        block = measurement_block(model, n, k, 0.0).matrix
+        block = model.discretize(n).block(k, 0.0).matrix
         step = expm_unitary(model.step_hamiltonian(drive.steps[k][1]), drive.dt).matrix
         assert max_abs(block - step) <= 1e-12
 
@@ -68,7 +60,7 @@ class TestMeasurementBlock:
         drive = discretize(model.drive, n)
         step = expm_unitary(model.step_hamiltonian(drive.steps[k][1]), drive.dt).matrix
         for lam in (0.4, -1.3):
-            assert max_abs(measurement_block(model, n, k, lam).matrix - step) <= 1e-12
+            assert max_abs(model.discretize(n).block(k, lam).matrix - step) <= 1e-12
 
     def test_derivative_is_half_commutator(self, rng):
         # finite-difference oracle for -i dB/dlam at 0; analytically (1/2)[E, A]
@@ -80,11 +72,8 @@ class TestMeasurementBlock:
         )
         n, k, h = 8, 3, 1e-5
         drive = discretize(model.drive, n)
-        fd = (
-            -1j
-            * (measurement_block(model, n, k, +h).matrix - measurement_block(model, n, k, -h).matrix)
-            / (2 * h)
-        )
+        composite = model.discretize(n)
+        fd = -1j * (composite.block(k, +h).matrix - composite.block(k, -h).matrix) / (2 * h)
         e = expm_unitary(model.step_hamiltonian(drive.steps[k][1]), drive.dt).matrix
         a = tensor(drive.steps[k][1], np.eye(2))
         assert max_abs(fd - 0.5 * (e @ a - a @ e)) <= 1e-7
@@ -92,7 +81,7 @@ class TestMeasurementBlock:
     def test_step_index_validated(self):
         model = exchange_model(0.1)
         with pytest.raises(ValueError, match="step index"):
-            measurement_block(model, 4, 4, 0.1)
+            model.discretize(4).block(4, 0.1)
 
 
 class TestCountingOperators:
@@ -103,12 +92,12 @@ class TestCountingOperators:
         u = np.eye(4, dtype=complex)
         for _, h_s in drive.steps:
             u = expm_unitary(model.step_hamiltonian(h_s), drive.dt).matrix @ u
-        assert max_abs(full_counting_operator(model, n, 0.0).matrix - u) <= 1e-12
+        assert max_abs(model.discretize(n).counting_operator(0.0, "work").matrix - u) <= 1e-12
 
     def test_single_block_constant_system_collapses(self):
         # boundary kicks cancel the block kicks exactly for a constant drive
         model = exchange_model(0.5, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 0.7))
-        u = full_counting_operator(model, 1, 0.9).matrix
+        u = model.discretize(1).counting_operator(0.9, "work").matrix
         step = expm_unitary(model.step_hamiltonian(model.drive(0.0)), 0.7).matrix
         assert max_abs(u - step) <= 1e-12
 
@@ -117,64 +106,67 @@ class TestCountingOperators:
         n = 24
         grid = symmetric_grid(3.0, 15)
         rho_s, rho_e = thermal_pair(model)
-        g_open = open_characteristic_function(model, rho_s, rho_e, n, grid)
+        g_open = model.discretize(n).characteristic_function(rho_s, rho_e, grid)
         g_closed = characteristic_function(rho_s, discretize(model.drive, n), grid)
         assert np.max(np.abs(g_open.values - g_closed.values)) <= 1e-10
 
     def test_environment_counting_requires_constant_system(self):
         model = exchange_model(0.1)
         with pytest.raises(ValueError, match="constant"):
-            environment_counting_operator(model, 8, 0.3)
+            model.discretize(8).counting_operator(0.3, "environment")
 
     def test_environment_counting_trivial_when_decoupled(self):
         model = exchange_model(0.0, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 2.0))
         grid = symmetric_grid(2.0, 11)
         rho_s, rho_e = thermal_pair(model)
-        g_env = open_characteristic_function(model, rho_s, rho_e, 16, grid, counting="environment")
+        g_env = model.discretize(16).characteristic_function(rho_s, rho_e, grid, counting="environment")
         assert np.max(np.abs(g_env.values - 1.0)) <= 1e-12
 
     def test_unknown_counting_mode(self):
         model = exchange_model(0.1, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 1.0))
         rho_s, rho_e = thermal_pair(model)
         with pytest.raises(ValueError, match="counting"):
-            open_characteristic_function(model, rho_s, rho_e, 4, symmetric_grid(1.0, 3), counting="bogus")
+            model.discretize(4).characteristic_function(
+                rho_s, rho_e, symmetric_grid(1.0, 3), counting="bogus"
+            )
 
 
 class TestHeatLedger:
     def test_decoupled_steps_dissipate_nothing(self):
         model = exchange_model(0.0)
         rho_s, rho_e = thermal_pair(model)
-        ledger = heat_ledger(model, rho_s, rho_e, 32)
+        ledger = model.discretize(32).trajectory(rho_s, rho_e)[0]
         assert np.max(np.abs(ledger.heat_increments)) <= 1e-12
         assert ledger.work == pytest.approx(ledger.internal_energy_change, abs=1e-12)
 
     def test_constant_hamiltonian_all_change_is_heat(self):
         model = exchange_model(0.2, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 3.0))
         rho_s, rho_e = thermal_pair(model, temperature=0.5)
-        ledger = heat_ledger(model, rho_s, rho_e, 48)
+        ledger = model.discretize(48).trajectory(rho_s, rho_e)[0]
         assert abs(ledger.work) <= 1e-10
         assert ledger.heat == pytest.approx(ledger.internal_energy_change, abs=1e-10)
         assert abs(ledger.heat) > 1e-3  # something actually flows
 
     def test_broken_identity_is_numerical_error(self):
-        ledger = heat_ledger(exchange_model(0.05), *thermal_pair(exchange_model(0.05)), 16)
+        ledger, _ = exchange_model(0.05).discretize(16).trajectory(*thermal_pair(exchange_model(0.05)))
         with pytest.raises(NumericalError, match="W = dU - Q"):
             HeatLedger(ledger.rows, ledger.heat, ledger.internal_energy_change, ledger.work + 1e-9)
 
     def test_ledger_identity(self):
         model = exchange_model(0.05)
         rho_s, rho_e = thermal_pair(model)
-        ledger = heat_ledger(model, rho_s, rho_e, 96)
+        ledger = model.discretize(96).trajectory(rho_s, rho_e)[0]
         assert ledger.work == pytest.approx(ledger.internal_energy_change - ledger.heat, abs=1e-12)
 
     def test_work_matches_fd_moment_of_counting_function(self):
         model = exchange_model(0.05)
         rho_s, rho_e = thermal_pair(model)
         n = 96
-        ledger = heat_ledger(model, rho_s, rho_e, n)
+        composite = model.discretize(n)
+        ledger, _ = composite.trajectory(rho_s, rho_e)
         h = 1e-3
-        samples = open_characteristic_function(
-            model, rho_s, rho_e, n, fd_stencil_grid(h, order=1, richardson=True)
+        samples = composite.characteristic_function(
+            rho_s, rho_e, fd_stencil_grid(h, order=1, richardson=True)
         )
         assert moment_fd(samples, 1, h=h) == pytest.approx(ledger.work, abs=1e-7)
 
@@ -182,24 +174,25 @@ class TestHeatLedger:
         model = exchange_model(0.2, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 3.0))
         rho_s, rho_e = thermal_pair(model, temperature=0.5)
         n = 48
-        ledger = heat_ledger(model, rho_s, rho_e, n)
+        composite = model.discretize(n)
+        ledger, _ = composite.trajectory(rho_s, rho_e)
         h = 1e-3
-        samples = open_characteristic_function(
-            model, rho_s, rho_e, n, fd_stencil_grid(h, order=1, richardson=True), counting="heat"
+        samples = composite.characteristic_function(
+            rho_s, rho_e, fd_stencil_grid(h, order=1, richardson=True), counting="heat"
         )
         assert moment_fd(samples, 1, h=h) == pytest.approx(-ledger.heat, abs=1e-7)
 
     def test_work_counting_function_trivial_for_constant_system(self):
         model = exchange_model(0.2, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 3.0))
         rho_s, rho_e = thermal_pair(model)
-        samples = open_characteristic_function(model, rho_s, rho_e, 24, symmetric_grid(3.0, 13))
+        samples = model.discretize(24).characteristic_function(rho_s, rho_e, symmetric_grid(3.0, 13))
         assert np.max(np.abs(samples.values - 1.0)) <= 1e-12
 
     def test_refresh_keeps_identity_and_changes_flow(self):
         model = exchange_model(0.3)
         rho_s, rho_e = thermal_pair(model)
-        plain = heat_ledger(model, rho_s, rho_e, 64)
-        refreshed = heat_ledger(model, rho_s, rho_e, 64, refresh_every=1)
+        plain, _ = model.discretize(64).trajectory(rho_s, rho_e)
+        refreshed, _ = model.discretize(64).trajectory(rho_s, rho_e, refresh_every=1)
         assert refreshed.work == pytest.approx(
             refreshed.internal_energy_change - refreshed.heat, abs=1e-12
         )
@@ -209,7 +202,7 @@ class TestHeatLedger:
         model = exchange_model(0.1)
         rho_s, rho_e = thermal_pair(model)
         with pytest.raises(ValueError, match="refresh_every"):
-            heat_ledger(model, rho_s, rho_e, 8, refresh_every=0)
+            model.discretize(8).trajectory(rho_s, rho_e, refresh_every=0)
 
     def test_unitary_step_on_entangled_state_dissipates_nothing(self, rng):
         # a decoupled step contributes exactly zero heat even when the prior
@@ -230,25 +223,21 @@ class TestIncrementForm:
     def test_constant_drive_zero_work(self):
         model = exchange_model(0.3, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 2.0))
         rho_s, rho_e = thermal_pair(model)
-        assert work_via_increments(model, rho_s, rho_e, 32) == 0.0
+        assert model.discretize(32).trajectory(rho_s, rho_e)[1] == 0.0
 
     def test_decoupled_ramp_gives_energy_balance(self):
         model = exchange_model(0.0)
         rho_s, rho_e = thermal_pair(model)
         n = 64
-        ledger = heat_ledger(model, rho_s, rho_e, n)
-        assert work_via_increments(model, rho_s, rho_e, n) == pytest.approx(
-            ledger.internal_energy_change, abs=1e-10
-        )
+        ledger, increments = model.discretize(n).trajectory(rho_s, rho_e)
+        assert increments == pytest.approx(ledger.internal_energy_change, abs=1e-10)
 
     def test_regrouping_identity(self):
         model = exchange_model(0.07)
         rho_s, rho_e = thermal_pair(model)
         for n in (16, 96):
-            ledger = heat_ledger(model, rho_s, rho_e, n)
-            assert work_via_increments(model, rho_s, rho_e, n) == pytest.approx(
-                ledger.work, abs=1e-12
-            )
+            ledger, increments = model.discretize(n).trajectory(rho_s, rho_e)
+            assert increments == pytest.approx(ledger.work, abs=1e-12)
 
 
 class TestEnvironmentDuality:
@@ -257,13 +246,14 @@ class TestEnvironmentDuality:
         # boundary kicks at +lam equal block kicks at -lam
         model = exchange_model(0.4, env_gap=1.7, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 2.0))
         n = 24
+        composite = model.discretize(n)
         for lam in (0.5, 1.1):
             boundary = (
                 tensor(expm_unitary(model.drive(0.0), -0.5 * lam).matrix, np.eye(2))
-                @ heat_counting_operator(model, n, 0.0).matrix
+                @ composite.counting_operator(0.0, "heat").matrix
                 @ tensor(expm_unitary(model.drive(0.0), 0.5 * lam).matrix, np.eye(2))
             )
-            assert max_abs(boundary - heat_counting_operator(model, n, -lam).matrix) <= 1e-12
+            assert max_abs(boundary - composite.counting_operator(-lam, "heat").matrix) <= 1e-12
 
     def test_deviation_shrinks_linearly_with_coupling(self):
         protocol = constant_protocol(cyclic_qubit_hamiltonian(1.0), 3.0)
@@ -271,7 +261,7 @@ class TestEnvironmentDuality:
         devs = []
         for g in (0.1, 0.05, 0.025):
             model = exchange_model(g, env_gap=1.8, protocol=protocol)
-            devs.append(duality_deviation(model, PLUS, PLUS, 48, grid))
+            devs.append(model.discretize(48).duality_deviation(PLUS, PLUS, grid))
         assert devs[0] > devs[1] > devs[2]
         for a, b in zip(devs, devs[1:]):
             assert 1.5 <= a / b <= 2.5
@@ -285,7 +275,7 @@ class TestEnvironmentDuality:
         for g in (0.1, 0.05):
             model = exchange_model(g, env_gap=1.8, protocol=protocol)
             rho_s, rho_e = thermal_pair(model)
-            devs.append(duality_deviation(model, rho_s, rho_e, 48, grid))
+            devs.append(model.discretize(48).duality_deviation(rho_s, rho_e, grid))
         assert 3.0 <= devs[0] / devs[1] <= 5.0
 
 
@@ -350,9 +340,9 @@ class TestEnvironmentPresets:
         model = CompositeModel(protocol, h_env, h_se, coupling_scale=0.05)
         rho_s = eigenstate_density(protocol(0.0), 1)
         rho_e = gibbs_state(h_env, 1.0)
-        ledger = heat_ledger(model, rho_s, rho_e, 48)
+        ledger, increments = model.discretize(48).trajectory(rho_s, rho_e)
         assert ledger.work == pytest.approx(ledger.internal_energy_change - ledger.heat, abs=1e-12)
-        assert work_via_increments(model, rho_s, rho_e, 48) == pytest.approx(ledger.work, abs=1e-12)
+        assert increments == pytest.approx(ledger.work, abs=1e-12)
 
     def test_coupling_dimension_validated(self):
         with pytest.raises(ValueError, match="coupling dim"):
@@ -361,3 +351,29 @@ class TestEnvironmentPresets:
                 HermitianOperator(np.eye(2)),
                 HermitianOperator(np.eye(2)),
             )
+
+
+class TestOpenRun:
+    @pytest.mark.parametrize("duality", [False, True])
+    def test_open_run_discretizes_composite_once(self, monkeypatch, duality):
+        from qworkstats import Scenario
+        from qworkstats.runner import run_scenario
+
+        calls = []
+        original = CompositeModel.discretize
+        monkeypatch.setattr(CompositeModel, "discretize", lambda m, n: calls.append(n) or original(m, n))
+        overrides = {"drive.protocol": "constant", "duality": True} if duality else {}
+        scenario = Scenario.from_kind("open").with_overrides({"drive.steps": 16, **overrides})
+        report = run_scenario(scenario, tol_report=True).report
+        assert ("duality_deviation" in report["results"]) == duality
+        assert calls == [16]
+
+    def test_refresh_keeps_increment_regrouping(self):
+        # ledger and increment form read the same refreshed trajectory
+        from qworkstats import Scenario
+        from qworkstats.runner import run_scenario
+
+        scenario = Scenario.from_kind("open", {"environment.refresh_every": 4})
+        checks = {c["name"]: c for c in run_scenario(scenario, tol_report=True).report["checks"]}
+        assert checks["increment_regrouping"]["pass"]
+        assert checks["ledger_identity"]["pass"]

@@ -1,17 +1,24 @@
-"""Seeded property tests of the closed-system statistics over random fixtures.
+"""Seeded property tests of the work statistics over random fixtures.
 
-Each case draws a random drive and state with NumPy's generator and checks
-the array spectral core against brute-force references written out here:
-the triple-loop expansion of ``G``, the two-kick trace formula for ``G``,
-and the projector form of the two-measurement distribution. On top of that
-it checks the invariants: unit weight sum, ``G(-lam) = conj G(lam)``,
+Each closed case draws a random drive and state with NumPy's generator and
+checks the array spectral core against brute-force references written out
+here: the triple-loop expansion of ``G``, the two-kick trace formula for
+``G``, and the projector form of the two-measurement distribution. On top of
+that it checks the invariants: unit weight sum, ``G(-lam) = conj G(lam)``,
 mixture equals TMP, and the first moment equals the energy balance.
+
+Each open case draws a random composite model (drive, ``H_E``, ``H_SE``) and
+states, and checks the measurement blocks against their Kronecker-product
+form, the normalization and symmetry of ``G``, the ledger identity, the
+increment form, and the decoupled limit against the closed two-kick
+propagator.
 """
 
 import numpy as np
 import pytest
 
 from qworkstats import (
+    CompositeModel,
     DiscretizedDrive,
     HermitianOperator,
     characteristic_function,
@@ -29,10 +36,12 @@ from qworkstats import (
     random_unitary,
     spectral_decomposition,
     symmetric_grid,
+    tensor,
     tmp_average,
     tmp_characteristic,
     tmp_distribution,
     tmp_moment,
+    two_kick_propagator,
 )
 from qworkstats.fcs import merge_support_points
 
@@ -209,3 +218,73 @@ def test_degenerate_case_has_grouped_levels():
     outcomes = tmp_distribution(rho, drive)
     assert set(outcomes.i) == {0, 1, 2, 3}
     assert set(outcomes.k) == {0, 1, 2, 3}
+
+
+OPEN_DIMS = ((2, 2), (2, 4), (3, 2), (2, 8))
+OPEN_CASES = [(d_s, d_e, seed) for d_s, d_e in OPEN_DIMS for seed in (0, 1)]
+OPEN_IDS = [f"s{d_s}-e{d_e}-s{seed}" for d_s, d_e, seed in OPEN_CASES]
+
+
+def open_case(d_s, d_e, seed, coupling_scale=0.3):
+    rng = np.random.default_rng(9000 + 31 * d_s + 7 * d_e + seed)
+    model = CompositeModel(
+        random_ramp_protocol(d_s, 1.5, rng),
+        random_hermitian(d_e, rng),
+        random_hermitian(d_s * d_e, rng),
+        coupling_scale=coupling_scale,
+    )
+    return model, random_density(d_s, rng), random_density(d_e, rng)
+
+
+def kron_block(model, drive, k, lam):
+    """``exp(-i lam/2 H_S^k (x) 1) E_k exp(+i lam/2 H_S^k (x) 1)`` with explicit Kronecker products."""
+    h_s = drive.steps[k][1]
+    eye_e = np.eye(model.dim_e)
+    step = expm_unitary(model.step_hamiltonian(h_s), drive.dt).matrix
+    return (
+        tensor(expm_unitary(h_s, 0.5 * lam).matrix, eye_e)
+        @ step
+        @ tensor(expm_unitary(h_s, -0.5 * lam).matrix, eye_e)
+    )
+
+
+@pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
+def test_open_blocks_match_kron_reference(d_s, d_e, seed):
+    model, _, _ = open_case(d_s, d_e, seed)
+    composite = model.discretize(6)
+    for k in (0, 3, 5):
+        for lam in (-1.3, 0.0, 0.7):
+            reference = kron_block(model, composite.drive, k, lam)
+            assert np.max(np.abs(composite.block(k, lam).matrix - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
+def test_open_characteristic_function_invariants(d_s, d_e, seed):
+    model, rho_s, rho_e = open_case(d_s, d_e, seed)
+    composite = model.discretize(8)
+    grid = symmetric_grid(2.5, 11)
+    for counting in ("work", "heat"):
+        g = composite.characteristic_function(rho_s, rho_e, grid, counting=counting).values
+        assert abs(g[grid.index_of(0.0)] - 1.0) <= 1e-12
+        assert np.max(np.abs(g[::-1] - np.conj(g))) <= 1e-12
+
+
+@pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
+def test_open_ledger_and_increment_form(d_s, d_e, seed):
+    model, rho_s, rho_e = open_case(d_s, d_e, seed)
+    composite = model.discretize(12)
+    for refresh_every in (None, 3):
+        ledger, increments = composite.trajectory(rho_s, rho_e, refresh_every=refresh_every)
+        assert abs(ledger.work - (ledger.internal_energy_change - ledger.heat)) <= 1e-12
+        assert abs(increments - ledger.work) <= 1e-12
+
+
+@pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
+def test_open_decoupled_work_counting_is_closed_two_kick(d_s, d_e, seed):
+    model, _, _ = open_case(d_s, d_e, seed, coupling_scale=0.0)
+    composite = model.discretize(8)
+    free_env = expm_unitary(model.h_env, composite.drive.duration).matrix
+    for lam in (-0.9, 0.0, 1.6):
+        closed = two_kick_propagator(composite.drive, lam).matrix
+        work = composite.counting_operator(lam, "work").matrix
+        assert np.max(np.abs(work - tensor(closed, free_env))) <= 1e-12
