@@ -31,20 +31,21 @@ print("=== path-sum completeness (exact at any step count) ===")
 drive = discretize(protocol, 4)
 u = evolution_operator(drive).matrix
 basis = np.eye(2, dtype=complex)
-records = enumerate_paths(drive, basis[:, 0], basis[:, 0])
-print(f"4 steps, qubit: {len(records)} paths per matrix element")
+ground = enumerate_paths(drive, basis[:, 0], basis[:, 0])
+print(f"4 steps, qubit: {len(ground)} paths per matrix element")
 print(f"{'element':>8} {'path sum':>24} {'direct':>24}")
 for col in range(2):
     for row in range(2):
-        recs = enumerate_paths(drive, basis[:, col], basis[:, row])
-        s = path_sum(recs)
+        s = path_sum(enumerate_paths(drive, basis[:, col], basis[:, row]))
         print(f"  U[{row},{col}]  {s.real:+.6f}{s.imag:+.6f}i   {u[row, col].real:+.6f}{u[row, col].imag:+.6f}i")
 
 print("\n=== a few individual paths (ground -> ground element) ===")
 print(f"{'indices':>12} {'amplitude':>26} {'functional F':>14}")
-for record in sorted(records, key=lambda r: -abs(r.amplitude))[:6]:
-    amp = record.amplitude
-    print(f"{str(record.indices):>12} {amp.real:+12.6f}{amp.imag:+.6f}i {record.functional:>+14.4f}")
+top = np.argsort(-np.abs(ground.amplitude), kind="stable")[:6]
+indices = ground.indices(len(ground))
+for p in top:
+    amp = ground.amplitude[p]
+    print(f"{str(tuple(indices[p].tolist())):>12} {amp.real:+12.6f}{amp.imag:+.6f}i {ground.functional[p]:>+14.4f}")
 
 print("\n=== counting-weighted sum -> two-kick propagator, O(dt) ===")
 rng = np.random.default_rng(7)
@@ -57,8 +58,7 @@ print(f"{'steps':>6} {'paths':>8} {'|weighted sum - two-kick element|':>36}")
 previous = None
 for n in (4, 8, 16):
     d = discretize(protocol, n)
-    recs = enumerate_paths(d, psi0, psi1)
-    weighted = counting_weighted_sum(recs, lam)
+    weighted = counting_weighted_sum(enumerate_paths(d, psi0, psi1), lam)
     element = complex(np.conj(psi1) @ two_kick_propagator(d, 2.0 * lam).matrix @ psi0)
     dev = abs(weighted - element)
     note = "" if previous is None else f"   (ratio {previous / dev:.2f})"

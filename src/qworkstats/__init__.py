@@ -83,7 +83,7 @@ from .open_system import (
 )
 from .paths import (
     PathBasisSequence,
-    PathRecord,
+    PathEnsemble,
     boundary_beta,
     counting_weighted_sum,
     default_observable_sequence,

@@ -272,10 +272,16 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise complex product by the plain four-multiply formula.
 
     NumPy's vectorized complex multiply may fuse multiply-adds, depending on
-    the CPU's SIMD path; this form rounds like its scalar complex product, so
-    written spectral terms do not depend on the SIMD path.
+    the CPU's SIMD path; this form rounds like its scalar complex product,
+    signed zeros included, so written spectral terms and path amplitudes do
+    not depend on the SIMD path.
     """
-    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+    re = a.real * b.real - a.imag * b.imag
+    im = a.real * b.imag + a.imag * b.real
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def spectral_decomposition(

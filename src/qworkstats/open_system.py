@@ -48,6 +48,8 @@ import numpy as np
 from .drive import DiscretizedDrive, DriveProtocol, discretize
 from .fcs import CharacteristicSamples, CountingGrid
 from .linalg import (
+    HERMITICITY_TOL,
+    TRACE_TOL,
     DensityOperator,
     HermitianOperator,
     NumericalError,
@@ -167,6 +169,34 @@ def _dag(a: np.ndarray) -> np.ndarray:
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystems of a (stack of) Hermitian matrices, symmetrized first."""
     return np.linalg.eigh(0.5 * (h + _dag(h)))
+
+
+def _reduced_state_spectra(states: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a ``(K, d, d)`` stack of reduced states, one per row.
+
+    Each state must pass the :class:`DensityOperator` checks (finite,
+    Hermitian, unit trace) with the positivity tolerance widened to ``1e-8``
+    for the rounding of the evolution and partial trace; the first that
+    fails raises :class:`NumericalError` naming its index.
+    """
+    finite = np.isfinite(states).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(f"reduced state {int(np.argmin(finite))} has non-finite entries")
+    herm = np.abs(states - _dag(states)).max(axis=(1, 2))
+    trace = np.trace(states, axis1=1, axis2=2)
+    spectra = np.linalg.eigvalsh(0.5 * (states + _dag(states)))
+    bad = np.flatnonzero(
+        (herm > HERMITICITY_TOL * np.maximum(1.0, np.abs(states).max(axis=(1, 2))))
+        | (np.abs(trace - 1.0) > TRACE_TOL)
+        | (spectra[:, 0] < -1e-8)
+    )
+    if bad.size:
+        k = int(bad[0])
+        raise NumericalError(
+            f"reduced state {k} is not a density matrix: Hermiticity deviation {herm[k]:.3e}, "
+            f"trace {complex(trace[k])}, smallest eigenvalue {spectra[k, 0]:.3e}"
+        )
+    return spectra
 
 
 def _no_kick(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -371,11 +401,10 @@ class DiscretizedComposite:
         n = self.drive.n_steps
         heat = [_expect(h[k], states[k + 1] - states[k]) for k in range(n)]
         increments = sum(_expect(h[k + 1] - h[k], states[k + 1]) for k in range(n))
-        entropy = [von_neumann_entropy(rho_s)] + [
-            von_neumann_entropy(DensityOperator(s, psd_tol=1e-8)) for s in states[1:]
-        ]
+        p = np.clip(_reduced_state_spectra(np.stack(states)), 0.0, None)
+        entropy = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
         rows = tuple(
-            LedgerRow(k, t_k, heat[k], entropy[k + 1] - entropy[k])
+            LedgerRow(k, t_k, heat[k], float(entropy[k + 1] - entropy[k]))
             for k, (t_k, _) in enumerate(self.drive.steps)
         )
         du = _expect(h[-1], states[-1]) - _expect(self.drive.h_start, rho_s)

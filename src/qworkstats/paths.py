@@ -24,12 +24,12 @@ at 10^6 paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iter_product
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .drive import DiscretizedDrive
+from .fcs import _cmul
 from .linalg import (
     HermitianOperator,
     NumericalError,
@@ -40,7 +40,7 @@ from .linalg import (
 
 __all__ = [
     "PathBasisSequence",
-    "PathRecord",
+    "PathEnsemble",
     "PATH_ENUMERATION_LIMIT",
     "default_observable_sequence",
     "boundary_beta",
@@ -75,12 +75,28 @@ class PathBasisSequence:
         return len(self.bases)
 
 
-class PathRecord(NamedTuple):
-    """One path: basis indices per gridpoint, amplitude, functional value."""
+@dataclass(frozen=True)
+class PathEnsemble:
+    """All ``dim^n_gridpoints`` paths of one matrix element as flat arrays.
 
-    indices: tuple[int, ...]
-    amplitude: complex
-    functional: float
+    Path ``p`` is the index tuple ``(i_0, ..., i_N)`` at position ``p`` of
+    ``itertools.product(range(dim), repeat=n_gridpoints)`` (``i_N`` varies
+    fastest); ``amplitude[p]`` is its product of step matrix elements and
+    ``functional[p]`` its value of ``F = dt * sum_k beta_k a_k``.
+    """
+
+    amplitude: np.ndarray
+    functional: np.ndarray
+    dim: int
+    n_gridpoints: int
+
+    def __len__(self) -> int:
+        return self.amplitude.size
+
+    def indices(self, rows: int) -> np.ndarray:
+        """Index tuples of the first ``rows`` paths, shape ``(rows, n_gridpoints)``."""
+        flat = np.arange(min(rows, len(self)))
+        return np.stack(np.unravel_index(flat, (self.dim,) * self.n_gridpoints), axis=1)
 
 
 def default_observable_sequence(drive: DiscretizedDrive) -> list[HermitianOperator]:
@@ -113,10 +129,10 @@ def enumerate_paths(
     psi_final,
     observables: Sequence[HermitianOperator] | None = None,
     beta: np.ndarray | None = None,
-) -> list[PathRecord]:
+) -> PathEnsemble:
     """All basis paths contributing to ``<psi_final|U|psi_initial>``.
 
-    One record per index tuple ``(i_0, ..., i_N)``; amplitudes sum to the
+    One entry per index tuple ``(i_0, ..., i_N)``; amplitudes sum to the
     exact matrix element. Raises :class:`NumericalError` when the path count
     would exceed ``PATH_ENUMERATION_LIMIT``.
     """
@@ -144,26 +160,29 @@ def enumerate_paths(
         transfer.append(basis.bases[k + 1].conj().T @ step @ basis.bases[k])
     start = basis.bases[0].conj().T @ np.asarray(psi_initial, dtype=complex).ravel()
     end = basis.bases[n].conj().T @ np.asarray(psi_final, dtype=complex).ravel()
-    scaled_values = [drive.dt * beta[k] * basis.values[k] for k in range(n + 1)]
-    records = []
-    for indices in _iter_product(range(d), repeat=n + 1):
-        amp = start[indices[0]]
-        for k in range(n):
-            amp *= transfer[k][indices[k + 1], indices[k]]
-        amp *= np.conj(end[indices[n]])
-        f = sum(scaled_values[k][indices[k]] for k in range(n + 1))
-        records.append(PathRecord(indices, complex(amp), float(f)))
-    return records
+    # Axis k of the running arrays is the index i_k, so appending one axis
+    # per step keeps the paths in itertools.product order.
+    amp = start
+    f = drive.dt * beta[0] * basis.values[0]
+    for k in range(n):
+        amp = _cmul(amp[..., None], transfer[k].T)
+        f = f[..., None] + drive.dt * beta[k + 1] * basis.values[k + 1]
+    amp = _cmul(amp, np.conj(end))
+    return PathEnsemble(amp.ravel(), f.ravel(), d, n + 1)
 
 
-def path_sum(paths: Sequence[PathRecord]) -> complex:
+# Both sums run in path order (a cumulative sum, not NumPy's pairwise
+# reduction), so they round exactly as a loop over the paths adds them.
+
+
+def path_sum(paths: PathEnsemble) -> complex:
     """Plain sum of path amplitudes (the unconstrained matrix element)."""
-    return complex(sum(p.amplitude for p in paths))
+    return complex(np.cumsum(paths.amplitude)[-1])
 
 
-def counting_weighted_sum(paths: Sequence[PathRecord], lam: float) -> complex:
+def counting_weighted_sum(paths: PathEnsemble, lam: float) -> complex:
     """``sum_P exp(i lam F[P]) * amplitude(P)``."""
-    return complex(sum(np.exp(1j * lam * p.functional) * p.amplitude for p in paths))
+    return complex(np.cumsum(_cmul(np.exp(1j * lam * paths.functional), paths.amplitude))[-1])
 
 
 def kicked_product(

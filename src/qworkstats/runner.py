@@ -228,13 +228,13 @@ def _run_paths_check(scenario: Scenario) -> tuple[dict, dict]:
     u = drive.propagator.matrix
     basis = np.eye(d, dtype=complex)
     residual = 0.0
-    records_for_dump = None
+    ensemble_for_dump = None
     for col in range(d):
         for row in range(d):
-            records = paths.enumerate_paths(drive, basis[:, col], basis[:, row])
-            if records_for_dump is None:
-                records_for_dump = records
-            residual = max(residual, abs(paths.path_sum(records) - u[row, col]))
+            ensemble = paths.enumerate_paths(drive, basis[:, col], basis[:, row])
+            if ensemble_for_dump is None:
+                ensemble_for_dump = ensemble
+            residual = max(residual, abs(paths.path_sum(ensemble) - u[row, col]))
     rng = np.random.default_rng(cfg["seed"])
     psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi0 /= np.linalg.norm(psi0)
@@ -243,17 +243,17 @@ def _run_paths_check(scenario: Scenario) -> tuple[dict, dict]:
     # With the observable equal to the step Hamiltonian the combined
     # exponentials split exactly; report that residual, then run the O(dt)
     # convergence against the boundary-kick (two-kick) form.
-    records = paths.enumerate_paths(drive, psi0, psi1)
+    ensemble = paths.enumerate_paths(drive, psi0, psi1)
     kicked = paths.kicked_product(drive, lam)
     commuting_residual = abs(
-        paths.counting_weighted_sum(records, lam) - complex(np.conj(psi1) @ kicked @ psi0)
+        paths.counting_weighted_sum(ensemble, lam) - complex(np.conj(psi1) @ kicked @ psi0)
     )
     deviations = {}
     steps = base_steps
     for _ in range(cfg["doublings"] + 1):
         fine = discretize(protocol, steps)
-        records = paths.enumerate_paths(fine, psi0, psi1)
-        weighted = paths.counting_weighted_sum(records, lam)
+        ensemble = paths.enumerate_paths(fine, psi0, psi1)
+        weighted = paths.counting_weighted_sum(ensemble, lam)
         two_kick = fcs.two_kick_propagator(fine, 2.0 * lam).matrix
         element = complex(np.conj(psi1) @ two_kick @ psi0)
         deviations[steps] = abs(weighted - element)
@@ -272,7 +272,7 @@ def _run_paths_check(scenario: Scenario) -> tuple[dict, dict]:
         "weighted_vs_two_kick": {str(k): v for k, v in deviations.items()},
         "halving_ratios": ratios,
     }
-    return results, {"records": records_for_dump}
+    return results, {"paths": ensemble_for_dump}
 
 
 def _checks_for(kind: str, results: dict) -> list[dict]:
@@ -362,10 +362,8 @@ def run_scenario(
             )
         if "ledger" in artifacts:
             files += serialize.write_ledger(out_dir, "ledger", artifacts["ledger"], cfg, formats)
-        if kind == "paths-check" and scenario.config.get("dump_paths") and artifacts.get("records"):
-            files.append(
-                serialize.write_paths_csv(out_dir, "path_records", artifacts["records"], cfg)
-            )
+        if kind == "paths-check" and scenario.config.get("dump_paths"):
+            files.append(serialize.write_paths_csv(out_dir, "path_records", artifacts["paths"], cfg))
         files.append(serialize.write_report(out_dir, "report", report))
     return RunResult(report=report, files=files)
 

@@ -65,6 +65,7 @@ from .open_system import (
     qubit_exchange_environment,
     two_qubit_exchange_environment,
 )
+from .paths import PATH_ENUMERATION_LIMIT
 
 __all__ = [
     "ScenarioError",
@@ -419,6 +420,8 @@ def _check_semantics(cfg: dict) -> None:
             raise ScenarioError("'drive.duration' must be positive")
         if drive["steps"] != "auto" and drive["steps"] < 1:
             raise ScenarioError("'drive.steps' must be >= 1 or 'auto'")
+        if drive["protocol"] == "random" and drive["params"]["dim"] < 1:
+            raise ScenarioError("'drive.params.dim' must be >= 1")
     if "initial_state" in cfg:
         state = cfg["initial_state"]
         if state["kind"] == "superposition" and not state["amplitudes"]:
@@ -459,6 +462,19 @@ def _check_semantics(cfg: dict) -> None:
             raise ScenarioError("'drive.steps' must be explicit for paths-check")
         if cfg["doublings"] < 1:
             raise ScenarioError("'doublings' must be >= 1")
+        steps = cfg["drive"]["steps"]
+        if steps < 2:
+            raise ScenarioError("'drive.steps' must be >= 2 for paths-check (boundary weight profile)")
+        # Every protocol but 'random' is a qubit. The exponent is capped before
+        # the power is formed: at dim >= 2 twenty gridpoints already pass the limit.
+        dim = cfg["drive"]["params"].get("dim", 2)
+        finest = steps * 2 ** min(cfg["doublings"], 20)
+        if dim ** min(finest + 1, 64) > PATH_ENUMERATION_LIMIT:
+            raise ScenarioError(
+                f"paths-check would enumerate more than {PATH_ENUMERATION_LIMIT} paths at "
+                f"{steps} x 2^{cfg['doublings']} steps (dimension {dim}); "
+                "lower 'drive.steps' or 'doublings'"
+            )
 
 
 def set_by_path(config: dict, dotted: str, value) -> dict:

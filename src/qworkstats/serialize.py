@@ -18,6 +18,7 @@ import numpy as np
 
 from .fcs import CharacteristicSamples, QuasiDistribution, SpectralExpansion
 from .open_system import HeatLedger
+from .paths import PathEnsemble
 from .tmp import TmpDistribution
 
 __all__ = [
@@ -60,18 +61,26 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _column_text(values) -> list[str]:
+    """Cells of one column, as ``_fmt`` writes them."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return list(map(repr, values.tolist()))
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biu":
+        return list(map(str, values.tolist()))
+    return [_fmt(x) for x in values]
+
+
 def _write_csv(
     path: Path,
-    columns: Sequence[str],
-    rows: Iterable[Sequence],
+    names: Sequence[str],
+    columns: Sequence[Sequence],
     header: Mapping[str, object],
 ) -> None:
     lines = [f"# schema_version: {SCHEMA_VERSION}", f"# generated_at: {_stamp()}"]
     for key, value in header.items():
         lines.append(f"# {key}: {_fmt(value)}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines.append(",".join(names))
+    lines.extend(map(",".join, zip(*map(_column_text, columns))))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -81,7 +90,9 @@ def _sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
+        if obj.dtype.kind in "biuf":
+            return obj.tolist()
+        return _sanitize(obj.tolist())
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -91,10 +102,41 @@ def _sanitize(obj):
     return obj
 
 
+def _json_text(obj, indent: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` at nesting ``indent``.
+
+    Lists of only ``int`` or only ``float`` are joined in one pass instead of
+    going through the pure-Python encoder that ``indent`` selects; every
+    scalar, string and non-finite float is still written by ``json`` itself.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = (f"{json.dumps(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            text = sep.join(map(float.__repr__, obj))
+            if "n" in text:  # nan or inf, which json spells NaN and Infinity
+                text = sep.join(map(json.dumps, obj))
+        elif kinds == {int}:
+            text = sep.join(map(int.__repr__, obj))
+        else:
+            text = sep.join(_json_text(v, inner) for v in obj)
+        return "[\n" + inner + text + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
 def _write_json(path: Path, payload: Mapping) -> None:
     body = {"schema_version": SCHEMA_VERSION, "generated_at": _stamp()}
     body.update(_sanitize(payload))
-    path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
+    path.write_text(_json_text(body, "") + "\n")
 
 
 def _targets(directory: Path, stem: str, formats: Sequence[str]) -> dict[str, Path]:
@@ -115,8 +157,8 @@ def write_characteristic(
     header = {"kind": "characteristic_function", "protocol": protocol}
     header.update(flatten_config(config))
     if "csv" in targets:
-        rows = zip(samples.grid.lambdas, samples.values.real, samples.values.imag)
-        _write_csv(targets["csv"], ["lambda", "re", "im"], rows, header)
+        columns = (samples.grid.lambdas, samples.values.real, samples.values.imag)
+        _write_csv(targets["csv"], ["lambda", "re", "im"], columns, header)
         written.append(targets["csv"])
     if "json" in targets:
         _write_json(
@@ -147,8 +189,7 @@ def write_quasi_distribution(
     header = {"kind": "quasi_distribution", "protocol": protocol}
     header.update(flatten_config(config))
     if "csv" in targets:
-        rows = zip(dist.support, dist.weights)
-        _write_csv(targets["csv"], ["support", "weight"], rows, header)
+        _write_csv(targets["csv"], ["support", "weight"], (dist.support, dist.weights), header)
         written.append(targets["csv"])
     if "json" in targets:
         _write_json(
@@ -178,8 +219,8 @@ def write_tmp_distribution(
     header = {"kind": "quasi_distribution", "protocol": "tmp"}
     header.update(flatten_config(config))
     if "csv" in targets:
-        rows = zip(outcomes.work, outcomes.probability)
-        _write_csv(targets["csv"], ["support", "weight"], rows, header)
+        columns = (outcomes.work, outcomes.probability)
+        _write_csv(targets["csv"], ["support", "weight"], columns, header)
         written.append(targets["csv"])
     if "json" in targets:
         _write_json(
@@ -211,11 +252,11 @@ def write_spectral_terms(
     header = {"kind": "spectral_terms"}
     header.update(flatten_config(config))
     if "csv" in targets:
-        rows = zip(terms.i, terms.j, terms.k, terms.support, terms.weight.real, terms.weight.imag)
+        columns = (terms.i, terms.j, terms.k, terms.support, terms.weight.real, terms.weight.imag)
         _write_csv(
             targets["csv"],
             ["i", "j", "k", "support", "weight_re", "weight_im"],
-            rows,
+            columns,
             header,
         )
         written.append(targets["csv"])
@@ -250,11 +291,8 @@ def write_ledger(
     header.update(flatten_config(config))
     cum = np.cumsum(ledger.heat_increments)
     if "csv" in targets:
-        rows = [
-            (r.k, r.time, r.heat, r.entropy_change, cum[n])
-            for n, r in enumerate(ledger.rows)
-        ]
-        _write_csv(targets["csv"], ["k", "t_k", "Q_k", "dS_k", "cumQ"], rows, header)
+        columns = [*zip(*ledger.rows), cum]
+        _write_csv(targets["csv"], ["k", "t_k", "Q_k", "dS_k", "cumQ"], columns, header)
         written.append(targets["csv"])
     if "json" in targets:
         _write_json(
@@ -296,24 +334,24 @@ def write_table(
 ) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     target = directory / f"{stem}.csv"
-    _write_csv(target, columns, rows, header)
+    _write_csv(target, columns, list(zip(*rows)), header)
     return target
 
 
 def write_paths_csv(
     directory: Path,
     stem: str,
-    records,
+    paths: PathEnsemble,
     config: Mapping,
     max_rows: int = 10000,
 ) -> Path:
+    """The first ``max_rows`` paths: indices joined by ``-``, amplitude, functional."""
     directory.mkdir(parents=True, exist_ok=True)
     target = directory / f"{stem}.csv"
     header = {"kind": "path_records"}
     header.update(flatten_config(config))
-    rows = [
-        ("-".join(str(i) for i in r.indices), r.amplitude.real, r.amplitude.imag, r.functional)
-        for r in records[:max_rows]
-    ]
-    _write_csv(target, ["indices", "amp_re", "amp_im", "functional"], rows, header)
+    indices = ["-".join(map(str, row)) for row in paths.indices(max_rows).tolist()]
+    amplitude = paths.amplitude[:max_rows]
+    columns = (indices, amplitude.real, amplitude.imag, paths.functional[:max_rows])
+    _write_csv(target, ["indices", "amp_re", "amp_im", "functional"], columns, header)
     return target

@@ -225,9 +225,39 @@ class TestRun:
         assert main(["run", "closed", "--out", str(tmp_path)]) == EXIT_NUMERICAL
         assert "synthetic failure" in capsys.readouterr().err
 
-    def test_enumeration_guard_maps_to_numerical_exit(self, tmp_path):
-        code = main(["run", "paths-check", "--steps", "32", "--out", str(tmp_path)])
+    def test_enumeration_guard_maps_to_numerical_exit(self, tmp_path, monkeypatch):
+        # scenario validation keeps oversized runs from reaching the guard, so
+        # lower the limit the enumeration itself reads
+        import qworkstats.paths as paths_module
+
+        monkeypatch.setattr(paths_module, "PATH_ENUMERATION_LIMIT", 16)
+        code = main(["run", "paths-check", "--steps", "4", "--out", str(tmp_path)])
         assert code == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            (["drive.steps=1"], "drive.steps"),
+            (["doublings=3"], "doublings"),
+            (["drive.protocol=random", "drive.params.dim=0"], "drive.params.dim"),
+        ],
+        ids=["single-step", "over-path-limit", "zero-dim"],
+    )
+    def test_paths_check_bad_size_rejected_before_enumeration(
+        self, tmp_path, capsys, monkeypatch, overrides, field
+    ):
+        import qworkstats.paths as paths_module
+
+        calls = []
+        monkeypatch.setattr(paths_module, "enumerate_paths", lambda *a, **k: calls.append(a))
+        argv = ["run", "paths-check", "--out", str(tmp_path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+        assert calls == []
 
     def test_output_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QWORKSTATS_OUT", str(tmp_path / "envout"))

@@ -3,6 +3,7 @@ import pytest
 
 from qworkstats import (
     CompositeModel,
+    DensityOperator,
     HeatLedger,
     HermitianOperator,
     characteristic_function,
@@ -23,6 +24,7 @@ from qworkstats import (
     symmetric_grid,
     tensor,
     two_qubit_exchange_environment,
+    von_neumann_entropy,
 )
 from qworkstats.fcs import fd_stencil_grid, moment_fd
 from qworkstats.linalg import NumericalError, max_abs
@@ -197,6 +199,31 @@ class TestHeatLedger:
             refreshed.internal_energy_change - refreshed.heat, abs=1e-12
         )
         assert abs(refreshed.heat - plain.heat) > 1e-6
+
+    def test_entropy_changes_match_per_state_entropy(self):
+        # reference: evolve the product state and take each reduced state's
+        # entropy on its own
+        model = exchange_model(0.3)
+        rho_s, rho_e = thermal_pair(model)
+        composite = model.discretize(24)
+        ledger, _ = composite.trajectory(rho_s, rho_e)
+        rho = tensor(rho_s.matrix, rho_e.matrix)
+        entropies = [von_neumann_entropy(rho_s)]
+        for e in composite.propagators:
+            rho = e @ rho @ e.conj().T
+            entropies.append(von_neumann_entropy(DensityOperator(partial_trace_env(rho, 2, 2), psd_tol=1e-8)))
+        assert np.max(np.abs(ledger.entropy_increments - np.diff(entropies))) <= 1e-14
+        assert np.max(np.abs(ledger.entropy_increments)) > 1e-3
+
+    def test_unphysical_reduced_state_is_numerical_error(self, monkeypatch):
+        import qworkstats.open_system as open_module
+
+        model = exchange_model(0.1)
+        rho_s, rho_e = thermal_pair(model)
+        composite = model.discretize(8)
+        monkeypatch.setattr(open_module, "partial_trace_env", lambda *a: np.diag([1.5, -0.5]).astype(complex))
+        with pytest.raises(NumericalError, match="reduced state 1 .*smallest eigenvalue -5"):
+            composite.trajectory(rho_s, rho_e)
 
     def test_refresh_every_validated(self):
         model = exchange_model(0.1)

@@ -1,16 +1,21 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from qworkstats import (
     HermitianOperator,
+    PathBasisSequence,
     boundary_beta,
     counting_weighted_sum,
     discretize,
     enumerate_paths,
     evolution_operator,
+    expm_unitary,
     kicked_product,
     linear_ramp_protocol,
     path_sum,
+    random_hermitian,
     random_ramp_protocol,
     two_kick_propagator,
 )
@@ -88,7 +93,54 @@ class TestEnumeration:
         first = eig_hermitian(obs[0])[0]
         last = eig_hermitian(obs[3])[0]
         expected = {round(b - a, 10) for a in first for b in last}
-        assert {round(r.functional, 10) for r in records} <= expected
+        assert {round(f, 10) for f in records.functional.tolist()} <= expected
+
+
+def record_loop(drive, psi_initial, psi_final, observables, beta):
+    """The per-path loop the array ensemble replaced, kept as its oracle:
+    one ``(indices, amplitude, functional)`` triple per index tuple."""
+    n = drive.n_steps
+    basis = PathBasisSequence.from_observables(observables)
+    transfer = [
+        basis.bases[k + 1].conj().T @ expm_unitary(drive.steps[k][1], drive.dt).matrix @ basis.bases[k]
+        for k in range(n)
+    ]
+    start = basis.bases[0].conj().T @ psi_initial
+    end = basis.bases[n].conj().T @ psi_final
+    scaled_values = [drive.dt * beta[k] * basis.values[k] for k in range(n + 1)]
+    records = []
+    for indices in product(range(drive.dim), repeat=n + 1):
+        amp = start[indices[0]]
+        for k in range(n):
+            amp *= transfer[k][indices[k + 1], indices[k]]
+        amp *= np.conj(end[indices[n]])
+        f = sum(scaled_values[k][indices[k]] for k in range(n + 1))
+        records.append((indices, complex(amp), float(f)))
+    return records
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("n_steps", (1, 2, 3, 4))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_ensemble_matches_record_loop(dim, n_steps, seed):
+    rng = np.random.default_rng(300 + 31 * dim + 7 * n_steps + seed)
+    drive = discretize(random_ramp_protocol(dim, 1.0, rng), n_steps)
+    observables = [random_hermitian(dim, rng) for _ in range(n_steps + 1)]
+    beta = rng.normal(size=n_steps + 1) / drive.dt
+    psi0, psi1 = random_states(rng, dim)
+    paths = enumerate_paths(drive, psi0, psi1, observables=observables, beta=beta)
+    records = record_loop(drive, psi0, psi1, observables, beta)
+    assert len(paths) == len(records) == dim ** (n_steps + 1)
+    assert (paths.dim, paths.n_gridpoints) == (dim, n_steps + 1)
+    assert np.max(np.abs(paths.amplitude - [r[1] for r in records])) <= 1e-14
+    assert np.max(np.abs(paths.functional - [r[2] for r in records])) <= 1e-14
+    assert [tuple(row) for row in paths.indices(len(paths)).tolist()] == [r[0] for r in records]
+    assert paths.indices(5).tolist() == [list(r[0]) for r in records[:5]]
+    assert paths.indices(len(paths) + 3).shape == (len(paths), n_steps + 1)
+    lam = 0.7
+    loop_weighted = sum(np.exp(1j * lam * r[2]) * r[1] for r in records)
+    assert abs(path_sum(paths) - sum(r[1] for r in records)) <= 1e-13
+    assert abs(counting_weighted_sum(paths, lam) - loop_weighted) <= 1e-13
 
 
 class TestCountingWeightedSum:
