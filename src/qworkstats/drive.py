@@ -1,16 +1,22 @@
 """Time-dependent drive protocols and their step discretization.
 
-A :class:`DriveProtocol` is a deterministic map ``t -> H_S(t)`` on ``[0, T]``.
-:func:`discretize` samples it at the left endpoints ``t_k = k dt`` of ``N``
-equal steps and :func:`evolution_operator` forms the ordered product
+A :class:`DriveProtocol` is a deterministic map ``t -> H_S(t)`` on ``[0, T]``
+that samples a whole array of times in one call. :func:`discretize` cuts the
+window into ``N`` equal steps with one generator ``H^k`` each, and
+:func:`evolution_operator` forms the ordered product
 
     ``U = exp(-i dt H^{N-1}) ... exp(-i dt H^1) exp(-i dt H^0)``
 
-(latest step leftmost), which converges to the time-ordered exponential at
-first order in ``dt``.
+(latest step leftmost). Two step rules give the generators:
+
+* ``"left"``, the paper's rule and the default: ``H^k = H(t_k)`` at the left
+  endpoints ``t_k = k dt``; the product converges at first order in ``dt``.
+* ``"magnus4"``, the two-point Gauss-Legendre Magnus rule:
+  ``H^k = (H_1 + H_2)/2 + i (sqrt(3)/12) dt [H_1, H_2]`` with
+  ``H_{1,2} = H(t_k + (1/2 -+ sqrt(3)/6) dt)``; fourth order in ``dt``.
 
 The protocol values at the exact boundaries ``t = 0`` and ``t = T`` are kept
-on the discretized drive separately from the step samples: they are the
+on the discretized drive separately from the step generators: they are the
 Hamiltonians the detector kicks couple to, immediately before and after the
 drive window.
 """
@@ -24,9 +30,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import (
+    HERMITICITY_TOL,
     HermitianOperator,
     NumericalError,
     UnitaryOperator,
+    dagger,
     eig_hermitian,
     max_abs,
     mat,
@@ -35,6 +43,7 @@ from .linalg import (
 __all__ = [
     "DriveProtocol",
     "DiscretizedDrive",
+    "STEP_RULES",
     "discretize",
     "discretize_to_tolerance",
     "evolution_operator",
@@ -59,72 +68,113 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+# step rule -> order p of its product error, dev ~ N^-p
+STEP_RULES = {"left": 1, "magnus4": 4}
+
 
 @dataclass(frozen=True)
 class DriveProtocol:
     """A drive ``H_S(t)`` on ``[0, duration]``.
 
-    ``hamiltonian_at`` must be a deterministic function of ``t`` returning a
-    :class:`HermitianOperator` of fixed dimension; both endpoints must be
-    well-defined since they serve as the measurement-kick Hamiltonians.
+    ``hamiltonians_at`` must be a deterministic function mapping an ``(N,)``
+    array of times to the ``(N, d, d)`` stack of Hamiltonians at those times,
+    with ``d`` fixed; both endpoints must be well-defined since they serve as
+    the measurement-kick Hamiltonians.
     """
 
     duration: float
-    hamiltonian_at: Callable[[float], HermitianOperator]
+    hamiltonians_at: Callable[[np.ndarray], np.ndarray]
     label: str = ""
 
     def __post_init__(self):
         if not self.duration > 0:
             raise ValueError("drive duration must be positive")
-        h0 = self.hamiltonian_at(0.0)
-        h1 = self.hamiltonian_at(self.duration)
-        if h0.dim != h1.dim:
-            raise ValueError("hamiltonian_at returns inconsistent dimensions")
+        self.sample([0.0, self.duration])
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        return self.hamiltonian_at(0.0).dim
+        return self.sample([0.0]).shape[-1]
+
+    def sample(self, times) -> np.ndarray:
+        """The ``(N, d, d)`` stack ``H(t)`` for an ``(N,)`` array of times in
+        the window; times within rounding of an endpoint are clamped to it."""
+        t = np.asarray(times, dtype=float).reshape(-1)
+        outside = t[(t < -1e-12) | (t > self.duration * (1 + 1e-12))]
+        if outside.size:
+            raise ValueError(f"time {outside[0]} outside drive window [0, {self.duration}]")
+        return np.asarray(self.hamiltonians_at(np.clip(t, 0.0, self.duration)), dtype=complex)
 
     def __call__(self, t: float) -> HermitianOperator:
-        if t < -1e-12 or t > self.duration * (1 + 1e-12):
-            raise ValueError(f"time {t} outside drive window [0, {self.duration}]")
-        return self.hamiltonian_at(min(max(t, 0.0), self.duration))
+        """``H(t)`` at one time, checked Hermitian."""
+        return HermitianOperator(self.sample([t])[0])
 
 
-@dataclass(frozen=True)
+# Complex elements per block of the step checks; keeps their temporaries in cache.
+_CHECK_BLOCK = 1 << 14
+
+
+def _check_hermitian_steps(h: np.ndarray) -> None:
+    """Finite entries and ``max|H^k - H^k^dag| <= HERMITICITY_TOL * max(1, max|H^k|)``
+    for every step of an ``(N, d, d)`` stack; ``ValueError`` names the first failure."""
+    size = max(1, _CHECK_BLOCK // h[0].size)
+    for start in range(0, len(h), size):
+        block = h[start : start + size]
+        scale = np.abs(block).max(axis=(1, 2))
+        if not np.isfinite(scale).all():
+            raise ValueError("step Hamiltonians contain non-finite entries")
+        dev = np.abs(block - dagger(block)).max(axis=(1, 2))
+        bad = np.flatnonzero(dev > HERMITICITY_TOL * np.maximum(1.0, scale))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"step {start + k} is not Hermitian: max|M - M^dag| = {dev[k]:.3e}")
+
+
+@dataclass(frozen=True, eq=False)
 class DiscretizedDrive:
-    """Step sequence ``(t_k, H^k)`` with ``t_k = k dt`` plus boundary kicks.
+    """``N`` equal steps of a drive plus its boundary kick Hamiltonians.
 
-    ``h_start``/``h_end`` are the protocol values at ``t = 0`` and ``t = T``;
-    ``h_start`` coincides with the first step sample for protocol-derived
-    drives but is stored explicitly so synthetic drives can carry boundary
-    Hamiltonians that differ from the step generator.
+    ``times`` holds the ``(N,)`` left endpoints ``t_k = k dt`` and
+    ``hamiltonians`` the ``(N, d, d)`` stack of step generators ``H^k``: the
+    samples ``H(t_k)`` under ``rule="left"``, the Magnus-4 generators under
+    ``rule="magnus4"``. Both are kept as read-only views. ``h_start``/``h_end``
+    are the protocol values at ``t = 0`` and ``t = T``; ``h_start`` coincides
+    with the first left sample for protocol-derived drives but is stored
+    explicitly so synthetic drives can carry boundary Hamiltonians that differ
+    from the step generator. Construction checks the whole stack at once:
+    ``t_k = k dt``, finite entries, and each ``H^k`` Hermitian to
+    ``HERMITICITY_TOL * max(1, max|H^k|)``.
     """
 
-    steps: tuple[tuple[float, HermitianOperator], ...]
+    times: np.ndarray
+    hamiltonians: np.ndarray
     dt: float
     h_start: HermitianOperator
     h_end: HermitianOperator
     label: str = ""
+    rule: str = "left"
 
     def __post_init__(self):
-        if not self.steps:
-            raise ValueError("discretized drive needs at least one step")
+        for name, dtype in (("times", float), ("hamiltonians", complex)):
+            view = np.asarray(getattr(self, name), dtype=dtype).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+        t, h = self.times, self.hamiltonians
+        if self.rule not in STEP_RULES:
+            raise ValueError(f"unknown step rule {self.rule!r}; expected one of {', '.join(STEP_RULES)}")
+        if h.ndim != 3 or h.shape[1] != h.shape[2] or 0 in h.shape or t.shape != h.shape[:1]:
+            raise ValueError(f"need an (N, d, d) stack of N >= 1 steps and N times, got {h.shape}, {t.shape}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        d = self.steps[0][1].dim
-        for _, h in self.steps:
-            if h.dim != d:
-                raise ValueError("step Hamiltonians have mixed dimensions")
-        if self.h_start.dim != d or self.h_end.dim != d:
+        if self.h_start.dim != self.dim or self.h_end.dim != self.dim:
             raise ValueError("boundary Hamiltonians do not match step dimension")
-        for k, (t, _) in enumerate(self.steps):
-            if abs(t - k * self.dt) > 1e-12 * max(1.0, abs(t)):
-                raise ValueError(f"step {k} time {t} is not k*dt")
+        off = np.flatnonzero(np.abs(t - np.arange(t.size) * self.dt) > 1e-12 * np.maximum(1.0, np.abs(t)))
+        if off.size:
+            raise ValueError(f"step {off[0]} time {t[off[0]]} is not k*dt")
+        _check_hermitian_steps(h)
 
     @property
     def n_steps(self) -> int:
-        return len(self.steps)
+        return self.times.size
 
     @property
     def duration(self) -> float:
@@ -132,7 +182,16 @@ class DiscretizedDrive:
 
     @property
     def dim(self) -> int:
-        return self.steps[0][1].dim
+        return self.hamiltonians.shape[1]
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The stack ``H(t_k)`` itself, for readers that need the Hamiltonian
+        at each gridpoint; ``ValueError`` unless ``rule == "left"``, since a
+        Magnus-4 generator is not a value of ``H``."""
+        if self.rule != "left":
+            raise ValueError(f"needs the samples H(t_k) of a 'left' drive, not {self.rule} generators")
+        return self.hamiltonians
 
     @cached_property
     def propagator(self) -> UnitaryOperator:
@@ -147,33 +206,53 @@ class DiscretizedDrive:
         return eps0, v0.matrix, epst, vt.matrix
 
 
-def discretize(protocol: DriveProtocol, n_steps: int) -> DiscretizedDrive:
-    """Sample ``protocol`` at the left endpoints of ``n_steps`` equal steps."""
+# Gauss-Legendre nodes of one step, as fractions of dt
+_GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+
+
+def discretize(protocol: DriveProtocol, n_steps: int, rule: str = "left") -> DiscretizedDrive:
+    """``n_steps`` equal steps of ``protocol`` with generators from ``rule``.
+
+    ``"left"`` samples the left endpoints; ``"magnus4"`` samples the two
+    Gauss-Legendre nodes of every step and forms the Magnus-4 generator.
+    Raises :class:`NumericalError` when the generators overflow.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     dt = protocol.duration / n_steps
-    steps = tuple((k * dt, protocol(k * dt)) for k in range(n_steps))
+    times = np.arange(n_steps) * dt
+    if rule == "magnus4":
+        h1, h2 = (protocol.sample(times + node * dt) for node in _GAUSS_NODES)
+        hams = 0.5 * (h1 + h2) + (1j * np.sqrt(3.0) / 12.0 * dt) * (h1 @ h2 - h2 @ h1)
+    else:
+        hams = protocol.sample(times)
+    if not np.isfinite(hams).all():
+        raise NumericalError(f"{rule} step Hamiltonians overflow at {n_steps} steps")
     return DiscretizedDrive(
-        steps=steps,
+        times=times,
+        hamiltonians=hams,
         dt=dt,
         h_start=protocol(0.0),
         h_end=protocol(protocol.duration),
         label=protocol.label,
+        rule=rule,
     )
 
 
 def evolution_operator(drive: DiscretizedDrive) -> UnitaryOperator:
     """Ordered product of the step exponentials, latest step leftmost.
 
-    Step exponentials come from a batched eigendecomposition and the product
-    is reduced over a fixed pairwise tree, so large step counts stay cheap
-    and the result is deterministic.
+    Step exponentials come from a batched eigendecomposition of the drive's
+    generator stack and the product is reduced over a fixed pairwise tree,
+    so large step counts stay cheap and the result is deterministic.
     """
-    mats = np.stack([h.matrix for _, h in drive.steps])
-    mats = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
+    mats = drive.hamiltonians + dagger(drive.hamiltonians)
+    mats *= 0.5
+    if not np.isfinite(mats).all():
+        raise NumericalError("step Hamiltonians overflow when symmetrized")
     w, v = np.linalg.eigh(mats)
     phases = np.exp(-1j * w * drive.dt)
-    factors = np.matmul(v * phases[:, None, :], np.conj(np.swapaxes(v, -1, -2)))
+    factors = np.matmul(v * phases[:, None, :], dagger(v))
     # pairwise reduction preserving order: result = F_{N-1} ... F_1 F_0
     while factors.shape[0] > 1:
         n = factors.shape[0]
@@ -190,45 +269,38 @@ def evolution_operator(drive: DiscretizedDrive) -> UnitaryOperator:
     return UnitaryOperator(u)
 
 
-def _coarse_view(fine: DiscretizedDrive) -> DiscretizedDrive:
-    """The drive on every other sample of an even-count discretization."""
-    return DiscretizedDrive(
-        steps=fine.steps[::2],
-        dt=2 * fine.dt,
-        h_start=fine.h_start,
-        h_end=fine.h_end,
-        label=fine.label,
-    )
-
-
 def discretize_to_tolerance(
     protocol: DriveProtocol,
     tol: float = 1e-6,
     n_start: int = 16,
     n_max: int = 1 << 18,
+    rule: str = "left",
 ) -> DiscretizedDrive:
     """Pick the step count by self-convergence of the evolution operator.
 
-    Requires ``max|U_N - U_2N| <= tol`` and returns the finer discretization.
-    The deviation tracks the first-order product error ``c / (2N)``, so after
-    each failed check the required ``N`` is predicted from the measured
-    constant (with a safety margin) instead of doubling blindly; the
-    prediction is always verified before returning.
+    Requires ``max|U_N - U_2N| <= tol``, both products under ``rule``, and
+    returns the finer discretization. The deviation tracks the rule's product
+    error ``c / N^p`` (``p`` from :data:`STEP_RULES`), so after each failed
+    check the required ``N`` is predicted from the measured constant (with a
+    safety margin) instead of doubling blindly; the prediction is always
+    verified before returning.
     """
     n = max(1, n_start)
+    coarse = discretize(protocol, n, rule)
+    order = STEP_RULES[rule]
     while True:
-        fine = discretize(protocol, 2 * n)
-        dev = max_abs(
-            evolution_operator(_coarse_view(fine)).matrix - fine.propagator.matrix
-        )
+        fine = discretize(protocol, 2 * n, rule)
+        dev = max_abs(coarse.propagator.matrix - fine.propagator.matrix)
         if dev <= tol:
             return fine
         if n >= n_max:
             raise NumericalError(
                 f"evolution operator did not self-converge to {tol} below N = {2 * n_max}"
             )
-        predicted = int(np.ceil(1.25 * dev * n / tol))
-        n = min(max(2 * n, predicted), n_max)
+        predicted = int(np.ceil(n * (1.25 * dev / tol) ** (1.0 / order)))
+        n_next = min(max(2 * n, predicted), n_max)
+        coarse = fine if n_next == 2 * n else discretize(protocol, n_next, rule)
+        n = n_next
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +308,24 @@ def discretize_to_tolerance(
 
 
 def constant_protocol(h, duration: float, label: str = "constant") -> DriveProtocol:
-    ham = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
-    return DriveProtocol(duration, lambda t: ham, label)
+    ham = HermitianOperator(h).matrix
+    return DriveProtocol(duration, lambda t: np.broadcast_to(ham, (t.size, *ham.shape)), label)
 
 
 def linear_ramp_protocol(h_initial, h_final, duration: float, label: str = "linear-ramp") -> DriveProtocol:
     """Linear interpolation ``H(t) = (1 - t/T) H0 + (t/T) H1``."""
-    h0 = mat(h_initial)
-    h1 = mat(h_final)
+    # real views: scaling a complex array by real weights as float * complex
+    # would run NumPy's much slower mixed-type broadcast loop
+    h0 = np.ascontiguousarray(mat(h_initial)).view(float)
+    h1 = np.ascontiguousarray(mat(h_final)).view(float)
     if h0.shape != h1.shape:
         raise ValueError("ramp endpoints have different dimensions")
 
-    def at(t: float) -> HermitianOperator:
-        s = t / duration
-        return HermitianOperator._trusted((1.0 - s) * h0 + s * h1)
+    def at(t: np.ndarray) -> np.ndarray:
+        s = (t / duration)[:, None, None]
+        out = (1.0 - s) * h0
+        out += s * h1
+        return out.view(complex)
 
     return DriveProtocol(duration, at, label)
 
@@ -263,11 +339,9 @@ def rabi_protocol(
 ) -> DriveProtocol:
     """Rotating qubit drive ``H(t) = s*sz + a*(cos(ft) sx + sin(ft) sy)``."""
 
-    def at(t: float) -> HermitianOperator:
-        h = splitting * SIGMA_Z + amplitude * (
-            np.cos(frequency * t) * SIGMA_X + np.sin(frequency * t) * SIGMA_Y
-        )
-        return HermitianOperator._trusted(h)
+    def at(t: np.ndarray) -> np.ndarray:
+        ft = (frequency * t)[:, None, None]
+        return splitting * SIGMA_Z + amplitude * (np.cos(ft) * SIGMA_X + np.sin(ft) * SIGMA_Y)
 
     return DriveProtocol(duration, at, label)
 
@@ -284,9 +358,9 @@ def gap_ramp_protocol(
     eigenvalue order matches the computational basis.
     """
 
-    def at(t: float) -> HermitianOperator:
+    def at(t: np.ndarray) -> np.ndarray:
         gap = gap_initial + (gap_final - gap_initial) * t / duration
-        return HermitianOperator._trusted(-0.5 * gap * SIGMA_Z)
+        return (-0.5 * gap)[:, None, None] * SIGMA_Z
 
     return DriveProtocol(duration, at, label)
 
@@ -295,13 +369,13 @@ def piecewise_constant_protocol(
     segments: Sequence, duration: float, label: str = "piecewise"
 ) -> DriveProtocol:
     """Equal-length constant segments; ``H(T)`` is the last segment's value."""
-    hams = [h if isinstance(h, HermitianOperator) else HermitianOperator(h) for h in segments]
-    if not hams:
+    if not len(segments):
         raise ValueError("piecewise protocol needs at least one segment")
+    hams = np.stack([HermitianOperator(h).matrix for h in segments])
     seg = duration / len(hams)
 
-    def at(t: float) -> HermitianOperator:
-        return hams[min(int(t / seg), len(hams) - 1)]
+    def at(t: np.ndarray) -> np.ndarray:
+        return hams[np.minimum((t / seg).astype(int), len(hams) - 1)]
 
     return DriveProtocol(duration, at, label)
 
@@ -310,7 +384,7 @@ def reversed_protocol(protocol: DriveProtocol) -> DriveProtocol:
     """The drive run backwards in time, ``H_rev(t) = H(T - t)``."""
     return DriveProtocol(
         protocol.duration,
-        lambda t: protocol(protocol.duration - t),
+        lambda t: protocol.sample(protocol.duration - t),
         label=f"{protocol.label}-reversed" if protocol.label else "reversed",
     )
 
@@ -373,7 +447,8 @@ def cyclic_qubit_drive(alpha: float, xi: float, gap: float, duration: float = 1.
     generator = HermitianOperator(-(xi / duration) * axis)
     h0 = cyclic_qubit_hamiltonian(gap)
     return DiscretizedDrive(
-        steps=((0.0, generator),),
+        times=np.zeros(1),
+        hamiltonians=generator.matrix[None],
         dt=duration,
         h_start=h0,
         h_end=h0,

@@ -68,8 +68,8 @@ def max_abs(a) -> float:
 
 
 def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return mat(a).conj().T
+    """Conjugate transpose; of each matrix, for an ``(..., d, d)`` stack."""
+    return np.conj(np.swapaxes(np.asarray(getattr(a, "matrix", a)), -1, -2))
 
 
 def _frozen_copy(m: np.ndarray) -> np.ndarray:
@@ -83,11 +83,27 @@ def _check_square_finite(m: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValueError(f"{what} must have dimension >= 1")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{what} contains non-finite entries")
 
 
-class HermitianOperator:
+class _Operator:
+    """What the checked operator types share: a frozen ``matrix``."""
+
+    matrix: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.matrix, dtype=dtype)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dim={self.dim})"
+
+
+class HermitianOperator(_Operator):
     """A Hermitian matrix, checked at construction.
 
     Requires ``max|M - M^dag| <= tol * max(1, max|M|)``; the matrix is stored
@@ -103,29 +119,8 @@ class HermitianOperator:
             raise ValueError(f"matrix is not Hermitian: max|M - M^dag| = {dev:.3e}")
         self.matrix = _frozen_copy(m)
 
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray) -> "HermitianOperator":
-        """Wrap a matrix that is Hermitian by construction, skipping checks.
 
-        Internal fast path for the package's own factories on hot loops;
-        user-facing constructors stay strict.
-        """
-        op = cls.__new__(cls)
-        op.matrix = _frozen_copy(matrix)
-        return op
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.matrix, dtype=dtype)
-
-    def __repr__(self) -> str:
-        return f"HermitianOperator(dim={self.dim})"
-
-
-class UnitaryOperator:
+class UnitaryOperator(_Operator):
     """A unitary matrix, checked at construction: ``max|U^dag U - 1| <= tol``."""
 
     def __init__(self, matrix, *, tol: float | None = None):
@@ -137,18 +132,8 @@ class UnitaryOperator:
             raise ValueError(f"matrix is not unitary: max|U^dag U - 1| = {dev:.3e}")
         self.matrix = _frozen_copy(m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.matrix, dtype=dtype)
-
-    def __repr__(self) -> str:
-        return f"UnitaryOperator(dim={self.dim})"
-
-
-class DensityOperator:
+class DensityOperator(_Operator):
     """A density matrix: Hermitian, unit trace, positive semidefinite.
 
     Construction enforces ``max|rho - rho^dag| <= herm_tol``,
@@ -179,16 +164,6 @@ class DensityOperator:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         self.matrix = _frozen_copy(m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.matrix, dtype=dtype)
-
-    def __repr__(self) -> str:
-        return f"DensityOperator(dim={self.dim})"
-
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude component is real positive.
@@ -215,10 +190,13 @@ def eig_hermitian(h) -> tuple[np.ndarray, UnitaryOperator]:
     Raises
     ------
     NumericalError
-        If the LAPACK eigensolver fails to converge.
+        If the symmetrized matrix overflows or the LAPACK eigensolver fails
+        to converge.
     """
     m = mat(h)
     m = 0.5 * (m + m.conj().T)
+    if not np.isfinite(m).all():
+        raise NumericalError(f"Hermitian matrix is not finite when symmetrized: max|H| = {max_abs(h):.3e}")
     try:
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

@@ -54,12 +54,11 @@ from .linalg import (
     HermitianOperator,
     NumericalError,
     UnitaryOperator,
-    gibbs_state,
+    dagger,
     max_abs,
     mat,
     partial_trace_env,
     tensor,
-    von_neumann_entropy,
 )
 
 __all__ = [
@@ -162,13 +161,9 @@ def _expect(h, rho) -> float:
     return float(np.trace(mat(h) @ mat(rho)).real)
 
 
-def _dag(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
-
-
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystems of a (stack of) Hermitian matrices, symmetrized first."""
-    return np.linalg.eigh(0.5 * (h + _dag(h)))
+    return np.linalg.eigh(0.5 * (h + dagger(h)))
 
 
 def _reduced_state_spectra(states: np.ndarray) -> np.ndarray:
@@ -182,9 +177,9 @@ def _reduced_state_spectra(states: np.ndarray) -> np.ndarray:
     finite = np.isfinite(states).all(axis=(1, 2))
     if not finite.all():
         raise NumericalError(f"reduced state {int(np.argmin(finite))} has non-finite entries")
-    herm = np.abs(states - _dag(states)).max(axis=(1, 2))
+    herm = np.abs(states - dagger(states)).max(axis=(1, 2))
     trace = np.trace(states, axis1=1, axis2=2)
-    spectra = np.linalg.eigvalsh(0.5 * (states + _dag(states)))
+    spectra = np.linalg.eigvalsh(0.5 * (states + dagger(states)))
     bad = np.flatnonzero(
         (herm > HERMITICITY_TOL * np.maximum(1.0, np.abs(states).max(axis=(1, 2))))
         | (np.abs(trace - 1.0) > TRACE_TOL)
@@ -217,7 +212,7 @@ def _kicks(eigensystems, lams: np.ndarray):
     v = np.stack([e[1] for e in eigensystems])
     d = w.shape[-1]
     freqs = (w[1:, :, None] - w[:-1, None, :]).reshape(-1, d * d)
-    terms = np.einsum("jbc,jab,jec->jbcae", _dag(v[1:]) @ v[:-1], v[1:], v[:-1].conj())
+    terms = np.einsum("jbc,jab,jec->jbcae", dagger(v[1:]) @ v[:-1], v[1:], v[:-1].conj())
     for freq, term in zip(freqs, terms.reshape(-1, d * d, d * d)):
         yield (np.exp(0.5j * np.multiply.outer(lams, freq)) @ term).reshape(-1, d, d)
 
@@ -239,7 +234,7 @@ class DiscretizedComposite:
         self.dim_s, self.dim_e, self.dim = model.dim_s, model.dim_e, model.dim
         eye = np.eye(self.dim)
         # H_S^0 ... H_S^{N-1}, then H_S(T)
-        self.hamiltonians = np.stack([h.matrix for _, h in drive.steps] + [drive.h_end.matrix])
+        self.hamiltonians = np.concatenate([drive.samples, drive.h_end.matrix[None]])
         static = (
             self._on_factor(model.h_env.matrix, eye, env=True)
             + model.coupling_scale * model.coupling.matrix
@@ -405,7 +400,7 @@ class DiscretizedComposite:
         entropy = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
         rows = tuple(
             LedgerRow(k, t_k, heat[k], float(entropy[k + 1] - entropy[k]))
-            for k, (t_k, _) in enumerate(self.drive.steps)
+            for k, t_k in enumerate(self.drive.times.tolist())
         )
         du = _expect(h[-1], states[-1]) - _expect(self.drive.h_start, rho_s)
         q = float(sum(heat))
@@ -421,25 +416,29 @@ def fast_decoherence_run(
     Relaxation is modeled as a hard re-thermalization map (the state is
     exactly Gibbs at all times), not a rate equation. In the quasi-static
     limit each heat increment approaches ``T`` times the entropy increment.
+    The Gibbs weights, states and entropies of all ``N + 1`` Hamiltonians
+    ``H(0), H(t_1), ..., H(t_{N-1}), H(T)`` come from one batched
+    eigendecomposition, each spectrum shifted by its minimum so large gaps
+    cannot overflow.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     drive = discretize(protocol, n_steps)
-    hams = [h for _, h in drive.steps[1:]] + [drive.h_end]
-    state_prev = gibbs_state(drive.h_start, temperature)
-    entropy_prev = von_neumann_entropy(state_prev)
-    u_initial = _expect(drive.h_start, state_prev)
-    rows = []
-    for k, h in enumerate(hams, start=1):
-        state_now = gibbs_state(h, temperature)
-        entropy_now = von_neumann_entropy(state_now)
-        heat_k = _expect(h, state_now.matrix - state_prev.matrix)
-        rows.append(LedgerRow(k, k * drive.dt, heat_k, entropy_now - entropy_prev))
-        state_prev = state_now
-        entropy_prev = entropy_now
-    du = _expect(drive.h_end, state_prev) - u_initial
+    h = np.concatenate([drive.h_start.matrix[None], drive.samples[1:], drive.h_end.matrix[None]])
+    w, v = _eigh(h)
+    p = np.exp(-(w - w.min(axis=1, keepdims=True)) / float(temperature))
+    p /= p.sum(axis=1, keepdims=True)
+    states = (v * p[:, None, :]) @ dagger(v)
+    entropy = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
+    energy = np.einsum("kij,kji->k", h, states).real
+    heat = np.einsum("kij,kji->k", h[1:], states[1:] - states[:-1]).real
+    rows = tuple(
+        LedgerRow(k, k * drive.dt, q_k, ds_k)
+        for k, q_k, ds_k in zip(range(1, n_steps + 1), heat.tolist(), np.diff(entropy).tolist())
+    )
+    du = float(energy[-1] - energy[0])
     q = float(sum(r.heat for r in rows))
-    return HeatLedger(tuple(rows), q, du, du - q, temperature=temperature)
+    return HeatLedger(rows, q, du, du - q, temperature=temperature)
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,14 @@ class PathEnsemble:
         return np.stack(np.unravel_index(flat, (self.dim,) * self.n_gridpoints), axis=1)
 
 
-def default_observable_sequence(drive: DiscretizedDrive) -> list[HermitianOperator]:
-    """The drive Hamiltonian sampled at all ``N + 1`` gridpoints.
+def default_observable_sequence(drive: DiscretizedDrive) -> np.ndarray:
+    """The drive Hamiltonian sampled at all ``N + 1`` gridpoints, as one
+    ``(N + 1, d, d)`` stack.
 
     Gridpoints ``0..N-1`` take the step samples; gridpoint ``N`` takes the
-    boundary value at ``t = T``.
+    boundary value at ``t = T``. Needs a ``"left"`` drive.
     """
-    return [h for _, h in drive.steps] + [drive.h_end]
+    return np.concatenate([drive.samples, drive.h_end.matrix[None]])
 
 
 def boundary_beta(n_steps: int, dt: float) -> np.ndarray:
@@ -127,15 +128,18 @@ def enumerate_paths(
     drive: DiscretizedDrive,
     psi_initial,
     psi_final,
-    observables: Sequence[HermitianOperator] | None = None,
+    observables: Sequence[HermitianOperator] | np.ndarray | None = None,
     beta: np.ndarray | None = None,
 ) -> PathEnsemble:
     """All basis paths contributing to ``<psi_final|U|psi_initial>``.
 
     One entry per index tuple ``(i_0, ..., i_N)``; amplitudes sum to the
-    exact matrix element. Raises :class:`NumericalError` when the path count
-    would exceed ``PATH_ENUMERATION_LIMIT``.
+    exact matrix element. The drive must be a ``"left"`` drive, whose step
+    generators are the Hamiltonian's samples (``ValueError`` otherwise).
+    Raises :class:`NumericalError` when the path count would exceed
+    ``PATH_ENUMERATION_LIMIT``.
     """
+    samples = drive.samples
     n = drive.n_steps
     if observables is None:
         observables = default_observable_sequence(drive)
@@ -156,7 +160,7 @@ def enumerate_paths(
     # Transfer matrices between consecutive eigenbases; boundary overlaps.
     transfer = []
     for k in range(n):
-        step = expm_unitary(drive.steps[k][1], drive.dt).matrix
+        step = expm_unitary(samples[k], drive.dt).matrix
         transfer.append(basis.bases[k + 1].conj().T @ step @ basis.bases[k])
     start = basis.bases[0].conj().T @ np.asarray(psi_initial, dtype=complex).ravel()
     end = basis.bases[n].conj().T @ np.asarray(psi_final, dtype=complex).ravel()
@@ -188,7 +192,7 @@ def counting_weighted_sum(paths: PathEnsemble, lam: float) -> complex:
 def kicked_product(
     drive: DiscretizedDrive,
     lam: float,
-    observables: Sequence[HermitianOperator] | None = None,
+    observables: Sequence[HermitianOperator] | np.ndarray | None = None,
     beta: np.ndarray | None = None,
 ) -> np.ndarray:
     """Product of combined exponentials ``exp(-i dt (H^k - lam beta_k A_k))``.
@@ -196,8 +200,9 @@ def kicked_product(
     The final gridpoint has no evolution interval, so its weight enters as a
     pure kick ``exp(+i lam dt beta_N A_N)`` on the left. Agrees with the
     counting-weighted path sum up to O(dt) splitting error, exactly when all
-    ``[H^k, A_k] = 0``.
+    ``[H^k, A_k] = 0``. Needs a ``"left"`` drive, like :func:`enumerate_paths`.
     """
+    samples = drive.samples
     n = drive.n_steps
     if observables is None:
         observables = default_observable_sequence(drive)
@@ -207,7 +212,7 @@ def kicked_product(
     u = np.eye(drive.dim, dtype=complex)
     for k in range(n):
         generator = HermitianOperator(
-            mat(drive.steps[k][1]) - lam * beta[k] * mat(observables[k])
+            samples[k] - lam * beta[k] * mat(observables[k])
         )
         u = expm_unitary(generator, drive.dt).matrix @ u
     if beta[n] != 0.0:

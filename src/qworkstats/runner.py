@@ -172,7 +172,7 @@ def _run_open(scenario: Scenario) -> tuple[dict, dict]:
         rho_s, rho_e, refresh_every=cfg["environment"]["refresh_every"]
     )
     samples = composite.characteristic_function(rho_s, rho_e, grid)
-    scale = max(max_abs(model.drive(0.0)), max_abs(model.drive(model.drive.duration)), 1e-6)
+    scale = max(max_abs(composite.drive.h_start), max_abs(composite.drive.h_end), 1e-6)
     h = 1e-3 / scale
     fd_grid = fcs.fd_stencil_grid(h, order=1, richardson=True)
     fd_samples = composite.characteristic_function(rho_s, rho_e, fd_grid)

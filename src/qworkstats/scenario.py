@@ -29,6 +29,7 @@ resolved configuration that is echoed into every output artifact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -225,69 +226,72 @@ _ENV_SCHEMA = {
     "refresh_every": _Field("optional_int", None),
 }
 
+def _kind_schema(kind: str, **fields) -> dict:
+    """Schema of one kind: the common ``kind``, ``seed``, ``label`` and
+    ``output`` fields around the kind's own, in artifact order."""
+    return {
+        "kind": _Field("str", kind, SCENARIO_KINDS),
+        "seed": _Field("int", 0),
+        "label": _Field("str", ""),
+        **fields,
+        "output": _OUTPUT_SCHEMA,
+    }
+
+
+_CLOSED_FIELDS = {
+    "drive": _drive_schema("rabi", 1.0, "auto"),
+    "initial_state": _STATE_SCHEMA,
+    "lambda_grid": _GRID_SCHEMA,
+}
+
 _SCHEMAS: dict[str, dict] = {
-    "closed": {
-        "kind": _Field("str", "closed", SCENARIO_KINDS),
-        "seed": _Field("int", 0),
-        "label": _Field("str", ""),
-        "drive": _drive_schema("rabi", 1.0, "auto"),
-        "initial_state": _STATE_SCHEMA,
-        "lambda_grid": _GRID_SCHEMA,
-        "output": _OUTPUT_SCHEMA,
-    },
-    "tmp-compare": {
-        "kind": _Field("str", "tmp-compare", SCENARIO_KINDS),
-        "seed": _Field("int", 0),
-        "label": _Field("str", ""),
-        "drive": _drive_schema("rabi", 1.0, "auto"),
-        "initial_state": _STATE_SCHEMA,
-        "lambda_grid": _GRID_SCHEMA,
-        "output": _OUTPUT_SCHEMA,
-    },
-    "open": {
-        "kind": _Field("str", "open", SCENARIO_KINDS),
-        "seed": _Field("int", 0),
-        "label": _Field("str", ""),
-        "drive": _drive_schema("gap-ramp", 6.0, 96),
-        "initial_state": _STATE_SCHEMA,
-        "environment": _ENV_SCHEMA,
-        "duality": _Field("bool", False),
-        "lambda_grid": _GRID_SCHEMA,
-        "output": _OUTPUT_SCHEMA,
-    },
-    "fast-decoherence": {
-        "kind": _Field("str", "fast-decoherence", SCENARIO_KINDS),
-        "seed": _Field("int", 0),
-        "label": _Field("str", ""),
-        "drive": _drive_schema("gap-ramp", 1.0, 512),
-        "temperature": _Field("float", 1.0),
-        "output": _OUTPUT_SCHEMA,
-    },
-    "cyclic-example": {
-        "kind": _Field("str", "cyclic-example", SCENARIO_KINDS),
-        "seed": _Field("int", 0),
-        "label": _Field("str", ""),
-        "cyclic": {
+    "closed": _kind_schema("closed", **_CLOSED_FIELDS),
+    "tmp-compare": _kind_schema("tmp-compare", **_CLOSED_FIELDS),
+    "open": _kind_schema(
+        "open",
+        drive=_drive_schema("gap-ramp", 6.0, 96),
+        initial_state=_STATE_SCHEMA,
+        environment=_ENV_SCHEMA,
+        duality=_Field("bool", False),
+        lambda_grid=_GRID_SCHEMA,
+    ),
+    "fast-decoherence": _kind_schema(
+        "fast-decoherence",
+        drive=_drive_schema("gap-ramp", 1.0, 512),
+        temperature=_Field("float", 1.0),
+    ),
+    "cyclic-example": _kind_schema(
+        "cyclic-example",
+        cyclic={
             "alpha": _Field("float", float(np.pi / 3)),
             "xi": _Field("float", float(np.pi / 4)),
             "gap": _Field("float", 1.0),
             "physical": _Field("bool", False),
             "steps": _Field("int", 64),
         },
-        "lambda_grid": _GRID_SCHEMA,
-        "output": _OUTPUT_SCHEMA,
-    },
-    "paths-check": {
-        "kind": _Field("str", "paths-check", SCENARIO_KINDS),
-        "seed": _Field("int", 0),
-        "label": _Field("str", ""),
-        "drive": _drive_schema("linear", 1.0, 4),
-        "counting_field": _Field("float", 0.6),
-        "doublings": _Field("int", 2),
-        "dump_paths": _Field("bool", False),
-        "output": _OUTPUT_SCHEMA,
-    },
+        lambda_grid=_GRID_SCHEMA,
+    ),
+    "paths-check": _kind_schema(
+        "paths-check",
+        drive=_drive_schema("linear", 1.0, 4),
+        counting_field=_Field("float", 0.6),
+        doublings=_Field("int", 2),
+        dump_paths=_Field("bool", False),
+    ),
 }
+
+
+def _finite_number(value, path: str, expected: str) -> float:
+    """``value`` as a finite float; NaN and +-inf are rejected like non-numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"'{path}' must be {expected}, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"'{path}' must be finite, got {value!r}")
+    return number
 
 
 def _coerce(value, field: _Field, path: str):
@@ -301,9 +305,7 @@ def _coerce(value, field: _Field, path: str):
             raise ScenarioError(f"'{path}' must be an integer, got {value!r}")
         return value
     if t == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"'{path}' must be a number, got {value!r}")
-        return float(value)
+        return _finite_number(value, path, "a number")
     if t == "bool":
         if not isinstance(value, bool):
             raise ScenarioError(f"'{path}' must be true or false, got {value!r}")
@@ -318,12 +320,7 @@ def _coerce(value, field: _Field, path: str):
         return value
     if t == "number_list":
         items = value if isinstance(value, list) else [value]
-        out = []
-        for item in items:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ScenarioError(f"'{path}' must be a list of numbers, got {item!r}")
-            out.append(float(item))
-        return out
+        return [_finite_number(item, path, "a list of numbers") for item in items]
     if t == "str_list":
         items = value if isinstance(value, list) else [value]
         for item in items:
@@ -345,9 +342,7 @@ def _coerce(value, field: _Field, path: str):
     if t == "float_or_resonant":
         if value == "resonant":
             return "resonant"
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"'{path}' must be a number or 'resonant', got {value!r}")
-        return float(value)
+        return _finite_number(value, path, "a number or 'resonant'")
     raise AssertionError(f"unhandled field type {t}")
 
 
@@ -604,7 +599,7 @@ def build_discretized_drive(scenario: Scenario) -> DiscretizedDrive:
     protocol = build_protocol(cfg["drive"], cfg["seed"])
     steps = cfg["drive"]["steps"]
     if steps == "auto":
-        return discretize_to_tolerance(protocol)
+        return discretize_to_tolerance(protocol, rule="magnus4")
     return discretize(protocol, steps)
 
 
@@ -648,9 +643,10 @@ def build_composite(scenario: Scenario) -> tuple[CompositeModel, DensityOperator
     if protocol.dim != 2:
         raise ScenarioError("environment presets require a qubit system drive")
     env = cfg["environment"]
+    h_start = protocol(0.0)
     gap = env["gap"]
     if gap == "resonant":
-        values, _ = eig_hermitian(protocol(0.0))
+        values, _ = eig_hermitian(h_start)
         gap = float(values[-1] - values[0])
     preset = env["preset"]
     if preset == "qubit-exchange":
@@ -662,7 +658,7 @@ def build_composite(scenario: Scenario) -> tuple[CompositeModel, DensityOperator
     else:  # pragma: no cover - guarded by schema choices
         raise ScenarioError(f"unknown environment preset {preset!r}")
     model = CompositeModel(protocol, h_env, h_se, coupling_scale=env["coupling"])
-    rho_s = build_initial_state(cfg["initial_state"], protocol(0.0))
+    rho_s = build_initial_state(cfg["initial_state"], h_start)
     if env["state"] == "coherent":
         # equal superposition of the environment energy eigenstates
         _, vectors = eig_hermitian(h_env)

@@ -139,9 +139,28 @@ def _write_json(path: Path, payload: Mapping) -> None:
     path.write_text(_json_text(body, "") + "\n")
 
 
-def _targets(directory: Path, stem: str, formats: Sequence[str]) -> dict[str, Path]:
+def _write_artifact(
+    directory: Path,
+    stem: str,
+    formats: Sequence[str],
+    header: Mapping[str, object],
+    config: Mapping,
+    csv_columns: Mapping[str, Sequence],
+    json_fields: Mapping,
+) -> list[Path]:
+    """``stem.csv`` (``csv_columns`` under ``header`` and the flattened
+    config) and ``stem.json`` (``header``, ``config`` and ``json_fields``),
+    each if ``formats`` names it."""
     directory.mkdir(parents=True, exist_ok=True)
-    return {fmt: directory / f"{stem}.{fmt}" for fmt in formats}
+    written = []
+    if "csv" in formats:
+        written.append(directory / f"{stem}.csv")
+        names, columns = list(csv_columns), list(csv_columns.values())
+        _write_csv(written[-1], names, columns, {**header, **flatten_config(config)})
+    if "json" in formats:
+        written.append(directory / f"{stem}.json")
+        _write_json(written[-1], {**header, "config": config, **json_fields})
+    return written
 
 
 def write_characteristic(
@@ -152,28 +171,9 @@ def write_characteristic(
     formats: Sequence[str],
     protocol: str = "fcs",
 ) -> list[Path]:
-    written = []
-    targets = _targets(directory, stem, formats)
     header = {"kind": "characteristic_function", "protocol": protocol}
-    header.update(flatten_config(config))
-    if "csv" in targets:
-        columns = (samples.grid.lambdas, samples.values.real, samples.values.imag)
-        _write_csv(targets["csv"], ["lambda", "re", "im"], columns, header)
-        written.append(targets["csv"])
-    if "json" in targets:
-        _write_json(
-            targets["json"],
-            {
-                "kind": "characteristic_function",
-                "protocol": protocol,
-                "config": config,
-                "lambda": samples.grid.lambdas,
-                "re": samples.values.real,
-                "im": samples.values.imag,
-            },
-        )
-        written.append(targets["json"])
-    return written
+    columns = {"lambda": samples.grid.lambdas, "re": samples.values.real, "im": samples.values.imag}
+    return _write_artifact(directory, stem, formats, header, config, columns, columns)
 
 
 def write_quasi_distribution(
@@ -184,26 +184,9 @@ def write_quasi_distribution(
     formats: Sequence[str],
     protocol: str = "fcs",
 ) -> list[Path]:
-    written = []
-    targets = _targets(directory, stem, formats)
     header = {"kind": "quasi_distribution", "protocol": protocol}
-    header.update(flatten_config(config))
-    if "csv" in targets:
-        _write_csv(targets["csv"], ["support", "weight"], (dist.support, dist.weights), header)
-        written.append(targets["csv"])
-    if "json" in targets:
-        _write_json(
-            targets["json"],
-            {
-                "kind": "quasi_distribution",
-                "protocol": protocol,
-                "config": config,
-                "support": dist.support,
-                "weight": dist.weights,
-            },
-        )
-        written.append(targets["json"])
-    return written
+    columns = {"support": dist.support, "weight": dist.weights}
+    return _write_artifact(directory, stem, formats, header, config, columns, columns)
 
 
 def write_tmp_distribution(
@@ -214,29 +197,10 @@ def write_tmp_distribution(
     formats: Sequence[str],
 ) -> list[Path]:
     """Two-measurement work distribution, same shape with a protocol tag."""
-    written = []
-    targets = _targets(directory, stem, formats)
     header = {"kind": "quasi_distribution", "protocol": "tmp"}
-    header.update(flatten_config(config))
-    if "csv" in targets:
-        columns = (outcomes.work, outcomes.probability)
-        _write_csv(targets["csv"], ["support", "weight"], columns, header)
-        written.append(targets["csv"])
-    if "json" in targets:
-        _write_json(
-            targets["json"],
-            {
-                "kind": "quasi_distribution",
-                "protocol": "tmp",
-                "config": config,
-                "support": outcomes.work,
-                "weight": outcomes.probability,
-                "initial_index": outcomes.i,
-                "final_index": outcomes.k,
-            },
-        )
-        written.append(targets["json"])
-    return written
+    columns = {"support": outcomes.work, "weight": outcomes.probability}
+    fields = {**columns, "initial_index": outcomes.i, "final_index": outcomes.k}
+    return _write_artifact(directory, stem, formats, header, config, columns, fields)
 
 
 def write_spectral_terms(
@@ -247,35 +211,15 @@ def write_spectral_terms(
     formats: Sequence[str],
 ) -> list[Path]:
     """The exact phase terms of G: per-term indices, support and weight."""
-    written = []
-    targets = _targets(directory, stem, formats)
-    header = {"kind": "spectral_terms"}
-    header.update(flatten_config(config))
-    if "csv" in targets:
-        columns = (terms.i, terms.j, terms.k, terms.support, terms.weight.real, terms.weight.imag)
-        _write_csv(
-            targets["csv"],
-            ["i", "j", "k", "support", "weight_re", "weight_im"],
-            columns,
-            header,
-        )
-        written.append(targets["csv"])
-    if "json" in targets:
-        _write_json(
-            targets["json"],
-            {
-                "kind": "spectral_terms",
-                "config": config,
-                "i": terms.i,
-                "j": terms.j,
-                "k": terms.k,
-                "support": terms.support,
-                "weight_re": terms.weight.real,
-                "weight_im": terms.weight.imag,
-            },
-        )
-        written.append(targets["json"])
-    return written
+    columns = {
+        "i": terms.i,
+        "j": terms.j,
+        "k": terms.k,
+        "support": terms.support,
+        "weight_re": terms.weight.real,
+        "weight_im": terms.weight.imag,
+    }
+    return _write_artifact(directory, stem, formats, {"kind": "spectral_terms"}, config, columns, columns)
 
 
 def write_ledger(
@@ -285,37 +229,18 @@ def write_ledger(
     config: Mapping,
     formats: Sequence[str],
 ) -> list[Path]:
-    written = []
-    targets = _targets(directory, stem, formats)
-    header = {"kind": "heat_ledger"}
-    header.update(flatten_config(config))
     cum = np.cumsum(ledger.heat_increments)
-    if "csv" in targets:
-        columns = [*zip(*ledger.rows), cum]
-        _write_csv(targets["csv"], ["k", "t_k", "Q_k", "dS_k", "cumQ"], columns, header)
-        written.append(targets["csv"])
-    if "json" in targets:
-        _write_json(
-            targets["json"],
-            {
-                "kind": "heat_ledger",
-                "config": config,
-                "per_step": {
-                    "k": [r.k for r in ledger.rows],
-                    "t": [r.time for r in ledger.rows],
-                    "heat": [r.heat for r in ledger.rows],
-                    "entropy_change": [r.entropy_change for r in ledger.rows],
-                    "cumulative_heat": cum,
-                },
-                "totals": {
-                    "heat": ledger.heat,
-                    "internal_energy_change": ledger.internal_energy_change,
-                    "work": ledger.work,
-                },
-            },
-        )
-        written.append(targets["json"])
-    return written
+    k, t, heat, entropy_change = (list(column) for column in zip(*ledger.rows))
+    columns = {"k": k, "t_k": t, "Q_k": heat, "dS_k": entropy_change, "cumQ": cum}
+    fields = {
+        "per_step": {"k": k, "t": t, "heat": heat, "entropy_change": entropy_change, "cumulative_heat": cum},
+        "totals": {
+            "heat": ledger.heat,
+            "internal_energy_change": ledger.internal_energy_change,
+            "work": ledger.work,
+        },
+    }
+    return _write_artifact(directory, stem, formats, {"kind": "heat_ledger"}, config, columns, fields)
 
 
 def write_report(directory: Path, stem: str, report: Mapping) -> Path:

@@ -32,7 +32,7 @@ def make_static_drive(h, duration=1.0, generator=None):
     gen = ham if generator is None else (
         generator if isinstance(generator, HermitianOperator) else HermitianOperator(generator)
     )
-    return DiscretizedDrive(((0.0, gen),), duration, ham, ham)
+    return DiscretizedDrive(np.zeros(1), gen.matrix[None], duration, ham, ham)
 
 
 def cyclic_fixture(alpha, xi, gap=1.0):

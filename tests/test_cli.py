@@ -215,6 +215,33 @@ class TestRun:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "override,field",
+        [
+            ("drive.duration=inf", "drive.duration"),
+            ("drive.params.amplitude=nan", "drive.params.amplitude"),
+            ("lambda_grid.max=nan", "lambda_grid.max"),
+            ("initial_state.temperature=nan", "initial_state.temperature"),
+            ("initial_state.populations=1,-inf", "initial_state.populations"),
+            ("drive.duration=1" + "0" * 400, "drive.duration"),
+        ],
+        ids=["inf-duration", "nan-amplitude", "nan-lambda-max", "nan-temperature", "inf-in-list", "huge-int"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, capsys, override, field):
+        argv = ["run", "closed", "--set", "drive.steps=16", "--set", override, "--tol-report"]
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert field in err and "finite" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("steps", ["16", "auto"])
+    def test_overflowing_step_stack_is_numerical_error(self, tmp_path, capsys, steps):
+        argv = ["run", "closed", "--set", f"drive.steps={steps}", "--set", "drive.params.splitting=1e308"]
+        assert main(argv + ["--tol-report", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         import qworkstats.cli as cli_module
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qworkstats import (
+    DiscretizedDrive,
     DriveProtocol,
     HermitianOperator,
     constant_protocol,
@@ -14,12 +15,14 @@ from qworkstats import (
     discretize_to_tolerance,
     evolution_operator,
     expm_unitary,
+    gap_ramp_protocol,
     linear_ramp_protocol,
     piecewise_constant_protocol,
     rabi_protocol,
+    random_ramp_protocol,
     reversed_protocol,
 )
-from qworkstats.linalg import max_abs
+from qworkstats.linalg import NumericalError, max_abs
 
 from conftest import PAULI_X, PAULI_Z
 
@@ -33,16 +36,16 @@ class TestDiscretize:
         drive = discretize(constant_protocol(PAULI_Z, 2.0), 4)
         assert drive.n_steps == 4
         assert drive.dt == pytest.approx(0.5)
-        for _, h in drive.steps:
-            assert max_abs(h.matrix - PAULI_Z) == 0.0
+        for h in drive.hamiltonians:
+            assert max_abs(h - PAULI_Z) == 0.0
 
     def test_linear_ramp_two_steps(self):
         protocol = linear_ramp_protocol(PAULI_Z, PAULI_X, 1.0)
         drive = discretize(protocol, 2)
-        times = [t for t, _ in drive.steps]
+        times = drive.times.tolist()
         assert times == [0.0, 0.5]
-        assert max_abs(drive.steps[0][1].matrix - PAULI_Z) <= 1e-15
-        assert max_abs(drive.steps[1][1].matrix - 0.5 * (PAULI_Z + PAULI_X)) <= 1e-15
+        assert max_abs(drive.hamiltonians[0] - PAULI_Z) <= 1e-15
+        assert max_abs(drive.hamiltonians[1] - 0.5 * (PAULI_Z + PAULI_X)) <= 1e-15
         assert max_abs(drive.h_end.matrix - PAULI_X) <= 1e-15
 
     def test_grid_nesting(self):
@@ -50,7 +53,7 @@ class TestDiscretize:
         coarse = discretize(protocol, 8)
         fine = discretize(protocol, 16)
         for k in range(8):
-            assert max_abs(coarse.steps[k][1].matrix - fine.steps[2 * k][1].matrix) <= 1e-15
+            assert max_abs(coarse.hamiltonians[k] - fine.hamiltonians[2 * k]) <= 1e-15
 
     def test_rejects_bad_step_count(self):
         with pytest.raises(ValueError, match="n_steps"):
@@ -60,6 +63,101 @@ class TestDiscretize:
         protocol = constant_protocol(PAULI_Z, 1.0)
         with pytest.raises(ValueError, match="window"):
             protocol(1.5)
+        with pytest.raises(ValueError, match="window"):
+            protocol.sample([0.0, 0.5, -0.1])
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            constant_protocol(PAULI_Z, 2.0),
+            linear_ramp_protocol(PAULI_Z, PAULI_X, 1.0),
+            rabi_protocol(duration=1.3),
+            gap_ramp_protocol(0.8, 1.4, 2.0),
+            piecewise_constant_protocol([PAULI_Z, PAULI_X, PAULI_Z + PAULI_X], 1.5),
+            reversed_protocol(rabi_protocol(duration=0.7)),
+            random_ramp_protocol(3, 1.0, np.random.default_rng(3)),
+            cyclic_qubit_protocol(0.8, 0.5, 1.0),
+        ],
+        ids=["constant", "linear", "rabi", "gap", "piecewise", "reversed", "random", "cyclic"],
+    )
+    def test_sampled_stack_equals_scalar_calls(self, protocol):
+        times = np.linspace(0.0, protocol.duration, 13)
+        stack = protocol.sample(times)
+        assert stack.shape == (13, protocol.dim, protocol.dim)
+        for t, h in zip(times, stack):
+            assert np.array_equal(h, protocol(t).matrix)
+
+    def test_magnus4_generator_by_hand(self):
+        protocol = rabi_fixture()
+        drive = discretize(protocol, 3, rule="magnus4")
+        assert drive.rule == "magnus4" and drive.n_steps == 3
+        dt = protocol.duration / 3
+        for k in range(3):
+            h1 = protocol(k * dt + (0.5 - np.sqrt(3) / 6) * dt).matrix
+            h2 = protocol(k * dt + (0.5 + np.sqrt(3) / 6) * dt).matrix
+            by_hand = 0.5 * (h1 + h2) + 1j * np.sqrt(3) / 12 * dt * (h1 @ h2 - h2 @ h1)
+            assert max_abs(drive.hamiltonians[k] - by_hand) <= 1e-15
+        assert max_abs(drive.h_start.matrix - protocol(0.0).matrix) == 0.0
+        assert max_abs(drive.h_end.matrix - protocol(1.0).matrix) == 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_magnus_stack_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="overflow"):
+            discretize(rabi_protocol(splitting=1e308), 4, rule="magnus4")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_left_stack_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="overflow"):
+            evolution_operator(discretize(rabi_protocol(splitting=1e308), 4))
+
+
+def stack_drive(**changes):
+    fields = dict(
+        times=np.arange(3) * 0.5,
+        hamiltonians=np.stack([PAULI_Z, PAULI_X, PAULI_Z + PAULI_X]),
+        dt=0.5,
+        h_start=HermitianOperator(PAULI_Z),
+        h_end=HermitianOperator(PAULI_X),
+    )
+    fields.update(changes)
+    return DiscretizedDrive(**fields)
+
+
+class TestDiscretizedDrive:
+    def test_fields_are_read_only_views(self):
+        hams = np.stack([PAULI_Z, PAULI_X, PAULI_Z + PAULI_X])
+        drive = stack_drive(hamiltonians=hams)
+        assert drive.rule == "left" and drive.n_steps == 3 and drive.dim == 2
+        assert drive.duration == pytest.approx(1.5)
+        with pytest.raises(ValueError):
+            drive.hamiltonians[0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            drive.times[0] = 1.0
+        assert hams.flags.writeable
+
+    @pytest.mark.parametrize(
+        "changes,match",
+        [
+            ({"hamiltonians": np.stack([PAULI_Z, PAULI_X, [[0, 1], [0, 0]]])}, "not Hermitian"),
+            ({"hamiltonians": np.stack([PAULI_Z, PAULI_X, np.full((2, 2), np.nan)])}, "non-finite"),
+            ({"times": np.array([0.0, 0.5, 1.1])}, "step 2 time"),
+            ({"times": np.arange(2) * 0.5}, "stack"),
+            ({"hamiltonians": np.zeros((0, 2, 2)), "times": np.zeros(0)}, "stack"),
+            ({"hamiltonians": np.zeros((3, 2, 3))}, "stack"),
+            ({"h_end": HermitianOperator(np.eye(3))}, "boundary"),
+            ({"dt": 0.0}, "dt"),
+            ({"rule": "midpoint"}, "step rule"),
+        ],
+        ids=["hermitian", "finite", "times", "time-count", "empty", "square", "boundary", "dt", "rule"],
+    )
+    def test_stack_checks(self, changes, match):
+        with pytest.raises(ValueError, match=match):
+            stack_drive(**changes)
+
+    def test_samples_need_left_rule(self):
+        assert stack_drive().samples is not None
+        with pytest.raises(ValueError, match="left"):
+            stack_drive(rule="magnus4").samples
 
 
 class TestEvolutionOperator:
@@ -104,10 +202,7 @@ class TestEvolutionOperator:
     def test_negated_reversed_protocol_inverts(self):
         # running the negated, time-reversed drive undoes the evolution
         protocol = rabi_fixture()
-        undo = DriveProtocol(
-            protocol.duration,
-            lambda t: HermitianOperator(-protocol(protocol.duration - t).matrix),
-        )
+        undo = DriveProtocol(protocol.duration, lambda t: -protocol.sample(protocol.duration - t))
         errs = []
         for n in (64, 128, 256):
             u = evolution_operator(discretize(protocol, n)).matrix
@@ -120,6 +215,19 @@ class TestEvolutionOperator:
         finer = discretize(rabi_fixture(), 2 * drive.n_steps)
         dev = max_abs(evolution_operator(drive).matrix - evolution_operator(finer).matrix)
         assert dev <= 1e-6
+
+    def test_discretize_to_tolerance_magnus4(self):
+        drive = discretize_to_tolerance(rabi_fixture(), tol=1e-6, rule="magnus4")
+        assert drive.rule == "magnus4"
+        finer = discretize(rabi_fixture(), 2 * drive.n_steps, rule="magnus4")
+        assert max_abs(drive.propagator.matrix - finer.propagator.matrix) <= 1e-6
+        # against the fourth-order product at many more steps
+        reference = discretize(rabi_fixture(), 4096, rule="magnus4").propagator.matrix
+        assert max_abs(drive.propagator.matrix - reference) <= 1e-6
+        # a tight tolerance is reached by predicting N from the fourth order
+        tight = discretize_to_tolerance(rabi_fixture(), tol=1e-11, rule="magnus4")
+        assert tight.n_steps <= 1024
+        assert max_abs(tight.propagator.matrix - reference) <= 1e-11
 
     def test_discretize_to_tolerance_constant_is_cheap(self):
         drive = discretize_to_tolerance(constant_protocol(PAULI_Z, 1.0), tol=1e-9)

@@ -348,9 +348,8 @@ class TestQuasiDistribution:
         rho = random_density(2, rng)
         shift = 0.73
         shifted = DiscretizedDrive(
-            steps=tuple(
-                (t, HermitianOperator(h.matrix + shift * np.eye(2))) for t, h in drive.steps
-            ),
+            times=drive.times,
+            hamiltonians=drive.hamiltonians + shift * np.eye(2),
             dt=drive.dt,
             h_start=HermitianOperator(drive.h_start.matrix + shift * np.eye(2)),
             h_end=HermitianOperator(drive.h_end.matrix + shift * np.eye(2)),
@@ -387,7 +386,8 @@ class TestCoherentClassicalSplit:
         v = vectors.matrix
         levels = np.array([values[0], values[0] + 1e-6, values[2]])
         drive = DiscretizedDrive(
-            steps=drive.steps,
+            times=drive.times,
+            hamiltonians=drive.hamiltonians,
             dt=drive.dt,
             h_start=HermitianOperator((v * levels) @ v.conj().T),
             h_end=drive.h_end,

@@ -4,6 +4,7 @@ import pytest
 from qworkstats import (
     CompositeModel,
     DensityOperator,
+    DiscretizedComposite,
     HeatLedger,
     HermitianOperator,
     characteristic_function,
@@ -21,6 +22,7 @@ from qworkstats import (
     pure_state_density,
     qubit_exchange_environment,
     random_hermitian,
+    random_ramp_protocol,
     symmetric_grid,
     tensor,
     two_qubit_exchange_environment,
@@ -53,14 +55,14 @@ class TestMeasurementBlock:
         n, k = 8, 2
         drive = discretize(model.drive, n)
         block = model.discretize(n).block(k, 0.0).matrix
-        step = expm_unitary(model.step_hamiltonian(drive.steps[k][1]), drive.dt).matrix
+        step = expm_unitary(model.step_hamiltonian(drive.hamiltonians[k]), drive.dt).matrix
         assert max_abs(block - step) <= 1e-12
 
     def test_decoupled_kicks_commute_away(self):
         model = exchange_model(0.0)
         n, k = 6, 4
         drive = discretize(model.drive, n)
-        step = expm_unitary(model.step_hamiltonian(drive.steps[k][1]), drive.dt).matrix
+        step = expm_unitary(model.step_hamiltonian(drive.hamiltonians[k]), drive.dt).matrix
         for lam in (0.4, -1.3):
             assert max_abs(model.discretize(n).block(k, lam).matrix - step) <= 1e-12
 
@@ -76,8 +78,8 @@ class TestMeasurementBlock:
         drive = discretize(model.drive, n)
         composite = model.discretize(n)
         fd = -1j * (composite.block(k, +h).matrix - composite.block(k, -h).matrix) / (2 * h)
-        e = expm_unitary(model.step_hamiltonian(drive.steps[k][1]), drive.dt).matrix
-        a = tensor(drive.steps[k][1], np.eye(2))
+        e = expm_unitary(model.step_hamiltonian(drive.hamiltonians[k]), drive.dt).matrix
+        a = tensor(drive.hamiltonians[k], np.eye(2))
         assert max_abs(fd - 0.5 * (e @ a - a @ e)) <= 1e-7
 
     def test_step_index_validated(self):
@@ -92,7 +94,7 @@ class TestCountingOperators:
         n = 6
         drive = discretize(model.drive, n)
         u = np.eye(4, dtype=complex)
-        for _, h_s in drive.steps:
+        for h_s in drive.hamiltonians:
             u = expm_unitary(model.step_hamiltonian(h_s), drive.dt).matrix @ u
         assert max_abs(model.discretize(n).counting_operator(0.0, "work").matrix - u) <= 1e-12
 
@@ -340,6 +342,40 @@ class TestFastDecoherence:
     def test_temperature_validated(self):
         with pytest.raises(ValueError, match="temperature"):
             fast_decoherence_run(gap_ramp_protocol(1.0, 1.5, 1.0), -1.0, 8)
+
+    @pytest.mark.parametrize("dim,temperature", [(2, 1.0), (3, 0.7), (5, 0.05)])
+    def test_batched_ledger_matches_per_state_loop(self, dim, temperature):
+        # the per-step gibbs_state / von_neumann_entropy loop the batched
+        # eigendecomposition replaced, kept as its reference
+        protocol = random_ramp_protocol(dim, 1.0, np.random.default_rng(40 + dim), scale=3.0)
+        n = 64
+        ledger = fast_decoherence_run(protocol, temperature, n)
+        drive = discretize(protocol, n)
+        hams = [drive.h_start.matrix, *drive.hamiltonians[1:], drive.h_end.matrix]
+        states = [gibbs_state(h, temperature).matrix for h in hams]
+        entropies = [von_neumann_entropy(rho) for rho in states]
+        # summation order differs: allow 64 ulps at the Hamiltonian's scale
+        tol = 64 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(hams))))
+        for k, row in enumerate(ledger.rows, start=1):
+            assert row.k == k and row.time == k * drive.dt
+            heat = float(np.trace(hams[k] @ (states[k] - states[k - 1])).real)
+            assert abs(row.heat - heat) <= tol
+            assert abs(row.entropy_change - (entropies[k] - entropies[k - 1])) <= tol
+        du = float(np.trace(hams[-1] @ states[-1]).real - np.trace(hams[0] @ states[0]).real)
+        assert abs(ledger.internal_energy_change - du) <= tol
+
+    def test_large_gap_does_not_overflow(self):
+        ledger = fast_decoherence_run(gap_ramp_protocol(2000.0, 2100.0, 1.0), 1.0, 16)
+        assert np.all(np.isfinite(ledger.heat_increments))
+        assert np.max(np.abs(ledger.entropy_increments)) <= 1e-12
+
+
+class TestStepRule:
+    def test_composite_needs_left_samples(self):
+        model = exchange_model(0.1)
+        drive = discretize(model.drive, 8, rule="magnus4")
+        with pytest.raises(ValueError, match="left"):
+            DiscretizedComposite(model, drive)
 
 
 class TestEnvironmentPresets:

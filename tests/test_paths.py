@@ -80,6 +80,14 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="observables"):
             enumerate_paths(drive, psi0, psi1, observables=[drive.h_start] * 3)
 
+    @pytest.mark.parametrize("reader", [enumerate_paths, kicked_product, default_observable_sequence])
+    def test_magnus_drive_rejected(self, reader):
+        # the path functional needs H(t_k) itself, which a Magnus-4 generator is not
+        drive = discretize(linear_ramp_protocol(-0.5 * PAULI_Z, PAULI_X, 1.0), 3, rule="magnus4")
+        args = {enumerate_paths: (np.ones(2), np.ones(2)), kicked_product: (0.3,)}.get(reader, ())
+        with pytest.raises(ValueError, match="left"):
+            reader(drive, *args)
+
     def test_boundary_beta_needs_two_steps(self):
         with pytest.raises(ValueError, match="two steps"):
             boundary_beta(1, 0.5)
@@ -102,7 +110,7 @@ def record_loop(drive, psi_initial, psi_final, observables, beta):
     n = drive.n_steps
     basis = PathBasisSequence.from_observables(observables)
     transfer = [
-        basis.bases[k + 1].conj().T @ expm_unitary(drive.steps[k][1], drive.dt).matrix @ basis.bases[k]
+        basis.bases[k + 1].conj().T @ expm_unitary(drive.hamiltonians[k], drive.dt).matrix @ basis.bases[k]
         for k in range(n)
     ]
     start = basis.bases[0].conj().T @ psi_initial

@@ -12,6 +12,10 @@ states, and checks the measurement blocks against their Kronecker-product
 form, the normalization and symmetry of ``G``, the ledger identity, the
 increment form, and the decoupled limit against the closed two-kick
 propagator.
+
+Each step-rule case draws a random curved drive and checks the observed
+order of the step product from successive doublings: 1 for ``left``, 4 for
+``magnus4``.
 """
 
 import numpy as np
@@ -20,7 +24,9 @@ import pytest
 from qworkstats import (
     CompositeModel,
     DiscretizedDrive,
+    DriveProtocol,
     HermitianOperator,
+    Scenario,
     characteristic_function,
     coherent_classical_split,
     dephase,
@@ -44,6 +50,7 @@ from qworkstats import (
     two_kick_propagator,
 )
 from qworkstats.fcs import merge_support_points
+from qworkstats.runner import run_scenario
 
 DIMS = (2, 3, 5, 8, 16)
 
@@ -64,8 +71,9 @@ def degenerate_case(dim, seed):
         m = (v * levels) @ v.conj().T
         return HermitianOperator(0.5 * (m + m.conj().T))
 
-    steps = tuple((k * 0.25, random_hermitian(dim, rng)) for k in range(4))
-    drive = DiscretizedDrive(steps, 0.25, degenerate_hamiltonian(), degenerate_hamiltonian())
+    steps = np.stack([random_hermitian(dim, rng).matrix for _ in range(4)])
+    boundary = degenerate_hamiltonian(), degenerate_hamiltonian()
+    drive = DiscretizedDrive(np.arange(4) * 0.25, steps, 0.25, *boundary)
     return drive, random_density(dim, rng)
 
 
@@ -238,7 +246,7 @@ def open_case(d_s, d_e, seed, coupling_scale=0.3):
 
 def kron_block(model, drive, k, lam):
     """``exp(-i lam/2 H_S^k (x) 1) E_k exp(+i lam/2 H_S^k (x) 1)`` with explicit Kronecker products."""
-    h_s = drive.steps[k][1]
+    h_s = drive.hamiltonians[k]
     eye_e = np.eye(model.dim_e)
     step = expm_unitary(model.step_hamiltonian(h_s), drive.dt).matrix
     return (
@@ -288,3 +296,58 @@ def test_open_decoupled_work_counting_is_closed_two_kick(d_s, d_e, seed):
         closed = two_kick_propagator(composite.drive, lam).matrix
         work = composite.counting_operator(lam, "work").matrix
         assert np.max(np.abs(work - tensor(closed, free_env))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# step rules
+
+RULE_CASES = [(dim, seed) for dim in (2, 3, 5) for seed in (0, 1)]
+RULE_IDS = [f"d{dim}-s{seed}" for dim, seed in RULE_CASES]
+
+
+def curved_protocol(dim, seed):
+    """``H(t) = A + t B + sin(3t) C`` with random Hermitian ``A, B, C``, so
+    every derivative of ``H`` is nonzero and no step rule is exact."""
+    rng = np.random.default_rng(7000 + 13 * dim + seed)
+    a, b, c = (random_hermitian(dim, rng, 0.5).matrix for _ in range(3))
+
+    def at(t):
+        t = t[:, None, None]
+        return a + t * b + np.sin(3.0 * t) * c
+
+    return DriveProtocol(1.0, at, "random-curved")
+
+
+def doubling_ratios(protocol, rule, counts):
+    """``dev(N) / dev(2N)`` with ``dev(N) = max|U_N - U_2N|``; ``2^p`` at order ``p``."""
+    u = [discretize(protocol, n, rule).propagator.matrix for n in counts]
+    devs = [np.max(np.abs(a - b)) for a, b in zip(u, u[1:])]
+    return [a / b for a, b in zip(devs, devs[1:])]
+
+
+@pytest.mark.parametrize(
+    "rule,counts,window",
+    [("left", (64, 128, 256, 512), (1.7, 2.3)), ("magnus4", (8, 16, 32, 64), (12.0, 20.0))],
+    ids=["left-order-1", "magnus4-order-4"],
+)
+@pytest.mark.parametrize("dim,seed", RULE_CASES, ids=RULE_IDS)
+def test_step_rule_observed_order(dim, seed, rule, counts, window):
+    ratios = doubling_ratios(curved_protocol(dim, seed), rule, counts)
+    assert all(window[0] <= r <= window[1] for r in ratios), ratios
+
+
+@pytest.mark.parametrize("dim,seed", RULE_CASES, ids=RULE_IDS)
+def test_magnus4_agrees_with_fine_left_product(dim, seed):
+    # U_N - U_2N estimates the left rule's own error at 2N (first order)
+    protocol = curved_protocol(dim, seed)
+    fine = discretize(protocol, 1 << 16).propagator.matrix
+    own_error = np.max(np.abs(discretize(protocol, 1 << 15).propagator.matrix - fine))
+    magnus = discretize(protocol, 64, "magnus4").propagator.matrix
+    assert np.max(np.abs(magnus - fine)) <= 1.05 * own_error
+
+
+@pytest.mark.parametrize("kind", ["closed", "tmp-compare"])
+def test_default_auto_run_picks_32_magnus4_steps(kind):
+    report = run_scenario(Scenario.from_kind(kind), tol_report=True).report
+    assert report["results"]["n_steps"] == 32
+    assert all(check["pass"] for check in report["checks"])
