@@ -119,6 +119,18 @@ def _load_scenario(token: str, args) -> Scenario:
     return base.with_overrides(_flag_overrides(args, base.kind))
 
 
+def _out_dir(args, scenario: Scenario) -> Path:
+    """The output directory, checked before any computation: its nearest
+    existing ancestor (or itself) must be a directory."""
+    out_dir = Path(args.out or scenario.config.get("output", {}).get("directory") or _default_out())
+    existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ScenarioError(
+            f"output directory {str(out_dir)!r} cannot be created: {str(existing)!r} is not a directory"
+        )
+    return out_dir
+
+
 def _formats(args) -> tuple[str, ...]:
     return ("csv", "json") if args.format == "both" else (args.format,)
 
@@ -166,7 +178,7 @@ def _print_headlines(report: dict) -> None:
 
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario, args)
-    out_dir = Path(args.out or scenario.config.get("output", {}).get("directory") or _default_out())
+    out_dir = _out_dir(args, scenario)
     result = run_scenario(scenario, out_dir=out_dir, formats=_formats(args), tol_report=args.tol_report)
     _print_headlines(result.report)
     for f in result.files:
@@ -192,7 +204,7 @@ def _sweep_values(args) -> list:
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args.scenario, args)
     values = _sweep_values(args)
-    out_dir = Path(args.out or scenario.config.get("output", {}).get("directory") or _default_out())
+    out_dir = _out_dir(args, scenario)
     result = sweep_scenario(scenario, args.parameter, values, out_dir=out_dir, formats=_formats(args))
     print(f"swept {args.parameter} over {len(values)} values")
     for f in result.files:

@@ -340,31 +340,33 @@ def run_scenario(
     if out_dir is not None:
         out_dir = Path(out_dir)
         cfg = scenario.config
-        if "samples" in artifacts:
-            files += serialize.write_characteristic(
-                out_dir, "characteristic", artifacts["samples"], cfg, formats
-            )
-        if "tmp_samples" in artifacts:
-            files += serialize.write_characteristic(
-                out_dir, "tmp_characteristic", artifacts["tmp_samples"], cfg, formats, protocol="tmp"
-            )
-        if "quasi" in artifacts:
-            files += serialize.write_quasi_distribution(
-                out_dir, "quasi_distribution", artifacts["quasi"], cfg, formats
-            )
-        if "terms" in artifacts:
-            files += serialize.write_spectral_terms(
-                out_dir, "spectral_terms", artifacts["terms"], cfg, formats
-            )
-        if "tmp_outcomes" in artifacts:
-            files += serialize.write_tmp_distribution(
-                out_dir, "tmp_distribution", artifacts["tmp_outcomes"], cfg, formats
-            )
-        if "ledger" in artifacts:
-            files += serialize.write_ledger(out_dir, "ledger", artifacts["ledger"], cfg, formats)
-        if kind == "paths-check" and scenario.config.get("dump_paths"):
-            files.append(serialize.write_paths_csv(out_dir, "path_records", artifacts["paths"], cfg))
-        files.append(serialize.write_report(out_dir, "report", report))
+        # report.json prints the quasi-distribution again: keep its text to the end
+        with serialize.ArtifactText(keep=report):
+            if "samples" in artifacts:
+                files += serialize.write_characteristic(
+                    out_dir, "characteristic", artifacts["samples"], cfg, formats
+                )
+            if "tmp_samples" in artifacts:
+                files += serialize.write_characteristic(
+                    out_dir, "tmp_characteristic", artifacts["tmp_samples"], cfg, formats, protocol="tmp"
+                )
+            if "quasi" in artifacts:
+                files += serialize.write_quasi_distribution(
+                    out_dir, "quasi_distribution", artifacts["quasi"], cfg, formats
+                )
+            if "terms" in artifacts:
+                files += serialize.write_spectral_terms(
+                    out_dir, "spectral_terms", artifacts["terms"], cfg, formats
+                )
+            if "tmp_outcomes" in artifacts:
+                files += serialize.write_tmp_distribution(
+                    out_dir, "tmp_distribution", artifacts["tmp_outcomes"], cfg, formats
+                )
+            if "ledger" in artifacts:
+                files += serialize.write_ledger(out_dir, "ledger", artifacts["ledger"], cfg, formats)
+            if kind == "paths-check" and scenario.config.get("dump_paths"):
+                files.append(serialize.write_paths_csv(out_dir, "path_records", artifacts["paths"], cfg))
+            files.append(serialize.write_report(out_dir, "report", report))
     return RunResult(report=report, files=files)
 
 

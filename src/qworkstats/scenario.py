@@ -529,7 +529,14 @@ class Scenario:
 
     @classmethod
     def from_file(cls, path) -> "Scenario":
-        return cls.from_text(Path(path).read_text())
+        path = Path(path)
+        if path.is_dir():
+            raise ScenarioError(f"{path} is a directory, not a scenario file")
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path} is not a UTF-8 text file: {exc.reason}") from exc
+        return cls.from_text(text)
 
     @classmethod
     def from_kind(cls, kind: str, overrides: Mapping | None = None) -> "Scenario":

@@ -5,11 +5,16 @@ resolved configuration that produced it, so any number in a report can be
 recomputed from the dumped raw artifacts. JSON output is key-sorted and
 float-formatted by ``repr``, which makes identical runs byte-identical except
 for the ``generated_at`` stamp (excluded from determinism comparisons).
+
+Inside an :class:`ArtifactText` block each 1-D int or float array is formatted
+once, and every file that prints it (CSV, JSON, ``report.json``) reuses that
+text; outside one, each writer formats its arrays itself.
 """
 
 from __future__ import annotations
 
 import json
+from contextvars import ContextVar
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -23,6 +28,7 @@ from .tmp import TmpDistribution
 
 __all__ = [
     "SCHEMA_VERSION",
+    "ArtifactText",
     "flatten_config",
     "write_characteristic",
     "write_quasi_distribution",
@@ -61,11 +67,82 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _is_column(obj) -> bool:
+    """A 1-D int or float array, written from one newline-joined text."""
+    return isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iuf"
+
+
+class ArtifactText:
+    """Formats each 1-D int or float array once while the block is open.
+
+    ``with ArtifactText(keep):`` around a run's writes makes every writer take
+    an array's text, the ``repr`` of its elements joined by ``"\\n"``, from
+    here. Entries are keyed by array identity and hold their array, so no id
+    is reused while its entry lives; the arrays must not change inside the
+    block. Each artifact's entries are dropped once its files are written,
+    except those of arrays held by ``keep`` (a nested dict or list, such as
+    the report), which stay until the block ends.
+    """
+
+    def __init__(self, keep=()):
+        self._keep = {id(a): a for a in _columns_in(keep)}
+        self._text: dict[int, tuple[np.ndarray, str]] = {}
+
+    def __enter__(self) -> "ArtifactText":
+        self._token = _OPEN_TEXT.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _OPEN_TEXT.reset(self._token)
+        self._text.clear()
+
+    def text(self, values: np.ndarray) -> str:
+        entry = self._text.get(id(values))
+        if entry is None:
+            entry = self._text[id(values)] = (values, _format_column(values))
+        return entry[1]
+
+    def release(self) -> None:
+        """Drop the text of every array not held by ``keep``."""
+        self._text = {key: entry for key, entry in self._text.items() if key in self._keep}
+
+
+_OPEN_TEXT: ContextVar[ArtifactText | None] = ContextVar("open_artifact_text", default=None)
+
+
+def _columns_in(obj):
+    if _is_column(obj):
+        yield obj
+    elif isinstance(obj, Mapping):
+        for value in obj.values():
+            yield from _columns_in(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _columns_in(value)
+
+
+def _format_column(values: np.ndarray) -> str:
+    fmt = float.__repr__ if values.dtype.kind == "f" else int.__repr__
+    return "\n".join(map(fmt, values.tolist()))
+
+
+def _array_text(values: np.ndarray) -> str:
+    """Text of a 1-D int or float array: from the open ``ArtifactText``, if any."""
+    store = _OPEN_TEXT.get()
+    return _format_column(values) if store is None else store.text(values)
+
+
+def _release_text() -> None:
+    store = _OPEN_TEXT.get()
+    if store is not None:
+        store.release()
+
+
 def _column_text(values) -> list[str]:
     """Cells of one column, as ``_fmt`` writes them."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        return list(map(repr, values.tolist()))
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biu":
+    if _is_column(values):
+        return _array_text(values).split("\n") if len(values) else []
+    if isinstance(values, np.ndarray) and values.dtype.kind == "b":
         return list(map(str, values.tolist()))
     return [_fmt(x) for x in values]
 
@@ -90,6 +167,8 @@ def _sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if _is_column(obj):
+            return obj
         if obj.dtype.kind in "biuf":
             return obj.tolist()
         return _sanitize(obj.tolist())
@@ -105,9 +184,10 @@ def _sanitize(obj):
 def _json_text(obj, indent: str) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` at nesting ``indent``.
 
-    Lists of only ``int`` or only ``float`` are joined in one pass instead of
-    going through the pure-Python encoder that ``indent`` selects; every
-    scalar, string and non-finite float is still written by ``json`` itself.
+    1-D int or float arrays (kept as arrays by ``_sanitize``) are joined in
+    one pass instead of going through the pure-Python encoder that ``indent``
+    selects; every other value and every non-finite float is still written by
+    ``json`` itself.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -115,20 +195,17 @@ def _json_text(obj, indent: str) -> str:
         inner = indent + "  "
         items = (f"{json.dumps(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj))
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        if not len(obj):
             return "[]"
         inner = indent + "  "
-        sep = ",\n" + inner
-        kinds = set(map(type, obj))
-        if kinds == {float}:
-            text = sep.join(map(float.__repr__, obj))
+        if isinstance(obj, np.ndarray):
+            text = _array_text(obj)
             if "n" in text:  # nan or inf, which json spells NaN and Infinity
-                text = sep.join(map(json.dumps, obj))
-        elif kinds == {int}:
-            text = sep.join(map(int.__repr__, obj))
+                text = "\n".join(map(json.dumps, obj.tolist()))
+            text = text.replace("\n", ",\n" + inner)
         else:
-            text = sep.join(_json_text(v, inner) for v in obj)
+            text = (",\n" + inner).join(_json_text(v, inner) for v in obj)
         return "[\n" + inner + text + "\n" + indent + "]"
     return json.dumps(obj)
 
@@ -160,6 +237,7 @@ def _write_artifact(
     if "json" in formats:
         written.append(directory / f"{stem}.json")
         _write_json(written[-1], {**header, "config": config, **json_fields})
+    _release_text()
     return written
 
 
@@ -229,8 +307,8 @@ def write_ledger(
     config: Mapping,
     formats: Sequence[str],
 ) -> list[Path]:
-    cum = np.cumsum(ledger.heat_increments)
-    k, t, heat, entropy_change = (list(column) for column in zip(*ledger.rows))
+    k, t, heat, entropy_change = map(np.array, zip(*ledger.rows))
+    cum = np.cumsum(heat)
     columns = {"k": k, "t_k": t, "Q_k": heat, "dS_k": entropy_change, "cumQ": cum}
     fields = {
         "per_step": {"k": k, "t": t, "heat": heat, "entropy_change": entropy_change, "cumulative_heat": cum},
@@ -279,4 +357,5 @@ def write_paths_csv(
     amplitude = paths.amplitude[:max_rows]
     columns = (indices, amplitude.real, amplitude.imag, paths.functional[:max_rows])
     _write_csv(target, ["indices", "amp_re", "amp_im", "functional"], columns, header)
+    _release_text()
     return target

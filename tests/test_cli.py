@@ -286,6 +286,36 @@ class TestRun:
         assert "Traceback" not in err
         assert calls == []
 
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_out_naming_a_file_rejected_before_running(self, tmp_path, capsys, monkeypatch, verb, below):
+        import qworkstats.cli as cli_module
+
+        calls = []
+        monkeypatch.setattr(cli_module, f"{verb}_scenario", lambda *a, **k: calls.append(a))
+        target = tmp_path / "taken"
+        target.write_text("keep me\n")
+        out = target / "sub" if below else target
+        argv = [verb, "cyclic-example", "--out", str(out)]
+        if verb == "sweep":
+            argv += ["--parameter", "cyclic.alpha", "--values", "0.1,0.2"]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "not a directory" in err and str(target) in err
+        assert "Traceback" not in err
+        assert calls == []
+        assert target.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize("bad", ["directory", "binary"])
+    def test_scenario_path_that_is_not_a_text_file(self, tmp_path, capsys, bad):
+        path = tmp_path / "scenario.scn"
+        path.mkdir() if bad == "directory" else path.write_bytes(b"kind: \xff\xfe\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert ("is a directory" if bad == "directory" else "not a UTF-8 text file") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_output_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QWORKSTATS_OUT", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)
@@ -403,6 +433,18 @@ class TestValidateAndPresets:
         out = capsys.readouterr().out
         assert "OK (cyclic-example)" in out
         assert "cyclic.alpa" in out
+
+    @pytest.mark.parametrize("bad", ["directory", "binary"])
+    def test_validate_reports_a_non_text_path_and_continues(self, tmp_path, capsys, bad):
+        good = tmp_path / "good.scn"
+        good.write_text("kind: cyclic-example\n")
+        path = tmp_path / "bad.scn"
+        path.mkdir() if bad == "directory" else path.write_bytes(b"kind: \xff\xfe\n")
+        assert main(["validate", str(path), str(good)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith(f"{path}: INVALID: ")
+        assert ("is a directory" if bad == "directory" else "not a UTF-8 text file") in out[0]
+        assert out[1] == f"{good}: OK (cyclic-example)"
 
     def test_validate_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.scn")]) == EXIT_VALIDATION

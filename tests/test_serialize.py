@@ -1,7 +1,13 @@
+import contextlib
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qworkstats import (
     discretize,
@@ -14,8 +20,12 @@ from qworkstats import (
     symmetric_grid,
     tmp_distribution,
 )
+import qworkstats
+from qworkstats.runner import run_scenario
+from qworkstats.scenario import Scenario
 from qworkstats.serialize import (
     SCHEMA_VERSION,
+    ArtifactText,
     _fmt,
     _write_csv,
     _write_json,
@@ -24,6 +34,8 @@ from qworkstats.serialize import (
     write_ledger,
     write_paths_csv,
     write_quasi_distribution,
+    write_report,
+    write_spectral_terms,
     write_tmp_distribution,
 )
 
@@ -190,3 +202,126 @@ def test_path_records_index_column_is_product_order(tmp_path):
     _, _, rows = parse_csv(tmp_path / "head.csv")
     assert [r[0] for r in rows] == ["-".join(map(str, t)) for t in list(product(range(2), repeat=9))[:7]]
     assert [complex(float(r[1]), float(r[2])) for r in rows] == paths.amplitude[:7].tolist()
+
+
+# ---------------------------------------------------------------------------
+# each array formatted once per run
+
+
+def json_tokens(text):
+    """Parse JSON keeping every number (and NaN/Infinity) as its exact text."""
+    return json.loads(text, parse_float=str, parse_int=str, parse_constant=str)
+
+
+def random_tmp_overrides(dim, seed):
+    rng = np.random.default_rng(seed)
+    return {
+        "seed": seed,
+        "drive.protocol": "random",
+        "drive.steps": 16,
+        "drive.params.dim": dim,
+        "initial_state.kind": "superposition",
+        "initial_state.amplitudes": [float(x) for x in rng.uniform(0.5, 1.5, dim)],
+        "initial_state.phases": [float(x) for x in rng.uniform(0.0, 2.0 * np.pi, dim)],
+    }
+
+
+def random_tmp_compare(dim, seed):
+    return Scenario.from_kind("tmp-compare").with_overrides(random_tmp_overrides(dim, seed))
+
+
+def stripped_files(directory):
+    return {
+        path.name: "\n".join(line for line in path.read_text().splitlines() if "generated_at" not in line)
+        for path in sorted(directory.iterdir())
+    }
+
+
+def test_report_prints_quasi_arrays_as_the_quasi_artifact(tmp_path):
+    run_scenario(random_tmp_compare(8, 3), out_dir=tmp_path)
+    report = json_tokens((tmp_path / "report.json").read_text())["results"]["quasi"]
+    artifact = json_tokens((tmp_path / "quasi_distribution.json").read_text())
+    assert len(artifact["support"]) > 8
+    assert report["support"] == artifact["support"]
+    assert report["weights"] == artifact["weight"]
+    _, _, rows = parse_csv(tmp_path / "quasi_distribution.csv")
+    assert [list(row) for row in zip(artifact["support"], artifact["weight"])] == rows
+
+
+def test_spectral_terms_csv_cells_are_json_elements(tmp_path):
+    run_scenario(random_tmp_compare(4, 5), out_dir=tmp_path)
+    _, columns, rows = parse_csv(tmp_path / "spectral_terms.csv")
+    payload = json_tokens((tmp_path / "spectral_terms.json").read_text())
+    assert len(rows) == 4**3
+    for name, cells in zip(columns, zip(*rows)):
+        assert list(cells) == payload[name], name
+
+
+def test_runs_in_one_process_write_what_each_run_writes_alone(tmp_path):
+    """No text outlives its run: a later run whose arrays reuse freed ids
+    writes the bytes of the same run in a fresh interpreter."""
+    sequence = [(8, 11), (32, 12), (8, 11)]
+    for n, (dim, seed) in enumerate(sequence):
+        run_scenario(random_tmp_compare(dim, seed), out_dir=tmp_path / f"in_process_{n}")
+    env = dict(os.environ, PYTHONPATH=str(Path(qworkstats.__file__).resolve().parents[1]))
+    script = (
+        "import json, sys\n"
+        "from qworkstats.runner import run_scenario\n"
+        "from qworkstats.scenario import Scenario\n"
+        "scenario = Scenario.from_kind('tmp-compare').with_overrides(json.loads(sys.argv[1]))\n"
+        "run_scenario(scenario, out_dir=sys.argv[2])\n"
+    )
+    for dim, seed in sorted(set(sequence)):
+        overrides = json.dumps(random_tmp_overrides(dim, seed))
+        alone = str(tmp_path / f"alone_{dim}")
+        subprocess.run([sys.executable, "-c", script, overrides, alone], check=True, env=env)
+    for n, (dim, _) in enumerate(sequence):
+        assert stripped_files(tmp_path / f"in_process_{n}") == stripped_files(tmp_path / f"alone_{dim}")
+
+
+def test_writers_inside_and_outside_a_run_write_the_same_bytes(tmp_path):
+    drive, rho = cyclic_fixture(np.pi / 3, np.pi / 4)
+    terms = spectral_decomposition(rho, drive)
+    dist = quasi_distribution(terms)
+    report = {"results": {"quasi": {"support": dist.support, "weights": dist.weights}}}
+
+    def write_all(directory):
+        write_quasi_distribution(directory, "quasi", dist, CONFIG, ("csv", "json"))
+        write_spectral_terms(directory, "terms", terms, CONFIG, ("csv", "json"))
+        write_report(directory, "report", report)
+
+    write_all(tmp_path / "outside")
+    with ArtifactText(keep=report):
+        write_all(tmp_path / "inside")
+    assert stripped_files(tmp_path / "inside") == stripped_files(tmp_path / "outside")
+
+
+EDGE_ARRAYS = {
+    "nonfinite": np.array([np.nan, np.inf, -np.inf, 1.5]),
+    "signed_zero": np.array([-0.0, 0.0, 1e-300, -2.5e17]),
+    "empty": np.zeros(0),
+    "empty_int": np.zeros(0, dtype=np.int64),
+    "ints": np.array([-3, 0, 2**40]),
+    "unsigned": np.arange(3, dtype=np.uint8),
+    "single": np.arange(3, dtype=np.float32) / 3,
+    "matrix": np.arange(6.0).reshape(2, 3),
+    "bools": np.array([True, False]),
+}
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["outside", "inside"])
+def test_edge_arrays_match_json_dumps_and_fmt(tmp_path, inside):
+    payload = {**EDGE_ARRAYS, "again": {"nonfinite": EDGE_ARRAYS["nonfinite"]}}
+    columns = [EDGE_ARRAYS[name] for name in ("nonfinite", "signed_zero", "ints", "single")]
+    with ArtifactText(keep=payload) if inside else contextlib.nullcontext():
+        _write_json(tmp_path / "edge.json", payload)
+        _write_csv(tmp_path / "edge.csv", ["a", "b", "c", "d"], columns, {})
+        _write_csv(tmp_path / "empty.csv", ["e"], [EDGE_ARRAYS["empty"]], {})
+    body = {"schema_version": SCHEMA_VERSION, "generated_at": written_stamp(tmp_path / "edge.json")}
+    body.update(reference_sanitize(payload))
+    assert (tmp_path / "edge.json").read_text() == json.dumps(body, sort_keys=True, indent=2) + "\n"
+    _, _, rows = parse_csv(tmp_path / "edge.csv")
+    assert rows == [[_fmt(x) for x in row] for row in zip(*columns)]
+    assert rows[0][:2] == ["nan", "-0.0"] and rows[1][0] == "inf"
+    _, names, rows = parse_csv(tmp_path / "empty.csv")
+    assert names == ["e"] and rows == []
