@@ -31,11 +31,10 @@ ledger, increments = composite.trajectory(rho_s, rho_e)
 
 print("per-step heat (every 8th step):")
 print(f"{'k':>4} {'t_k':>8} {'Q_k':>14} {'cumulative Q':>14}")
-cumulative = 0.0
-for row in ledger.rows:
-    cumulative += row.heat
-    if row.k % 8 == 0:
-        print(f"{row.k:>4} {row.time:>8.3f} {row.heat:>+14.3e} {cumulative:>+14.6f}")
+shown = ledger.k % 8 == 0
+cumulative = np.cumsum(ledger.heat_increments)
+for k, t, q, cum in zip(ledger.k[shown], ledger.time[shown], ledger.heat_increments[shown], cumulative[shown]):
+    print(f"{k:>4} {t:>8.3f} {q:>+14.3e} {cum:>+14.6f}")
 
 print("\ntotals:")
 print(f"  dU                 = {ledger.internal_energy_change:+.10f}")

@@ -18,10 +18,12 @@ print("qubit gap ramp 1.0 -> 1.5 at temperature T = 1, pinned to the thermal sta
 ledger = fast_decoherence_run(protocol, temperature, 512)
 print("every 64th step:")
 print(f"{'k':>5} {'Q_k':>14} {'T dS_k':>14} {'relative gap':>14}")
-for row in ledger.rows:
-    if row.k % 64 == 0:
-        rel = abs(row.heat - temperature * row.entropy_change) / max(abs(row.heat), 1e-12)
-        print(f"{row.k:>5} {row.heat:>+14.6e} {temperature * row.entropy_change:>+14.6e} {rel:>14.2e}")
+shown = ledger.k % 64 == 0
+q = ledger.heat_increments[shown]
+t_ds = temperature * ledger.entropy_increments[shown]
+for k, q_k, t_ds_k in zip(ledger.k[shown], q, t_ds):
+    rel = abs(q_k - t_ds_k) / max(abs(q_k), 1e-12)
+    print(f"{k:>5} {q_k:>+14.6e} {t_ds_k:>+14.6e} {rel:>14.2e}")
 
 print("\ntotals:")
 print(f"  dU = {ledger.internal_energy_change:+.8f}")

@@ -75,7 +75,6 @@ from .open_system import (
     CompositeModel,
     DiscretizedComposite,
     HeatLedger,
-    LedgerRow,
     fast_decoherence_run,
     oscillator_environment,
     qubit_exchange_environment,

@@ -269,23 +269,25 @@ def evolution_operator(drive: DiscretizedDrive) -> UnitaryOperator:
     return UnitaryOperator(u)
 
 
+# First and largest coarse step count of :func:`discretize_to_tolerance`.
+AUTO_N_START = 16
+AUTO_N_MAX = 1 << 18
+
+
 def discretize_to_tolerance(
-    protocol: DriveProtocol,
-    tol: float = 1e-6,
-    n_start: int = 16,
-    n_max: int = 1 << 18,
-    rule: str = "left",
+    protocol: DriveProtocol, tol: float = 1e-6, rule: str = "left"
 ) -> DiscretizedDrive:
     """Pick the step count by self-convergence of the evolution operator.
 
     Requires ``max|U_N - U_2N| <= tol``, both products under ``rule``, and
-    returns the finer discretization. The deviation tracks the rule's product
+    returns the finer discretization, starting from ``N = AUTO_N_START`` and
+    giving up at ``AUTO_N_MAX``. The deviation tracks the rule's product
     error ``c / N^p`` (``p`` from :data:`STEP_RULES`), so after each failed
     check the required ``N`` is predicted from the measured constant (with a
     safety margin) instead of doubling blindly; the prediction is always
     verified before returning.
     """
-    n = max(1, n_start)
+    n = AUTO_N_START
     coarse = discretize(protocol, n, rule)
     order = STEP_RULES[rule]
     while True:
@@ -293,12 +295,12 @@ def discretize_to_tolerance(
         dev = max_abs(coarse.propagator.matrix - fine.propagator.matrix)
         if dev <= tol:
             return fine
-        if n >= n_max:
+        if n >= AUTO_N_MAX:
             raise NumericalError(
-                f"evolution operator did not self-converge to {tol} below N = {2 * n_max}"
+                f"evolution operator did not self-converge to {tol} below N = {2 * AUTO_N_MAX}"
             )
         predicted = int(np.ceil(n * (1.25 * dev / tol) ** (1.0 / order)))
-        n_next = min(max(2 * n, predicted), n_max)
+        n_next = min(max(2 * n, predicted), AUTO_N_MAX)
         coarse = fine if n_next == 2 * n else discretize(protocol, n_next, rule)
         n = n_next
 

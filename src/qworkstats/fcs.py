@@ -128,30 +128,28 @@ def fd_stencil_grid(h: float, order: int = 2, richardson: bool = True) -> Counti
     return CountingGrid(np.array(sorted(offsets), dtype=float) * h)
 
 
+# Tolerances of the ``G(0) = 1`` and ``G(-lam) = conj(G(lam))`` checks.
+NORMALIZATION_TOL = 1e-12
+SYMMETRY_TOL = 1e-10
+
+
 class CharacteristicSamples:
     """``G`` sampled on a counting grid.
 
-    Construction enforces normalization ``G(0) = 1`` (to ``norm_tol``) and the
-    symmetry ``G(-lam) = conj(G(lam))`` (to ``sym_tol``) that guarantees a
-    real quasi-distribution.
+    Construction enforces normalization ``G(0) = 1`` (to
+    ``NORMALIZATION_TOL``) and the symmetry ``G(-lam) = conj(G(lam))`` (to
+    ``SYMMETRY_TOL``) that guarantees a real quasi-distribution.
     """
 
-    def __init__(
-        self,
-        grid: CountingGrid,
-        values,
-        *,
-        norm_tol: float = 1e-12,
-        sym_tol: float = 1e-10,
-    ):
+    def __init__(self, grid: CountingGrid, values):
         v = np.asarray(values, dtype=complex).ravel()
         if v.size != grid.size:
             raise ValueError("sample count does not match grid size")
         g0 = v[grid.index_of(0.0)]
-        if abs(g0 - 1.0) > norm_tol:
+        if abs(g0 - 1.0) > NORMALIZATION_TOL:
             raise NumericalError(f"G(0) = {g0} deviates from 1 by {abs(g0 - 1.0):.3e}")
         dev = float(np.max(np.abs(v[::-1] - np.conj(v))))
-        if dev > sym_tol:
+        if dev > SYMMETRY_TOL:
             raise NumericalError(f"G(-lam) != conj(G(lam)): deviation {dev:.3e}")
         v.setflags(write=False)
         self.grid = grid
@@ -284,12 +282,14 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_decomposition(
-    rho0: DensityOperator, drive: DiscretizedDrive, prune: float = 1e-14
-) -> SpectralExpansion:
+# Spectral terms and TMP outcomes of smaller weight are dropped.
+PRUNE_TOL = 1e-14
+
+
+def spectral_decomposition(rho0: DensityOperator, drive: DiscretizedDrive) -> SpectralExpansion:
     """Exact expansion of ``G`` in the initial and final eigenbases.
 
-    Terms with ``|weight| < prune`` are dropped. Eigenvectors inside
+    Terms with ``|weight| < PRUNE_TOL`` are dropped. Eigenvectors inside
     degenerate subspaces are taken as returned by the eigensolver; only
     binned support/weight pairs are basis-independent, which is what
     :func:`quasi_distribution` exposes.
@@ -299,7 +299,7 @@ def spectral_decomposition(
     # axes (k, i, j): w = rho_ij M_ki M*_kj, u = eps_k(T) - (eps_i(0) + eps_j(0)) / 2
     weight = _cmul(_cmul(rho[None, :, :], m[:, :, None]), m.conj()[:, None, :])
     support = epst[:, None, None] - 0.5 * (eps0[:, None] + eps0[None, :])
-    keep = np.flatnonzero(np.abs(weight) >= prune)
+    keep = np.flatnonzero(np.abs(weight) >= PRUNE_TOL)
     k, i, j = np.unravel_index(keep, (d, d, d))
     weight = weight.ravel()[keep]
     total = weight.sum()
@@ -458,13 +458,11 @@ def coherent_classical_split(
 # grid Fourier inversion (validation path only)
 
 
-def fourier_grid_for_supports(
-    supports: np.ndarray, resolution_fraction: float = 0.125
-) -> tuple[float, int, float]:
+def fourier_grid_for_supports(supports: np.ndarray) -> tuple[float, int, float]:
     """Counting-grid parameters for :func:`fourier_quasi_weights`.
 
     Returns ``(lambda_max, points, sigma_u)`` where ``sigma_u`` is the energy
-    resolution of the Gaussian window (a fraction of the smallest support
+    resolution of the Gaussian window (an eighth of the smallest support
     gap). The grid is wide enough for the window to decay and dense enough
     that aliasing images stay clear of the support range.
     """
@@ -475,7 +473,7 @@ def fourier_grid_for_supports(
         gap = float(np.min(np.diff(u)))
         if gap <= 0:
             raise ValueError("supports must be distinct")
-    sigma_u = gap * resolution_fraction
+    sigma_u = gap / 8.0
     sigma_l = 1.0 / sigma_u
     lambda_max = 8.0 * sigma_l
     u_extent = float(np.max(np.abs(u))) if u.size else 1.0

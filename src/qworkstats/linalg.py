@@ -136,7 +136,8 @@ class UnitaryOperator(_Operator):
 class DensityOperator(_Operator):
     """A density matrix: Hermitian, unit trace, positive semidefinite.
 
-    Construction enforces ``max|rho - rho^dag| <= herm_tol``,
+    Construction enforces ``max|rho - rho^dag| <= HERMITICITY_TOL`` (relative
+    to ``max|rho|`` above one),
     ``|Tr rho - 1| <= trace_tol`` and smallest eigenvalue ``>= -psd_tol``.
     """
 
@@ -144,17 +145,15 @@ class DensityOperator(_Operator):
         self,
         matrix,
         *,
-        herm_tol: float | None = None,
         trace_tol: float | None = None,
         psd_tol: float | None = None,
     ):
         m = mat(matrix)
         _check_square_finite(m, "DensityOperator")
-        herm_tol = HERMITICITY_TOL if herm_tol is None else herm_tol
         trace_tol = TRACE_TOL if trace_tol is None else trace_tol
         psd_tol = POSITIVITY_TOL if psd_tol is None else psd_tol
         dev = max_abs(m - m.conj().T)
-        if dev > max(herm_tol, herm_tol * max_abs(m)):
+        if dev > HERMITICITY_TOL * max(1.0, max_abs(m)):
             raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > trace_tol:

@@ -41,7 +41,6 @@ eigensystems they share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,7 +63,6 @@ from .linalg import (
 __all__ = [
     "CompositeModel",
     "DiscretizedComposite",
-    "LedgerRow",
     "HeatLedger",
     "fast_decoherence_run",
     "qubit_exchange_environment",
@@ -122,23 +120,19 @@ class CompositeModel:
         return DiscretizedComposite(self, discretize(self.drive, n_steps))
 
 
-class LedgerRow(NamedTuple):
-    """Heat and entropy increments for one drive step."""
-
-    k: int
-    time: float
-    heat: float
-    entropy_change: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeatLedger:
     """Per-step heat/entropy increments with totals obeying ``W = dU - Q``.
 
-    Sign convention: positive heat flows into the system.
+    ``k``, ``time``, ``heat_increments`` and ``entropy_increments`` are equal-
+    length arrays, one entry per drive step. Sign convention: positive heat
+    flows into the system.
     """
 
-    rows: tuple[LedgerRow, ...]
+    k: np.ndarray
+    time: np.ndarray
+    heat_increments: np.ndarray
+    entropy_increments: np.ndarray
     heat: float
     internal_energy_change: float
     work: float
@@ -147,14 +141,6 @@ class HeatLedger:
     def __post_init__(self):
         if abs(self.work - (self.internal_energy_change - self.heat)) > 1e-10:
             raise NumericalError("ledger identity W = dU - Q violated")
-
-    @property
-    def heat_increments(self) -> np.ndarray:
-        return np.array([r.heat for r in self.rows])
-
-    @property
-    def entropy_increments(self) -> np.ndarray:
-        return np.array([r.entropy_change for r in self.rows])
 
 
 def _expect(h, rho) -> float:
@@ -394,17 +380,14 @@ class DiscretizedComposite:
                 rho = self._product_state(states[-1], rho_e)
         h = self.hamiltonians
         n = self.drive.n_steps
-        heat = [_expect(h[k], states[k + 1] - states[k]) for k in range(n)]
+        heat = np.array([_expect(h[k], states[k + 1] - states[k]) for k in range(n)])
         increments = sum(_expect(h[k + 1] - h[k], states[k + 1]) for k in range(n))
         p = np.clip(_reduced_state_spectra(np.stack(states)), 0.0, None)
         entropy = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
-        rows = tuple(
-            LedgerRow(k, t_k, heat[k], float(entropy[k + 1] - entropy[k]))
-            for k, t_k in enumerate(self.drive.times.tolist())
-        )
         du = _expect(h[-1], states[-1]) - _expect(self.drive.h_start, rho_s)
         q = float(sum(heat))
-        return HeatLedger(rows, q, du, du - q), increments
+        ledger = HeatLedger(np.arange(n), self.drive.times, heat, np.diff(entropy), q, du, du - q)
+        return ledger, increments
 
 
 def fast_decoherence_run(
@@ -432,13 +415,10 @@ def fast_decoherence_run(
     entropy = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
     energy = np.einsum("kij,kji->k", h, states).real
     heat = np.einsum("kij,kji->k", h[1:], states[1:] - states[:-1]).real
-    rows = tuple(
-        LedgerRow(k, k * drive.dt, q_k, ds_k)
-        for k, q_k, ds_k in zip(range(1, n_steps + 1), heat.tolist(), np.diff(entropy).tolist())
-    )
+    k = np.arange(1, n_steps + 1)
     du = float(energy[-1] - energy[0])
-    q = float(sum(r.heat for r in rows))
-    return HeatLedger(rows, q, du, du - q, temperature=temperature)
+    q = float(sum(heat))
+    return HeatLedger(k, k * drive.dt, heat, np.diff(entropy), q, du, du - q, temperature=temperature)
 
 
 # ---------------------------------------------------------------------------

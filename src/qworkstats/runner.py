@@ -1,9 +1,10 @@
 """Scenario execution: compute results and write artifact files.
 
-Each scenario kind produces a report dict (written as ``report.json``) plus
-raw artifacts (characteristic samples, distributions, ledgers) that every
-number in the report can be recomputed from. Passing ``out_dir=None`` skips
-file writing, which is how sweep rows are evaluated.
+Each scenario kind has one runner that returns its results, its tolerance
+checks and its raw artifacts (characteristic samples, distributions, ledgers),
+keyed by file stem, that every number in the report can be recomputed from.
+Passing ``out_dir=None`` skips file writing, which is how sweep rows are
+evaluated.
 """
 
 from __future__ import annotations
@@ -44,12 +45,29 @@ class RunResult:
     files: list[Path] = field(default_factory=list)
 
 
-def _fd_first_moments(rho0, drive, terms, orders=(1, 2)):
+# Orders of the finite-difference moments a closed run reports.
+FD_ORDERS = (1, 2)
+
+# Artifact stem -> its writer's name in ``serialize`` and keyword arguments
+# (``None``: CSV only, no formats), in file order. Writers are looked up by
+# name at call time, so a wrapper bound on the module sees every write.
+_WRITERS = {
+    "characteristic": ("write_characteristic", {}),
+    "tmp_characteristic": ("write_characteristic", {"protocol": "tmp"}),
+    "quasi_distribution": ("write_quasi_distribution", {}),
+    "spectral_terms": ("write_spectral_terms", {}),
+    "tmp_distribution": ("write_tmp_distribution", {}),
+    "ledger": ("write_ledger", {}),
+    "path_records": ("write_paths_csv", None),
+}
+
+
+def _fd_first_moments(rho0, drive, terms):
     """Finite-difference moments on a dedicated stencil grid."""
     h = fcs.default_fd_step(terms.support)
-    grid = fcs.fd_stencil_grid(h, order=max(orders), richardson=True)
+    grid = fcs.fd_stencil_grid(h, order=max(FD_ORDERS), richardson=True)
     samples = fcs.characteristic_function(rho0, drive, grid)
-    return {n: fcs.moment_fd(samples, n, h=h, richardson=True) for n in orders}
+    return {n: fcs.moment_fd(samples, n, h=h, richardson=True) for n in FD_ORDERS}
 
 
 def _energy_balance_first_moment(rho0, drive) -> float:
@@ -66,7 +84,7 @@ def _check(name, value, tol):
 
 
 def _spectral_statistics(rho0, drive, grid) -> tuple[dict, dict]:
-    """``G`` on the grid, and the moments, split and bins of the spectral expansion."""
+    """Moments, split and bins of the spectral expansion; ``G`` and the terms and bins as artifacts."""
     terms = fcs.spectral_decomposition(rho0, drive)
     dist = fcs.quasi_distribution(terms)
     classical, coherent = fcs.coherent_classical_split(terms)
@@ -77,23 +95,30 @@ def _spectral_statistics(rho0, drive, grid) -> tuple[dict, dict]:
         "quasi": {"support": dist.support, "weights": dist.weights, "min_weight": dist.min_weight},
     }
     samples = fcs.characteristic_function(rho0, drive, grid)
-    return results, {"samples": samples, "quasi": dist, "terms": terms, "rho0": rho0, "drive": drive}
+    return results, {"characteristic": samples, "quasi_distribution": dist, "spectral_terms": terms}
 
 
-def _run_closed(scenario: Scenario, compare_tmp: bool) -> tuple[dict, dict]:
+def _run_closed(scenario: Scenario) -> tuple[dict, list, dict]:
+    """``closed`` and ``tmp-compare``; the latter adds the TMP comparison."""
     cfg = scenario.config
     drive = build_discretized_drive(scenario)
     rho0 = build_initial_state(cfg["initial_state"], drive.h_start)
     grid = build_grid(scenario)
     results, artifacts = _spectral_statistics(rho0, drive, grid)
-    dist = artifacts["quasi"]
-    fd = _fd_first_moments(rho0, drive, artifacts["terms"])
+    m1 = results["moments"]["1"]
+    fd = _fd_first_moments(rho0, drive, artifacts["spectral_terms"])
+    balance = _energy_balance_first_moment(rho0, drive)
     results["n_steps"] = drive.n_steps
     results["fd_moments"] = {str(n): v for n, v in fd.items()}
-    results["first_moment_energy_balance"] = _energy_balance_first_moment(rho0, drive)
-    if compare_tmp:
+    results["first_moment_energy_balance"] = balance
+    checks = [
+        _check("first_moment_identity", m1 - balance, 1e-10),
+        _check("fd_vs_spectral_first_moment", (fd[1] - m1) / max(abs(m1), 1e-9), 1e-6),
+    ]
+    if scenario.kind == "tmp-compare":
+        dist = artifacts["quasi_distribution"]
         outcomes = tmp.tmp_distribution(rho0, drive)
-        tmp_samples = tmp.tmp_characteristic(outcomes, grid)
+        average = tmp.tmp_average(outcomes)
         tmp_support, tmp_weights = fcs.merge_support_points(
             outcomes.work,
             outcomes.probability,
@@ -105,7 +130,7 @@ def _run_closed(scenario: Scenario, compare_tmp: bool) -> tuple[dict, dict]:
         lo = np.maximum(hi - 1, 0)
         idx = np.where(np.abs(tmp_support - u[lo]) <= np.abs(u[hi] - tmp_support), lo, hi)
         results["tmp"] = {
-            "average": tmp.tmp_average(outcomes),
+            "average": average,
             "moments": {str(n): tmp.tmp_moment(outcomes, n) for n in (1, 2, 3, 4)},
             "support": tmp_support,
             "weights": tmp_weights,
@@ -113,11 +138,11 @@ def _run_closed(scenario: Scenario, compare_tmp: bool) -> tuple[dict, dict]:
         results["comparison"] = {
             "max_support_distance": float(np.max(np.abs(dist.support[idx] - tmp_support))),
             "max_weight_difference": float(np.max(np.abs(dist.weights[idx] - tmp_weights))),
-            "first_moment_difference": results["moments"]["1"] - tmp.tmp_average(outcomes),
+            "first_moment_difference": m1 - average,
         }
-        artifacts["tmp_outcomes"] = outcomes
-        artifacts["tmp_samples"] = tmp_samples
-    return results, artifacts
+        artifacts["tmp_characteristic"] = tmp.tmp_characteristic(outcomes, grid)
+        artifacts["tmp_distribution"] = outcomes
+    return results, checks, artifacts
 
 
 def _cyclic_average_from_unitary(alpha: float, xi: float, gap: float) -> float:
@@ -129,7 +154,7 @@ def _cyclic_average_from_unitary(alpha: float, xi: float, gap: float) -> float:
     return float(sum(populations[i] * w[k, i] * (eps[k] - eps[i]) for i in range(2) for k in range(2)))
 
 
-def _run_cyclic(scenario: Scenario) -> tuple[dict, dict]:
+def _run_cyclic(scenario: Scenario) -> tuple[dict, list, dict]:
     cfg = scenario.config
     cyc = cfg["cyclic"]
     alpha, xi, gap = cyc["alpha"], cyc["xi"], cyc["gap"]
@@ -139,7 +164,9 @@ def _run_cyclic(scenario: Scenario) -> tuple[dict, dict]:
         drive.h_start,
     )
     results, artifacts = _spectral_statistics(rho0, drive, build_grid(scenario))
+    m1 = results["moments"]["1"]
     outcomes = tmp.tmp_distribution(rho0, drive)
+    average = tmp.tmp_average(outcomes)
     oracle = _cyclic_average_from_unitary(alpha, xi, gap)
     closed_form = gap * np.cos(2 * alpha) * np.sin(2 * alpha) ** 2 * np.sin(xi) ** 2
     printed_form = gap * np.cos(2 * alpha) * np.sin(2 * alpha) ** 2 * np.sin(2 * xi) ** 2
@@ -149,8 +176,8 @@ def _run_cyclic(scenario: Scenario) -> tuple[dict, dict]:
             "xi": xi,
             "gap": gap,
             "physical_realization": cyc["physical"],
-            "fcs_first_moment": results["moments"]["1"],
-            "tmp_average": tmp.tmp_average(outcomes),
+            "fcs_first_moment": m1,
+            "tmp_average": average,
             "oracle_average": oracle,
             "closed_form_sin_xi_sq": float(closed_form),
             "printed_form_sin_2xi_sq": float(printed_form),
@@ -158,11 +185,15 @@ def _run_cyclic(scenario: Scenario) -> tuple[dict, dict]:
             "oracle_vs_printed_form": float(abs(oracle - printed_form)),
         }
     )
-    artifacts["tmp_outcomes"] = outcomes
-    return results, artifacts
+    checks = [
+        _check("fcs_first_moment_zero", m1, 1e-10),
+        _check("tmp_matches_oracle", average - oracle, 1e-12),
+    ]
+    artifacts["tmp_distribution"] = outcomes
+    return results, checks, artifacts
 
 
-def _run_open(scenario: Scenario) -> tuple[dict, dict]:
+def _run_open(scenario: Scenario) -> tuple[dict, list, dict]:
     cfg = scenario.config
     model, rho_s, rho_e = build_composite(scenario)
     n_steps = cfg["drive"]["steps"]
@@ -177,6 +208,7 @@ def _run_open(scenario: Scenario) -> tuple[dict, dict]:
     fd_grid = fcs.fd_stencil_grid(h, order=1, richardson=True)
     fd_samples = composite.characteristic_function(rho_s, rho_e, fd_grid)
     fd_work = fcs.moment_fd(fd_samples, 1, h=h, richardson=True)
+    fd_deviation = float(abs(fd_work - ledger.work))
     results = {
         "n_steps": n_steps,
         "coupling": cfg["environment"]["coupling"],
@@ -189,15 +221,19 @@ def _run_open(scenario: Scenario) -> tuple[dict, dict]:
         },
         "work_via_increments": increments,
         "fd_first_moment": fd_work,
-        "fd_vs_ledger_work": float(abs(fd_work - ledger.work)),
+        "fd_vs_ledger_work": fd_deviation,
     }
     if cfg["duality"]:
         results["duality_deviation"] = composite.duality_deviation(rho_s, rho_e, grid)
-    artifacts = {"ledger": ledger, "samples": samples}
-    return results, artifacts
+    checks = [
+        _check("ledger_identity", ledger.work - (ledger.internal_energy_change - ledger.heat), 1e-10),
+        _check("increment_regrouping", increments - ledger.work, 1e-10),
+        _check("fd_vs_ledger_work", fd_deviation, 1e-7),
+    ]
+    return results, checks, {"characteristic": samples, "ledger": ledger}
 
 
-def _run_fast_decoherence(scenario: Scenario) -> tuple[dict, dict]:
+def _run_fast_decoherence(scenario: Scenario) -> tuple[dict, list, dict]:
     cfg = scenario.config
     protocol = build_protocol(cfg["drive"], cfg["seed"])
     temperature = cfg["temperature"]
@@ -205,7 +241,7 @@ def _run_fast_decoherence(scenario: Scenario) -> tuple[dict, dict]:
     ledger = open_system.fast_decoherence_run(protocol, temperature, n_steps)
     q = ledger.heat_increments
     ds = ledger.entropy_increments
-    rel = np.abs(q - temperature * ds) / np.maximum(np.abs(q), 1e-12)
+    mismatch = float((np.abs(q - temperature * ds) / np.maximum(np.abs(q), 1e-12)).max())
     results = {
         "n_steps": n_steps,
         "temperature": temperature,
@@ -213,12 +249,12 @@ def _run_fast_decoherence(scenario: Scenario) -> tuple[dict, dict]:
         "heat": ledger.heat,
         "internal_energy_change": ledger.internal_energy_change,
         "entropy_change": float(ds.sum()),
-        "max_entropy_heat_mismatch": float(rel.max()),
+        "max_entropy_heat_mismatch": mismatch,
     }
-    return results, {"ledger": ledger}
+    return results, [_check("entropy_heat_relation", mismatch, 1e-3)], {"ledger": ledger}
 
 
-def _run_paths_check(scenario: Scenario) -> tuple[dict, dict]:
+def _run_paths_check(scenario: Scenario) -> tuple[dict, list, dict]:
     cfg = scenario.config
     protocol = build_protocol(cfg["drive"], cfg["seed"])
     lam = cfg["counting_field"]
@@ -228,12 +264,12 @@ def _run_paths_check(scenario: Scenario) -> tuple[dict, dict]:
     u = drive.propagator.matrix
     basis = np.eye(d, dtype=complex)
     residual = 0.0
-    ensemble_for_dump = None
+    artifacts = {}
     for col in range(d):
         for row in range(d):
             ensemble = paths.enumerate_paths(drive, basis[:, col], basis[:, row])
-            if ensemble_for_dump is None:
-                ensemble_for_dump = ensemble
+            if cfg["dump_paths"]:
+                artifacts.setdefault("path_records", ensemble)
             residual = max(residual, abs(paths.path_sum(ensemble) - u[row, col]))
     rng = np.random.default_rng(cfg["seed"])
     psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -272,45 +308,17 @@ def _run_paths_check(scenario: Scenario) -> tuple[dict, dict]:
         "weighted_vs_two_kick": {str(k): v for k, v in deviations.items()},
         "halving_ratios": ratios,
     }
-    return results, {"paths": ensemble_for_dump}
+    return results, [_check("path_sum_residual", residual, 1e-10)], artifacts
 
 
-def _checks_for(kind: str, results: dict) -> list[dict]:
-    checks = []
-    if kind in ("closed", "tmp-compare", "cyclic-example"):
-        m1 = results["moments"]["1"] if "moments" in results else results["fcs_first_moment"]
-        if "first_moment_energy_balance" in results:
-            checks.append(
-                _check("first_moment_identity", m1 - results["first_moment_energy_balance"], 1e-10)
-            )
-        if "fd_moments" in results:
-            checks.append(
-                _check(
-                    "fd_vs_spectral_first_moment",
-                    (results["fd_moments"]["1"] - results["moments"]["1"])
-                    / max(abs(results["moments"]["1"]), 1e-9),
-                    1e-6,
-                )
-            )
-    if kind == "cyclic-example":
-        checks.append(_check("fcs_first_moment_zero", results["fcs_first_moment"], 1e-10))
-        checks.append(_check("tmp_matches_oracle", results["tmp_average"] - results["oracle_average"], 1e-12))
-    if kind == "open":
-        ledger = results["ledger"]
-        checks.append(
-            _check(
-                "ledger_identity",
-                ledger["work"] - (ledger["internal_energy_change"] - ledger["heat"]),
-                1e-10,
-            )
-        )
-        checks.append(_check("increment_regrouping", results["work_via_increments"] - ledger["work"], 1e-10))
-        checks.append(_check("fd_vs_ledger_work", results["fd_vs_ledger_work"], 1e-7))
-    if kind == "fast-decoherence":
-        checks.append(_check("entropy_heat_relation", results["max_entropy_heat_mismatch"], 1e-3))
-    if kind == "paths-check":
-        checks.append(_check("path_sum_residual", results["max_matrix_element_residual"], 1e-10))
-    return checks
+_RUNNERS = {
+    "closed": _run_closed,
+    "tmp-compare": _run_closed,
+    "cyclic-example": _run_cyclic,
+    "open": _run_open,
+    "fast-decoherence": _run_fast_decoherence,
+    "paths-check": _run_paths_check,
+}
 
 
 def run_scenario(
@@ -320,52 +328,22 @@ def run_scenario(
     tol_report: bool = False,
 ) -> RunResult:
     """Execute one scenario; write artifacts when ``out_dir`` is given."""
-    kind = scenario.kind
-    if kind in ("closed", "tmp-compare"):
-        results, artifacts = _run_closed(scenario, compare_tmp=(kind == "tmp-compare"))
-    elif kind == "cyclic-example":
-        results, artifacts = _run_cyclic(scenario)
-    elif kind == "open":
-        results, artifacts = _run_open(scenario)
-    elif kind == "fast-decoherence":
-        results, artifacts = _run_fast_decoherence(scenario)
-    elif kind == "paths-check":
-        results, artifacts = _run_paths_check(scenario)
-    else:  # pragma: no cover - scenario validation guards this
-        raise ValueError(f"unhandled scenario kind {kind}")
-    report = {"kind": kind, "scenario": scenario.config, "results": results}
+    results, checks, artifacts = _RUNNERS[scenario.kind](scenario)
+    report = {"kind": scenario.kind, "scenario": scenario.config, "results": results}
     if tol_report:
-        report["checks"] = _checks_for(kind, results)
+        report["checks"] = checks
     files: list[Path] = []
     if out_dir is not None:
         out_dir = Path(out_dir)
-        cfg = scenario.config
         # report.json prints the quasi-distribution again: keep its text to the end
         with serialize.ArtifactText(keep=report):
-            if "samples" in artifacts:
-                files += serialize.write_characteristic(
-                    out_dir, "characteristic", artifacts["samples"], cfg, formats
-                )
-            if "tmp_samples" in artifacts:
-                files += serialize.write_characteristic(
-                    out_dir, "tmp_characteristic", artifacts["tmp_samples"], cfg, formats, protocol="tmp"
-                )
-            if "quasi" in artifacts:
-                files += serialize.write_quasi_distribution(
-                    out_dir, "quasi_distribution", artifacts["quasi"], cfg, formats
-                )
-            if "terms" in artifacts:
-                files += serialize.write_spectral_terms(
-                    out_dir, "spectral_terms", artifacts["terms"], cfg, formats
-                )
-            if "tmp_outcomes" in artifacts:
-                files += serialize.write_tmp_distribution(
-                    out_dir, "tmp_distribution", artifacts["tmp_outcomes"], cfg, formats
-                )
-            if "ledger" in artifacts:
-                files += serialize.write_ledger(out_dir, "ledger", artifacts["ledger"], cfg, formats)
-            if kind == "paths-check" and scenario.config.get("dump_paths"):
-                files.append(serialize.write_paths_csv(out_dir, "path_records", artifacts["paths"], cfg))
+            for stem, (writer, options) in _WRITERS.items():
+                if stem in artifacts:
+                    write = getattr(serialize, writer)
+                    if options is None:
+                        files += write(out_dir, stem, artifacts[stem], scenario.config)
+                    else:
+                        files += write(out_dir, stem, artifacts[stem], scenario.config, formats, **options)
             files.append(serialize.write_report(out_dir, "report", report))
     return RunResult(report=report, files=files)
 
@@ -377,8 +355,6 @@ def headline_row(report: dict) -> dict:
     if "moments" in results:
         row["moment1"] = results["moments"]["1"]
         row["moment2"] = results["moments"]["2"]
-    elif "fcs_first_moment" in results:
-        row["moment1"] = results["fcs_first_moment"]
     if "quasi" in results:
         row["min_quasi_weight"] = results["quasi"]["min_weight"]
     if "ledger" in results:

@@ -195,7 +195,7 @@ def _drive_schema(default_protocol: str, default_duration: float, default_steps)
         "protocol": _Field("str", default_protocol, DRIVE_PROTOCOLS),
         "duration": _Field("float", default_duration),
         "steps": _Field("int_or_auto", default_steps),
-        "params": dict,  # filled against _PROTOCOL_PARAMS after protocol is known
+        "params": dict,  # resolved against _PROTOCOL_PARAMS[protocol]
     }
 
 
@@ -355,21 +355,12 @@ def _resolve_section(schema: Mapping, data: Mapping, path: str) -> dict:
     out: dict = {}
     for key, spec in schema.items():
         dotted = f"{path}{key}"
-        if spec is dict:
-            continue  # handled by the caller (protocol params)
+        if spec is dict:  # protocol params, resolved against the protocol read before them
+            spec = _PROTOCOL_PARAMS[out["protocol"]]
         if isinstance(spec, Mapping):
             out[key] = _resolve_section(spec, data.get(key, {}), f"{dotted}.")
         else:
             out[key] = _coerce(data.get(key, spec.default), spec, dotted)
-    return out
-
-
-def _resolve_drive(data: Mapping, schema: Mapping, path: str) -> dict:
-    out = _resolve_section(schema, data, path)
-    protocol = out["protocol"]
-    params_schema = _PROTOCOL_PARAMS[protocol]
-    raw_params = data.get("params", {})
-    out["params"] = _resolve_section(params_schema, raw_params, f"{path}params.")
     return out
 
 
@@ -385,18 +376,7 @@ def resolve_scenario(data: Mapping) -> dict:
         raise ScenarioError("missing required key 'kind'")
     if kind not in SCENARIO_KINDS:
         raise ScenarioError(f"'kind' must be one of {', '.join(SCENARIO_KINDS)}; got {kind!r}")
-    schema = _SCHEMAS[kind]
-    out: dict = {}
-    for key in data:
-        if key not in schema:
-            raise ScenarioError(f"unknown key '{key}'")
-    for key, spec in schema.items():
-        if key == "drive":
-            out[key] = _resolve_drive(data.get(key, {}), spec, "drive.")
-        elif isinstance(spec, Mapping):
-            out[key] = _resolve_section(spec, data.get(key, {}), f"{key}.")
-        else:
-            out[key] = _coerce(data.get(key, spec.default), spec, key)
+    out = _resolve_section(_SCHEMAS[kind], data, "")
     _check_semantics(out)
     return out
 
@@ -614,14 +594,15 @@ def build_initial_state(state_cfg: Mapping, h_start: HermitianOperator) -> Densi
     kind = state_cfg["kind"]
     values, vectors = eig_hermitian(h_start)
     v = vectors.matrix
+    d = v.shape[0]
     if kind == "eigenstate":
+        if not 0 <= state_cfg["index"] < d:
+            raise ScenarioError(f"'initial_state.index' must be in 0..{d - 1}, got {state_cfg['index']}")
         return eigenstate_density(h_start, state_cfg["index"])
     if kind == "superposition":
         amps = np.asarray(state_cfg["amplitudes"], dtype=complex)
-        if amps.size != v.shape[0]:
-            raise ScenarioError(
-                f"'initial_state.amplitudes' needs {v.shape[0]} entries, got {amps.size}"
-            )
+        if amps.size != d:
+            raise ScenarioError(f"'initial_state.amplitudes' needs {d} entries, got {amps.size}")
         if state_cfg["phases"]:
             phases = np.asarray(state_cfg["phases"], dtype=float)
             if phases.size != amps.size:
@@ -630,10 +611,8 @@ def build_initial_state(state_cfg: Mapping, h_start: HermitianOperator) -> Densi
         return pure_state_density(v @ amps)
     if kind == "mixture":
         pops = np.asarray(state_cfg["populations"], dtype=float)
-        if pops.size != v.shape[0]:
-            raise ScenarioError(
-                f"'initial_state.populations' needs {v.shape[0]} entries, got {pops.size}"
-            )
+        if pops.size != d:
+            raise ScenarioError(f"'initial_state.populations' needs {d} entries, got {pops.size}")
         if np.any(pops < 0) or pops.sum() <= 0:
             raise ScenarioError("'initial_state.populations' must be nonnegative")
         pops = pops / pops.sum()

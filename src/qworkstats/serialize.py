@@ -161,40 +161,24 @@ def _write_csv(
     path.write_text("\n".join(lines) + "\n")
 
 
-def _sanitize(obj):
-    if isinstance(obj, Mapping):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if _is_column(obj):
-            return obj
-        if obj.dtype.kind in "biuf":
-            return obj.tolist()
-        return _sanitize(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj
-
-
 def _json_text(obj, indent: str) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` at nesting ``indent``.
+    """``json.dumps(obj, sort_keys=True, indent=2)`` at nesting ``indent``, with
+    keys converted by ``str``, NumPy scalars as Python scalars, ``complex`` as
+    ``{"re", "im"}``, and arrays that are not 1-D int or float as ``tolist()``.
 
-    1-D int or float arrays (kept as arrays by ``_sanitize``) are joined in
-    one pass instead of going through the pure-Python encoder that ``indent``
-    selects; every other value and every non-finite float is still written by
-    ``json`` itself.
+    1-D int or float arrays are joined in one pass instead of going through
+    the pure-Python encoder that ``indent`` selects; every other value and
+    every non-finite float is still written by ``json`` itself.
     """
-    if isinstance(obj, dict):
+    if isinstance(obj, Mapping):
         if not obj:
             return "{}"
         inner = indent + "  "
-        items = (f"{json.dumps(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        items = {str(key): value for key, value in obj.items()}
+        text = (f"{json.dumps(key)}: {_json_text(items[key], inner)}" for key in sorted(items))
+        return "{\n" + inner + (",\n" + inner).join(text) + "\n" + indent + "}"
+    if isinstance(obj, np.ndarray) and not _is_column(obj):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple, np.ndarray)):
         if not len(obj):
             return "[]"
@@ -207,12 +191,17 @@ def _json_text(obj, indent: str) -> str:
         else:
             text = (",\n" + inner).join(_json_text(v, inner) for v in obj)
         return "[\n" + inner + text + "\n" + indent + "]"
+    if isinstance(obj, complex):
+        return _json_text({"re": obj.real, "im": obj.imag}, indent)
+    if isinstance(obj, np.floating):
+        obj = float(obj)
+    elif isinstance(obj, np.integer):
+        obj = int(obj)
     return json.dumps(obj)
 
 
 def _write_json(path: Path, payload: Mapping) -> None:
-    body = {"schema_version": SCHEMA_VERSION, "generated_at": _stamp()}
-    body.update(_sanitize(payload))
+    body = {"schema_version": SCHEMA_VERSION, "generated_at": _stamp(), **payload}
     path.write_text(_json_text(body, "") + "\n")
 
 
@@ -260,9 +249,8 @@ def write_quasi_distribution(
     dist: QuasiDistribution,
     config: Mapping,
     formats: Sequence[str],
-    protocol: str = "fcs",
 ) -> list[Path]:
-    header = {"kind": "quasi_distribution", "protocol": protocol}
+    header = {"kind": "quasi_distribution", "protocol": "fcs"}
     columns = {"support": dist.support, "weight": dist.weights}
     return _write_artifact(directory, stem, formats, header, config, columns, columns)
 
@@ -307,7 +295,7 @@ def write_ledger(
     config: Mapping,
     formats: Sequence[str],
 ) -> list[Path]:
-    k, t, heat, entropy_change = map(np.array, zip(*ledger.rows))
+    k, t, heat, entropy_change = ledger.k, ledger.time, ledger.heat_increments, ledger.entropy_increments
     cum = np.cumsum(heat)
     columns = {"k": k, "t_k": t, "Q_k": heat, "dS_k": entropy_change, "cumQ": cum}
     fields = {
@@ -347,15 +335,14 @@ def write_paths_csv(
     paths: PathEnsemble,
     config: Mapping,
     max_rows: int = 10000,
-) -> Path:
+) -> list[Path]:
     """The first ``max_rows`` paths: indices joined by ``-``, amplitude, functional."""
-    directory.mkdir(parents=True, exist_ok=True)
-    target = directory / f"{stem}.csv"
-    header = {"kind": "path_records"}
-    header.update(flatten_config(config))
     indices = ["-".join(map(str, row)) for row in paths.indices(max_rows).tolist()]
     amplitude = paths.amplitude[:max_rows]
-    columns = (indices, amplitude.real, amplitude.imag, paths.functional[:max_rows])
-    _write_csv(target, ["indices", "amp_re", "amp_im", "functional"], columns, header)
-    _release_text()
-    return target
+    columns = {
+        "indices": indices,
+        "amp_re": amplitude.real,
+        "amp_im": amplitude.imag,
+        "functional": paths.functional[:max_rows],
+    }
+    return _write_artifact(directory, stem, ("csv",), {"kind": "path_records"}, config, columns, {})

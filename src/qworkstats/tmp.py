@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive import DiscretizedDrive
-from .fcs import DEGENERACY_TOL, CharacteristicSamples, CountingGrid, _eigendata, _level_groups
+from .fcs import DEGENERACY_TOL, PRUNE_TOL, CharacteristicSamples, CountingGrid, _eigendata, _level_groups
 from .linalg import DensityOperator, HermitianOperator, NumericalError, eig_hermitian
 
 __all__ = [
@@ -62,12 +62,11 @@ def tmp_distribution(
     drive: DiscretizedDrive,
     *,
     degeneracy_tol: float = DEGENERACY_TOL,
-    prune: float = 1e-14,
 ) -> TmpDistribution:
     """Joint outcome distribution of the two projective energy measurements.
 
     Outcomes are labeled by distinct eigenvalues of the boundary
-    Hamiltonians; joint probabilities below ``prune`` are dropped. The
+    Hamiltonians; joint probabilities below ``PRUNE_TOL`` are dropped. The
     remaining probabilities are nonnegative and sum to one. In the boundary
     eigenbases this is the spectral tensor of :mod:`qworkstats.fcs`
     restricted to pairs inside one initial group,
@@ -84,7 +83,7 @@ def tmp_distribution(
     # q[k, j] = sum_{i in g(j)} M_ki rho_ij M*_kj, summed over j in g and k in h
     q = ((m @ within) * m.conj()).real
     p = np.add.reduceat(np.add.reduceat(q, startst, axis=0), starts0, axis=1).T
-    keep = np.flatnonzero(p >= prune)
+    keep = np.flatnonzero(p >= PRUNE_TOL)
     i, k = np.unravel_index(keep, p.shape)
     probability = p.ravel()[keep]
     total = probability.sum()

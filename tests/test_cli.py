@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,3 +463,74 @@ class TestValidateAndPresets:
         assert main(["run", str(scn), "--xi", "0.3", "--out", str(out_dir)]) == EXIT_OK
         report = read_json(out_dir / "report.json")
         assert report["results"]["xi"] == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("value", ["5", "-1"])
+@pytest.mark.parametrize("kind", ["closed", "open"])
+def test_state_index_out_of_range_is_validation_error(tmp_path, capsys, kind, value):
+    argv = ["run", kind, "--set", f"initial_state.index={value}", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "initial_state.index" in err and "0..1" in err
+    assert "Traceback" not in err
+
+
+def artifact_names(*stems, formats=("csv", "json")):
+    return [f"{stem}.{ext}" for stem in stems for ext in formats] + ["report.json"]
+
+
+CLOSED_CHECKS = ["first_moment_identity", "fd_vs_spectral_first_moment"]
+OPEN_CHECKS = ["ledger_identity", "increment_regrouping", "fd_vs_ledger_work"]
+OPEN_FILES = artifact_names("characteristic", "ledger")
+
+
+@pytest.mark.parametrize(
+    "argv,checks,files",
+    [
+        (
+            ["closed"],
+            CLOSED_CHECKS,
+            artifact_names("characteristic", "quasi_distribution", "spectral_terms"),
+        ),
+        (
+            ["tmp-compare"],
+            CLOSED_CHECKS,
+            artifact_names(
+                "characteristic", "tmp_characteristic", "quasi_distribution", "spectral_terms", "tmp_distribution"
+            ),
+        ),
+        (
+            ["cyclic-example"],
+            ["fcs_first_moment_zero", "tmp_matches_oracle"],
+            artifact_names("characteristic", "quasi_distribution", "spectral_terms", "tmp_distribution"),
+        ),
+        (["open"], OPEN_CHECKS, OPEN_FILES),
+        (["open", "--duality", "--set", "drive.protocol=constant"], OPEN_CHECKS, OPEN_FILES),
+        (["fast-decoherence"], ["entropy_heat_relation"], artifact_names("ledger")),
+        (["paths-check"], ["path_sum_residual"], ["report.json"]),
+        (["paths-check", "--set", "dump_paths=true"], ["path_sum_residual"], ["path_records.csv", "report.json"]),
+    ],
+    ids=[
+        "closed",
+        "tmp-compare",
+        "cyclic-example",
+        "open",
+        "open-duality",
+        "fast-decoherence",
+        "paths-check",
+        "paths-check-dump",
+    ],
+)
+def test_each_kind_reports_its_checks_and_files_in_order(tmp_path, capsys, argv, checks, files):
+    main(["run", *argv, "--tol-report", "--out", str(tmp_path)])
+    written = [line.split(" ", 1)[1] for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert [Path(path).name for path in written] == files
+    assert [Path(path).parent for path in written] == [tmp_path] * len(files)
+    assert [check["name"] for check in read_json(tmp_path / "report.json")["checks"]] == checks
+
+
+def test_characteristic_files_carry_their_protocol(tmp_path):
+    assert main(["run", "tmp-compare", "--out", str(tmp_path)]) == EXIT_OK
+    assert read_json(tmp_path / "characteristic.json")["protocol"] == "fcs"
+    assert read_json(tmp_path / "tmp_characteristic.json")["protocol"] == "tmp"
+    assert "# protocol: tmp" in (tmp_path / "tmp_characteristic.csv").read_text().splitlines()

@@ -154,7 +154,15 @@ class TestHeatLedger:
     def test_broken_identity_is_numerical_error(self):
         ledger, _ = exchange_model(0.05).discretize(16).trajectory(*thermal_pair(exchange_model(0.05)))
         with pytest.raises(NumericalError, match="W = dU - Q"):
-            HeatLedger(ledger.rows, ledger.heat, ledger.internal_energy_change, ledger.work + 1e-9)
+            HeatLedger(
+                ledger.k,
+                ledger.time,
+                ledger.heat_increments,
+                ledger.entropy_increments,
+                ledger.heat,
+                ledger.internal_energy_change,
+                ledger.work + 1e-9,
+            )
 
     def test_ledger_identity(self):
         model = exchange_model(0.05)
@@ -356,11 +364,12 @@ class TestFastDecoherence:
         entropies = [von_neumann_entropy(rho) for rho in states]
         # summation order differs: allow 64 ulps at the Hamiltonian's scale
         tol = 64 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(hams))))
-        for k, row in enumerate(ledger.rows, start=1):
-            assert row.k == k and row.time == k * drive.dt
+        rows = zip(ledger.k, ledger.time, ledger.heat_increments, ledger.entropy_increments)
+        for k, (row_k, time, row_heat, row_entropy_change) in enumerate(rows, start=1):
+            assert row_k == k and time == k * drive.dt
             heat = float(np.trace(hams[k] @ (states[k] - states[k - 1])).real)
-            assert abs(row.heat - heat) <= tol
-            assert abs(row.entropy_change - (entropies[k] - entropies[k - 1])) <= tol
+            assert abs(row_heat - heat) <= tol
+            assert abs(row_entropy_change - (entropies[k] - entropies[k - 1])) <= tol
         du = float(np.trace(hams[-1] @ states[-1]).real - np.trace(hams[0] @ states[0]).real)
         assert abs(ledger.internal_energy_change - du) <= tol
 

@@ -160,6 +160,11 @@ def test_json_writer_is_json_dumps(tmp_path):
         "complex": np.array([1.0 + 2.0j, -0.5j]),
         "complex_scalar": 1j,
         "numpy_scalars": [np.float64(0.25), np.int64(7)],
+        "float64": np.float64(-0.0),
+        "int64": np.int64(2**40),
+        "complex128": np.complex128(1e-300 - 2.5j),
+        "int_keyed": {2: "two", 10: np.float64(0.1), 1: {3: np.int64(-3), 20: [1j]}},
+        7: "int key at the top",
         "mixed": [1, 2.5, True, None, "x", (3, 4)],
         "empty_list": [],
         "empty_array": np.zeros(0),
@@ -311,7 +316,12 @@ EDGE_ARRAYS = {
 
 @pytest.mark.parametrize("inside", [False, True], ids=["outside", "inside"])
 def test_edge_arrays_match_json_dumps_and_fmt(tmp_path, inside):
-    payload = {**EDGE_ARRAYS, "again": {"nonfinite": EDGE_ARRAYS["nonfinite"]}}
+    payload = {
+        **EDGE_ARRAYS,
+        "again": {"nonfinite": EDGE_ARRAYS["nonfinite"]},
+        "scalars": [np.float64(np.nan), np.float64(-0.0), np.int64(-7), 2.5 - 1j, np.complex128(np.inf)],
+        "int_keyed": {2: EDGE_ARRAYS["ints"], 10: np.float64(1e-300), 1: {0: np.int64(3)}},
+    }
     columns = [EDGE_ARRAYS[name] for name in ("nonfinite", "signed_zero", "ints", "single")]
     with ArtifactText(keep=payload) if inside else contextlib.nullcontext():
         _write_json(tmp_path / "edge.json", payload)
