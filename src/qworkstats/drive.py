@@ -239,12 +239,21 @@ def discretize(protocol: DriveProtocol, n_steps: int, rule: str = "left") -> Dis
     )
 
 
+def ordered_product(factors: np.ndarray) -> np.ndarray:
+    """``F_{n-1} ... F_1 F_0`` of an ``(n, ..., d, d)`` stack over a fixed pairwise
+    tree: ``log2 n`` batched products, the same rounding for the same stack."""
+    while len(factors) > 1:
+        paired = factors[1::2] @ factors[:-1:2]
+        factors = np.concatenate([paired, factors[-1:]]) if len(factors) % 2 else paired
+    return factors[0]
+
+
 def evolution_operator(drive: DiscretizedDrive) -> UnitaryOperator:
     """Ordered product of the step exponentials, latest step leftmost.
 
     Step exponentials come from a batched eigendecomposition of the drive's
-    generator stack and the product is reduced over a fixed pairwise tree,
-    so large step counts stay cheap and the result is deterministic.
+    generator stack and :func:`ordered_product` reduces them over a fixed
+    pairwise tree, so large step counts stay cheap and deterministic.
     """
     mats = drive.hamiltonians + dagger(drive.hamiltonians)
     mats *= 0.5
@@ -252,15 +261,7 @@ def evolution_operator(drive: DiscretizedDrive) -> UnitaryOperator:
         raise NumericalError("step Hamiltonians overflow when symmetrized")
     w, v = np.linalg.eigh(mats)
     phases = np.exp(-1j * w * drive.dt)
-    factors = np.matmul(v * phases[:, None, :], dagger(v))
-    # pairwise reduction preserving order: result = F_{N-1} ... F_1 F_0
-    while factors.shape[0] > 1:
-        n = factors.shape[0]
-        paired = np.matmul(factors[1 : 2 * (n // 2) : 2], factors[0 : 2 * (n // 2) : 2])
-        if n % 2:
-            paired = np.concatenate([paired, factors[-1:]], axis=0)
-        factors = paired
-    u = factors[0]
+    u = ordered_product(np.matmul(v * phases[:, None, :], dagger(v)))
     # rounding accumulates over very long products; project back to the
     # unitary manifold (nearest unitary = polar factor) when it shows
     if max_abs(u.conj().T @ u - np.eye(drive.dim)) > 1e-12:

@@ -31,6 +31,7 @@ __all__ = [
     "tensor",
     "partial_trace_env",
     "von_neumann_entropy",
+    "gibbs_weights",
     "gibbs_state",
     "pure_state_density",
     "eigenstate_density",
@@ -251,19 +252,22 @@ def von_neumann_entropy(rho) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def gibbs_state(h, temperature: float) -> DensityOperator:
-    """Thermal state ``exp(-H/T)/Z`` at temperature ``T > 0``.
-
-    Computed in the eigenbasis with the spectrum shifted by its minimum, so
-    large gaps cannot overflow.
-    """
+def gibbs_weights(values: np.ndarray, temperature: float) -> np.ndarray:
+    """Thermal populations ``exp(-eps/T)/Z`` of the spectra along the last
+    axis at ``T > 0``, each shifted by its minimum so large gaps cannot overflow."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
+    p = np.exp(-(values - values.min(axis=-1, keepdims=True)) / float(temperature))
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def gibbs_state(h, temperature: float) -> DensityOperator:
+    """Thermal state ``exp(-H/T)/Z`` at temperature ``T > 0``, built in the
+    eigenbasis from :func:`gibbs_weights`."""
     values, vectors = eig_hermitian(h)
     v = vectors.matrix
-    w = np.exp(-(values - values.min()) / float(temperature))
-    w /= w.sum()
-    return DensityOperator((v * w) @ v.conj().T)
+    return DensityOperator((v * gibbs_weights(values, temperature)) @ v.conj().T)
 
 
 def pure_state_density(psi) -> DensityOperator:

@@ -34,8 +34,8 @@ the block-kick ``G`` at ``+lam``); :meth:`DiscretizedComposite.duality_deviation
 measures the residual, which shrinks linearly with ``g``.
 
 All of these are methods of one :class:`DiscretizedComposite`, built once per
-run by :meth:`CompositeModel.discretize`, which holds the step propagators and
-eigensystems they share.
+run by :meth:`CompositeModel.discretize`; it holds the step propagators and
+eigensystems they share and works on capped blocks of steps, not step by step.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drive import DiscretizedDrive, DriveProtocol, discretize
+from .drive import DiscretizedDrive, DriveProtocol, discretize, ordered_product
 from .fcs import CharacteristicSamples, CountingGrid
 from .linalg import (
     HERMITICITY_TOL,
@@ -54,6 +54,7 @@ from .linalg import (
     NumericalError,
     UnitaryOperator,
     dagger,
+    gibbs_weights,
     max_abs,
     mat,
     partial_trace_env,
@@ -143,8 +144,9 @@ class HeatLedger:
             raise NumericalError("ledger identity W = dU - Q violated")
 
 
-def _expect(h, rho) -> float:
-    return float(np.trace(mat(h) @ mat(rho)).real)
+# Complex elements per batched temporary of the step axis (128 KiB); a block
+# of steps holds at most this many, or one step.
+_STEP_BLOCK = 1 << 13
 
 
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,27 +182,21 @@ def _reduced_state_spectra(states: np.ndarray) -> np.ndarray:
     return spectra
 
 
-def _no_kick(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem of the zero Hamiltonian, whose kicks are the identity."""
-    return np.zeros(dim), np.eye(dim)
-
-
-def _kicks(eigensystems, lams: np.ndarray):
-    """Yield ``exp(+i lam/2 s_{j+1}) exp(-i lam/2 s_j)`` for consecutive
-    Hamiltonians ``s_j`` given by their eigensystems ``(w_j, v_j)``, each for
-    every ``lam``: shape ``(L, d, d)``.
+def _kicks(first, steps, last, lams: np.ndarray) -> np.ndarray:
+    """``exp(+i lam/2 s_{j+1}) exp(-i lam/2 s_j)`` for the ``J`` Hamiltonians
+    ``s_j`` with eigensystems ``first``, the stacked ``steps`` and ``last``,
+    each for every ``lam``: shape ``(J - 1, L, d, d)``.
 
     Each kick is ``sum_bc exp(i lam/2 (w_{j+1,b} - w_{j,c})) T_bc
-    v_{j+1,b} v_{j,c}^dag`` with ``T = v_{j+1}^dag v_j``: one product of the
-    grid's phases with lambda-independent terms.
+    v_{j+1,b} v_{j,c}^dag`` with ``T = v_{j+1}^dag v_j``: one batched product
+    of the grid's phases with lambda-independent terms.
     """
-    w = np.stack([e[0] for e in eigensystems])
-    v = np.stack([e[1] for e in eigensystems])
+    w, v = (np.concatenate([a[None], b, c[None]]) for a, b, c in zip(first, steps, last))
     d = w.shape[-1]
-    freqs = (w[1:, :, None] - w[:-1, None, :]).reshape(-1, d * d)
+    freqs = (w[1:, :, None] - w[:-1, None, :]).reshape(-1, 1, d * d)
     terms = np.einsum("jbc,jab,jec->jbcae", dagger(v[1:]) @ v[:-1], v[1:], v[:-1].conj())
-    for freq, term in zip(freqs, terms.reshape(-1, d * d, d * d)):
-        yield (np.exp(0.5j * np.multiply.outer(lams, freq)) @ term).reshape(-1, d, d)
+    kicks = np.exp(0.5j * (lams[:, None] * freqs)) @ terms.reshape(-1, d * d, d * d)
+    return kicks.reshape(len(freqs), lams.size, d, d)
 
 
 class DiscretizedComposite:
@@ -212,39 +208,40 @@ class DiscretizedComposite:
     eigensystems, and evaluates every open-system quantity from them. Kicks
     are formed on their own factor and applied to ``(dim_s, dim_e)``-reshaped
     blocks, so no Kronecker product is formed per step or per counting field.
+    Steps are batched in blocks of at most ``_STEP_BLOCK`` complex elements
+    (or one step): one eigendecomposition per block, and one pairwise
+    :func:`ordered_product` per block of kicked steps. Only the state
+    evolution of :meth:`trajectory` runs step by step.
     """
 
     def __init__(self, model: CompositeModel, drive: DiscretizedDrive):
-        self.model = model
-        self.drive = drive
+        self.model, self.drive = model, drive
         self.dim_s, self.dim_e, self.dim = model.dim_s, model.dim_e, model.dim
         eye = np.eye(self.dim)
         # H_S^0 ... H_S^{N-1}, then H_S(T)
         self.hamiltonians = np.concatenate([drive.samples, drive.h_end.matrix[None]])
-        static = (
-            self._on_factor(model.h_env.matrix, eye, env=True)
-            + model.coupling_scale * model.coupling.matrix
-        )
-        # step by step, so no second (N, D, D) stack is alive next to the result
+        static = self._on_factor(model.h_env.matrix, eye, env=True)
+        static = static + model.coupling_scale * model.coupling.matrix
         self.propagators = np.empty((drive.n_steps, self.dim, self.dim), dtype=complex)
-        for e, h_s in zip(self.propagators, self.hamiltonians[:-1]):
-            w, v = _eigh(self._on_factor(h_s, eye) + static)
-            e[...] = (v * np.exp(-1j * drive.dt * w)) @ v.conj().T
+        size = max(1, _STEP_BLOCK // self.dim**2)
+        for a in range(0, drive.n_steps, size):
+            w, v = _eigh(self._on_factor(drive.samples[a : a + size], eye) + static)
+            self.propagators[a : a + size] = (v * np.exp(-1j * drive.dt * w)[:, None, :]) @ dagger(v)
         self.step_eigensystems = _eigh(self.hamiltonians[:-1])
         self.env_eigensystem = _eigh(model.h_env.matrix)
 
     def _on_factor(self, a: np.ndarray, m: np.ndarray, env: bool = False) -> np.ndarray:
         """``(a (x) 1) m``, or ``(1 (x) a) m`` with ``env``, on reshaped blocks.
 
-        ``a`` acts on one factor, ``m`` on the composite space; leading stack
-        axes of both broadcast.
+        ``a`` acts on one factor, ``m`` on the composite space; stack axes broadcast.
+        A system ``a`` may stack ``r`` operators as ``(r d_s, d_s)`` rows: ``r`` results on the rows.
         """
         d = m.shape[-1]
         if env:
             out = a[..., None, :, :] @ m.reshape(*m.shape[:-2], -1, self.dim_e, d)
             return out.reshape(*out.shape[:-3], d, d)
         out = a @ m.reshape(*m.shape[:-2], a.shape[-1], -1)
-        return out.reshape(*out.shape[:-2], d, d)
+        return out.reshape(*out.shape[:-2], -1, d)
 
     def _product_state(self, rho_s, rho_e) -> np.ndarray:
         """``rho_S (x) rho_E`` on the composite space."""
@@ -255,14 +252,16 @@ class DiscretizedComposite:
             )
         return self._on_factor(a, self._on_factor(b, np.eye(self.dim), env=True))
 
-    def _chain(self, kicks, factors, env: bool = False) -> np.ndarray:
-        """``k_n F_{n-1} ... k_1 F_0 k_0`` for kicks ``k_j`` on one factor, each
-        stacked over the counting fields."""
-        kicks = iter(kicks)
-        u = self._on_factor(next(kicks), np.eye(self.dim, dtype=complex), env)
-        for f, k in zip(factors, kicks):
-            u = f @ u  # separate statements: at most two (L, D, D) stacks alive
-            u = self._on_factor(k, u, env)
+    def _chain(self, kicks: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """``k_n F_{n-1} ... k_1 F_0 k_0`` for an ``(n + 1, L, d_s, d_s)`` stack of
+        system kicks ``k_j`` and ``n`` factors: shape ``(L, D, D)``. Each block of
+        steps folds ``k_{j+1} F_j`` in one product (a step's L kicks on the rows), then reduces."""
+        u = self._on_factor(kicks[0], np.eye(self.dim, dtype=complex))
+        size = max(1, _STEP_BLOCK // (kicks.shape[1] * self.dim**2))
+        for a in range(0, len(factors), size):
+            k = kicks[a + 1 : a + size + 1]
+            block = self._on_factor(k.reshape(len(k), -1, self.dim_s), factors[a : a + size])
+            u = ordered_product(block.reshape(len(k), -1, self.dim, self.dim)) @ u
         return u
 
     def _operators(self, lams: np.ndarray, counting: str) -> np.ndarray:
@@ -278,19 +277,20 @@ class DiscretizedComposite:
             if max_abs(self.hamiltonians - h0) > 1e-12 * max(1.0, max_abs(h0)):
                 raise ValueError("environment counting requires a constant system Hamiltonian")
             product = np.eye(self.dim, dtype=complex)
-            for e in self.propagators:
-                product = e @ product
-            kicks = _kicks([self.env_eigensystem, _no_kick(self.dim_e), self.env_eigensystem], lams)
-            return self._chain(kicks, [product], env=True)
+            size = max(1, _STEP_BLOCK // self.dim**2)
+            for a in range(0, self.drive.n_steps, size):
+                product = ordered_product(self.propagators[a : a + size]) @ product
+            none = np.zeros((1, self.dim_e)), np.eye(self.dim_e)[None]  # H = 0: identity kicks
+            k0, k1 = _kicks(self.env_eigensystem, none, self.env_eigensystem, lams)
+            return self._on_factor(k1, product @ self._on_factor(k0, np.eye(self.dim), env=True), env=True)
         if counting == "work":
             eps0, v0, epst, vt = self.drive.boundary_eigensystems
             first, last = (eps0, v0), (epst, vt)
         elif counting == "heat":
-            first = last = _no_kick(self.dim_s)
+            first = last = np.zeros(self.dim_s), np.eye(self.dim_s)  # H = 0: identity kicks
         else:
             raise ValueError(f"unknown counting mode {counting!r}")
-        kicks = _kicks([first, *zip(*self.step_eigensystems), last], lams)
-        return self._chain(kicks, self.propagators)
+        return self._chain(_kicks(first, self.step_eigensystems, last, lams), self.propagators)
 
     def block(self, k: int, lam: float) -> UnitaryOperator:
         """The step-``k`` measurement block ``exp(-i lam/2 H_S^k) E_k exp(+i lam/2 H_S^k)``.
@@ -300,9 +300,9 @@ class DiscretizedComposite:
         """
         if not 0 <= k < self.drive.n_steps:
             raise ValueError(f"step index {k} outside 0..{self.drive.n_steps - 1}")
-        step = tuple(e[k] for e in self.step_eigensystems)
-        kicks = _kicks([_no_kick(self.dim_s), step, _no_kick(self.dim_s)], np.array([float(lam)]))
-        return UnitaryOperator(self._chain(kicks, [self.propagators[k]])[0])
+        none = np.zeros(self.dim_s), np.eye(self.dim_s)  # H = 0: identity kicks
+        kicks = _kicks(none, [e[k : k + 1] for e in self.step_eigensystems], none, np.array([float(lam)]))
+        return UnitaryOperator(self._chain(kicks, self.propagators[k : k + 1])[0])
 
     def counting_operator(self, lam: float, counting: str) -> UnitaryOperator:
         """``K(lam)`` of one counting family.
@@ -334,9 +334,7 @@ class DiscretizedComposite:
         np.conjugate(k, out=k)
         return CharacteristicSamples(grid, np.einsum("lij,lij->l", k_rho, k[::-1]))
 
-    def duality_deviation(
-        self, rho_s: DensityOperator, rho_e: DensityOperator, grid: CountingGrid
-    ) -> float:
+    def duality_deviation(self, rho_s: DensityOperator, rho_e: DensityOperator, grid: CountingGrid) -> float:
         """``max_lam |Gbar(lam) - G(-lam)|`` between environment- and system-side counting.
 
         ``G(-lam)`` in the boundary-kick sign convention equals the block-kick
@@ -372,19 +370,21 @@ class DiscretizedComposite:
         if refresh_every is not None and refresh_every < 1:
             raise ValueError("refresh_every must be a positive integer")
         rho = self._product_state(rho_s, rho_e)
-        states = [rho_s.matrix]
+        n = self.drive.n_steps
+        states = np.empty((n + 1, self.dim_s, self.dim_s), dtype=complex)
+        states[0] = rho_s.matrix
         for k, e in enumerate(self.propagators, start=1):
             rho = e @ rho @ e.conj().T
-            states.append(partial_trace_env(rho, self.dim_s, self.dim_e))
+            states[k] = partial_trace_env(rho, self.dim_s, self.dim_e)
             if refresh_every is not None and k % refresh_every == 0:
-                rho = self._product_state(states[-1], rho_e)
+                rho = self._product_state(states[k], rho_e)
         h = self.hamiltonians
-        n = self.drive.n_steps
-        heat = np.array([_expect(h[k], states[k + 1] - states[k]) for k in range(n)])
-        increments = sum(_expect(h[k + 1] - h[k], states[k + 1]) for k in range(n))
-        p = np.clip(_reduced_state_spectra(np.stack(states)), 0.0, None)
+        heat = np.trace(h[:-1] @ (states[1:] - states[:-1]), axis1=1, axis2=2).real
+        increments = sum(np.trace((h[1:] - h[:-1]) @ states[1:], axis1=1, axis2=2).real.tolist())
+        p = np.clip(_reduced_state_spectra(states), 0.0, None)
         entropy = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
-        du = _expect(h[-1], states[-1]) - _expect(self.drive.h_start, rho_s)
+        du = float(np.trace(h[-1] @ states[-1]).real)
+        du -= float(np.trace(mat(self.drive.h_start) @ rho_s.matrix).real)
         q = float(sum(heat))
         ledger = HeatLedger(np.arange(n), self.drive.times, heat, np.diff(entropy), q, du, du - q)
         return ledger, increments
@@ -399,18 +399,14 @@ def fast_decoherence_run(
     Relaxation is modeled as a hard re-thermalization map (the state is
     exactly Gibbs at all times), not a rate equation. In the quasi-static
     limit each heat increment approaches ``T`` times the entropy increment.
-    The Gibbs weights, states and entropies of all ``N + 1`` Hamiltonians
-    ``H(0), H(t_1), ..., H(t_{N-1}), H(T)`` come from one batched
-    eigendecomposition, each spectrum shifted by its minimum so large gaps
-    cannot overflow.
+    The states and entropies of all ``N + 1`` Hamiltonians ``H(0), H(t_1),
+    ..., H(t_{N-1}), H(T)`` come from one batched eigendecomposition and
+    :func:`gibbs_weights`.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     drive = discretize(protocol, n_steps)
     h = np.concatenate([drive.h_start.matrix[None], drive.samples[1:], drive.h_end.matrix[None]])
     w, v = _eigh(h)
-    p = np.exp(-(w - w.min(axis=1, keepdims=True)) / float(temperature))
-    p /= p.sum(axis=1, keepdims=True)
+    p = gibbs_weights(w, temperature)
     states = (v * p[:, None, :]) @ dagger(v)
     entropy = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
     energy = np.einsum("kij,kji->k", h, states).real
@@ -452,8 +448,6 @@ def oscillator_environment(frequency: float, levels: int) -> tuple[HermitianOper
         raise ValueError("oscillator truncation must be between 2 and 8 levels")
     n = np.arange(levels)
     h_env = HermitianOperator(np.diag(frequency * n).astype(complex))
-    lower = np.zeros((levels, levels), dtype=complex)
-    for m in range(1, levels):
-        lower[m - 1, m] = np.sqrt(m)
+    lower = np.diag(np.sqrt(np.arange(1, levels)), 1).astype(complex)
     h_se = tensor(_SIGMA_MINUS, lower.conj().T) + tensor(_SIGMA_PLUS, lower)
     return h_env, HermitianOperator(h_se)

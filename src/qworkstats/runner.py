@@ -102,7 +102,7 @@ def _run_closed(scenario: Scenario) -> tuple[dict, list, dict]:
     """``closed`` and ``tmp-compare``; the latter adds the TMP comparison."""
     cfg = scenario.config
     drive = build_discretized_drive(scenario)
-    rho0 = build_initial_state(cfg["initial_state"], drive.h_start)
+    rho0 = build_initial_state(cfg["initial_state"], drive.boundary_eigensystems[:2])
     grid = build_grid(scenario)
     results, artifacts = _spectral_statistics(rho0, drive, grid)
     m1 = results["moments"]["1"]
@@ -161,7 +161,7 @@ def _run_cyclic(scenario: Scenario) -> tuple[dict, list, dict]:
     drive = build_discretized_drive(scenario)
     rho0 = build_initial_state(
         {"kind": "superposition", "amplitudes": [np.cos(alpha), np.sin(alpha)], "phases": None},
-        drive.h_start,
+        drive.boundary_eigensystems[:2],
     )
     results, artifacts = _spectral_statistics(rho0, drive, build_grid(scenario))
     m1 = results["moments"]["1"]

@@ -56,8 +56,9 @@ from .linalg import (
     DensityOperator,
     HermitianOperator,
     eig_hermitian,
-    eigenstate_density,
     gibbs_state,
+    gibbs_weights,
+    mat,
     pure_state_density,
 )
 from .open_system import (
@@ -590,15 +591,17 @@ def build_discretized_drive(scenario: Scenario) -> DiscretizedDrive:
     return discretize(protocol, steps)
 
 
-def build_initial_state(state_cfg: Mapping, h_start: HermitianOperator) -> DensityOperator:
+def build_initial_state(state_cfg: Mapping, h_start) -> DensityOperator:
+    """The state ``state_cfg`` in the eigenbasis of ``h_start``: ``H(0)`` or its eigensystem
+    ``(values, vectors)``, such as half of :attr:`DiscretizedDrive.boundary_eigensystems`."""
     kind = state_cfg["kind"]
-    values, vectors = eig_hermitian(h_start)
-    v = vectors.matrix
+    values, vectors = h_start if isinstance(h_start, tuple) else eig_hermitian(h_start)
+    v = mat(vectors)
     d = v.shape[0]
     if kind == "eigenstate":
         if not 0 <= state_cfg["index"] < d:
             raise ScenarioError(f"'initial_state.index' must be in 0..{d - 1}, got {state_cfg['index']}")
-        return eigenstate_density(h_start, state_cfg["index"])
+        return pure_state_density(v[:, state_cfg["index"]])
     if kind == "superposition":
         amps = np.asarray(state_cfg["amplitudes"], dtype=complex)
         if amps.size != d:
@@ -616,10 +619,11 @@ def build_initial_state(state_cfg: Mapping, h_start: HermitianOperator) -> Densi
         if np.any(pops < 0) or pops.sum() <= 0:
             raise ScenarioError("'initial_state.populations' must be nonnegative")
         pops = pops / pops.sum()
-        return DensityOperator((v * pops) @ v.conj().T)
-    if kind == "gibbs":
-        return gibbs_state(h_start, state_cfg["temperature"])
-    raise ScenarioError(f"unknown initial state kind {kind!r}")
+    elif kind == "gibbs":
+        pops = gibbs_weights(values, state_cfg["temperature"])
+    else:
+        raise ScenarioError(f"unknown initial state kind {kind!r}")
+    return DensityOperator((v * pops) @ v.conj().T)
 
 
 def build_composite(scenario: Scenario) -> tuple[CompositeModel, DensityOperator, DensityOperator]:
@@ -629,11 +633,8 @@ def build_composite(scenario: Scenario) -> tuple[CompositeModel, DensityOperator
     if protocol.dim != 2:
         raise ScenarioError("environment presets require a qubit system drive")
     env = cfg["environment"]
-    h_start = protocol(0.0)
-    gap = env["gap"]
-    if gap == "resonant":
-        values, _ = eig_hermitian(h_start)
-        gap = float(values[-1] - values[0])
+    eigensystem = eig_hermitian(protocol(0.0))
+    gap = float(eigensystem[0][-1] - eigensystem[0][0]) if env["gap"] == "resonant" else env["gap"]
     preset = env["preset"]
     if preset == "qubit-exchange":
         h_env, h_se = qubit_exchange_environment(gap)
@@ -644,7 +645,7 @@ def build_composite(scenario: Scenario) -> tuple[CompositeModel, DensityOperator
     else:  # pragma: no cover - guarded by schema choices
         raise ScenarioError(f"unknown environment preset {preset!r}")
     model = CompositeModel(protocol, h_env, h_se, coupling_scale=env["coupling"])
-    rho_s = build_initial_state(cfg["initial_state"], h_start)
+    rho_s = build_initial_state(cfg["initial_state"], eigensystem)
     if env["state"] == "coherent":
         # equal superposition of the environment energy eigenstates
         _, vectors = eig_hermitian(h_env)

@@ -449,3 +449,30 @@ class TestOpenRun:
         checks = {c["name"]: c for c in run_scenario(scenario, tol_report=True).report["checks"]}
         assert checks["increment_regrouping"]["pass"]
         assert checks["ledger_identity"]["pass"]
+
+    def test_batched_engine_memory_is_bounded(self):
+        # the 8-level oscillator (D = 16) is the widest preset; batching all
+        # 96 steps x 41 counting fields at once would take about 16 MB
+        import tracemalloc
+
+        from qworkstats import Scenario
+        from qworkstats.scenario import build_composite, build_grid
+
+        scenario = Scenario.from_kind("open").with_overrides(
+            {"environment.preset": "oscillator", "environment.levels": 8}
+        )
+        model, rho_s, rho_e = build_composite(scenario)
+        grid = build_grid(scenario)
+        assert (model.dim, scenario.config["drive"]["steps"], grid.size) == (16, 96, 41)
+        tracemalloc.start()
+        try:
+            composite = model.discretize(96)
+            discretize_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            tracemalloc.start()
+            composite.characteristic_function(rho_s, rho_e, grid)
+            characteristic_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert discretize_peak <= 1.5 * 2**20
+        assert characteristic_peak <= 1.5 * 2**20

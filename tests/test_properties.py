@@ -11,7 +11,9 @@ Each open case draws a random composite model (drive, ``H_E``, ``H_SE``) and
 states, and checks the measurement blocks against their Kronecker-product
 form, the normalization and symmetry of ``G``, the ledger identity, the
 increment form, and the decoupled limit against the closed two-kick
-propagator.
+propagator. The counting operators of all three families and the heat
+increments are checked against explicit Kronecker products and evolutions,
+at step counts that span several of the engine's batched blocks.
 
 Each step-rule case draws a random curved drive and checks the observed
 order of the step product from successive doublings: 1 for ``left``, 4 for
@@ -29,6 +31,7 @@ from qworkstats import (
     Scenario,
     characteristic_function,
     coherent_classical_split,
+    constant_protocol,
     dephase,
     discretize,
     eig_hermitian,
@@ -49,6 +52,7 @@ from qworkstats import (
     tmp_moment,
     two_kick_propagator,
 )
+from qworkstats import open_system
 from qworkstats.fcs import merge_support_points
 from qworkstats.runner import run_scenario
 
@@ -296,6 +300,99 @@ def test_open_decoupled_work_counting_is_closed_two_kick(d_s, d_e, seed):
         closed = two_kick_propagator(composite.drive, lam).matrix
         work = composite.counting_operator(lam, "work").matrix
         assert np.max(np.abs(work - tensor(closed, free_env))) <= 1e-12
+
+
+def multi_block_steps(dim):
+    """A step count that spans at least three of the engine's batched blocks
+    of one counting field on dimension ``dim`` and ends in a partial block."""
+    size = max(1, open_system._STEP_BLOCK // (dim * dim))
+    return 2 * size + size // 2 + 1
+
+
+def kron_steps(model, drive):
+    """Every step propagator ``exp(-i dt H^k)``, from the Kronecker form of
+    ``H^k`` and a batched eigendecomposition."""
+    h_s = drive.hamiltonians
+    full = (
+        np.kron(h_s, np.eye(model.dim_e))
+        + np.kron(np.eye(model.dim_s), model.h_env.matrix)
+        + model.coupling_scale * model.coupling.matrix
+    )
+    w, v = np.linalg.eigh(full)
+    return (v * np.exp(-1j * drive.dt * w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+
+
+def kron_kicks(h, angle, dim_e):
+    """``exp(-i angle h) (x) 1`` for a stack of system Hamiltonians ``h``."""
+    w, v = np.linalg.eigh(h)
+    return np.kron((v * np.exp(-1j * angle * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2)), np.eye(dim_e))
+
+
+def partial_trace(rho, d_s, d_e):
+    return np.trace(rho.reshape(d_s, d_e, d_s, d_e), axis1=1, axis2=3)
+
+
+@pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
+def test_open_counting_operators_match_kron_product(d_s, d_e, seed):
+    model, _, _ = open_case(d_s, d_e, seed)
+    for n in (1, 2, 7, multi_block_steps(d_s * d_e)):
+        composite = model.discretize(n)
+        drive = composite.drive
+        steps = kron_steps(model, drive)
+        for lam in (-1.3, 0.7):
+            blocks = kron_kicks(drive.hamiltonians, 0.5 * lam, d_e) @ steps
+            blocks = blocks @ kron_kicks(drive.hamiltonians, -0.5 * lam, d_e)
+            heat = np.eye(d_s * d_e, dtype=complex)
+            for block in blocks:  # B_{n-1} ... B_1 B_0, one step at a time
+                heat = block @ heat
+            h_end, h_start = drive.h_end.matrix, drive.h_start.matrix
+            work = kron_kicks(h_end, -0.5 * lam, d_e) @ heat @ kron_kicks(h_start, 0.5 * lam, d_e)
+            for counting, reference in (("heat", heat), ("work", work)):
+                assert np.max(np.abs(composite.counting_operator(lam, counting).matrix - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
+def test_open_environment_counting_matches_kron_product(d_s, d_e, seed):
+    model, _, _ = open_case(d_s, d_e, seed)
+    model = CompositeModel(
+        constant_protocol(model.drive(0.0), 1.5), model.h_env, model.coupling, model.coupling_scale
+    )
+    eye_s = np.eye(d_s)
+    for n in (1, 2, 7, multi_block_steps(d_s * d_e)):
+        composite = model.discretize(n)
+        step = expm_unitary(model.step_hamiltonian(model.drive(0.0)), composite.drive.dt).matrix
+        plain = np.eye(d_s * d_e, dtype=complex)
+        for _ in range(n):
+            plain = step @ plain
+        for lam in (-1.3, 0.7):
+            reference = (
+                tensor(eye_s, expm_unitary(model.h_env, -0.5 * lam).matrix)
+                @ plain
+                @ tensor(eye_s, expm_unitary(model.h_env, 0.5 * lam).matrix)
+            )
+            operator = composite.counting_operator(lam, "environment").matrix
+            assert np.max(np.abs(operator - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
+def test_open_heat_increments_match_kron_evolution(d_s, d_e, seed):
+    model, rho_s, rho_e = open_case(d_s, d_e, seed)
+    n = multi_block_steps(d_s * d_e)
+    composite = model.discretize(n)
+    drive = composite.drive
+    steps = kron_steps(model, drive)
+    for refresh_every in (None, 3):
+        rho = tensor(rho_s, rho_e)
+        reduced, heat = rho_s.matrix, []
+        for k, (h_s, step) in enumerate(zip(drive.hamiltonians, steps)):
+            rho = step @ rho @ step.conj().T
+            after = partial_trace(rho, d_s, d_e)
+            heat.append(np.trace(h_s @ (after - reduced)).real)
+            reduced = after
+            if refresh_every is not None and (k + 1) % refresh_every == 0:
+                rho = tensor(reduced, rho_e)
+        ledger, _ = composite.trajectory(rho_s, rho_e, refresh_every=refresh_every)
+        assert np.max(np.abs(ledger.heat_increments - np.array(heat))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
