@@ -29,7 +29,6 @@ from .linalg import (
     pure_state_density,
     random_density,
     random_hermitian,
-    random_state_vector,
     random_unitary,
     tensor,
     von_neumann_entropy,

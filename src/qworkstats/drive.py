@@ -23,6 +23,7 @@ drive window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -109,14 +110,15 @@ class DriveProtocol:
         return HermitianOperator(self.sample([t])[0])
 
 
-# Complex elements per block of the step checks; keeps their temporaries in cache.
-_CHECK_BLOCK = 1 << 14
+# Complex elements per block of steps, in the step checks and in
+# evolution_operator; keeps the temporaries of each block in cache.
+_STEP_BLOCK = 1 << 15
 
 
 def _check_hermitian_steps(h: np.ndarray) -> None:
     """Finite entries and ``max|H^k - H^k^dag| <= HERMITICITY_TOL * max(1, max|H^k|)``
     for every step of an ``(N, d, d)`` stack; ``ValueError`` names the first failure."""
-    size = max(1, _CHECK_BLOCK // h[0].size)
+    size = max(1, _STEP_BLOCK // h[0].size)
     for start in range(0, len(h), size):
         block = h[start : start + size]
         scale = np.abs(block).max(axis=(1, 2))
@@ -248,23 +250,67 @@ def ordered_product(factors: np.ndarray) -> np.ndarray:
     return factors[0]
 
 
+# Taylor degree of the step exponentials, and THETA with sum_{k>12} THETA^k / k! <= 2^-53.
+_TAYLOR_DEGREE, _THETA = 12, 0.335
+# Paterson-Stockmeyer: p(x) = 1 + C_0 + x^4 (C_1 + x^4 C_2), C_j = sum_{m=1..4}
+# x^m / (4j+m)!; the powers 4j+m by rows in Horner order C_2, C_1, C_0.
+_CHUNK_POWERS = np.arange(1, _TAYLOR_DEGREE + 1).reshape(3, 4)[::-1]
+_CHUNK_COEFFS = np.array([[1.0 / math.factorial(k) for k in row] for row in _CHUNK_POWERS.tolist()])
+
+
+def _step_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
+    """``exp(A)``, ``A = -i dt (H + H^dag)/2``, for each step of an ``(n, d, d)`` stack by
+    scaling and squaring around the degree-12 Taylor polynomial (Paterson-Stockmeyer, 5
+    products). ``A`` is normal, so ``alpha = ||A^4||_1^(1/4)`` bounds its spectral radius,
+    and ``alpha / 2^s <= THETA`` keeps the truncation error of ``A / 2^s`` below ``2^-53``."""
+    n, d = len(h), h.shape[-1]
+    a, a2, _, a4 = powers = np.empty((4, n, d, d), dtype=complex)
+    top = float(np.abs(np.add(h, dagger(h), out=a)).max())
+    if not math.isfinite(top):
+        raise NumericalError("step Hamiltonians overflow when symmetrized")
+    # ||A||_1 <= dt d top / 2, so a = A 2^-e has ||a||_1 < 2^59 and a^4 stays finite
+    e = max(0, math.frexp(dt)[1] + math.frexp(top)[1] + math.frexp(d)[1] - 60)
+    a *= -0.5j * math.ldexp(dt, -e)
+    np.matmul(a, a, out=a2)
+    np.matmul(a2, powers[:2], out=powers[2:])  # a^3, a^4
+    # alpha 2^e >= rho(A), needed only when the cheaper bound ||A||_1 exceeds THETA
+    alpha = np.abs(a4).sum(axis=-2).max() ** 0.25 if dt * d * top > 2 * _THETA else 0.0
+    s = max(0, e + math.ceil(math.log2(alpha / _THETA))) if alpha > 0 else 0
+    # x = A / 2^s = a 2^(e - s), so the term x^k / k! is a^k 2^(k (e - s)) / k!
+    coeffs = np.ldexp(_CHUNK_COEFFS, (e - s) * _CHUNK_POWERS) if e != s else _CHUNK_COEFFS
+    x, *chunks = (coeffs @ powers.reshape(4, -1)).reshape(3, n, d, d)
+    for chunk in chunks:
+        x = a4 @ x
+        x += chunk
+    x.reshape(n, -1)[:, :: d + 1] += 1.0
+    for _ in range(s):
+        with np.errstate(over="ignore", invalid="ignore"):  # evolution_operator checks
+            x = x @ x
+    return x
+
+
 def evolution_operator(drive: DiscretizedDrive) -> UnitaryOperator:
     """Ordered product of the step exponentials, latest step leftmost.
 
-    Step exponentials come from a batched eigendecomposition of the drive's
-    generator stack and :func:`ordered_product` reduces them over a fixed
-    pairwise tree, so large step counts stay cheap and deterministic.
+    The step exponentials come from matrix products alone
+    (:func:`_step_exponentials`), in blocks of a power-of-two number of steps
+    of at most ``_STEP_BLOCK`` complex elements; the fixed pairwise tree of
+    :func:`ordered_product` reduces each block, then the block products.
+    Overflow raises :class:`NumericalError` naming ``dt*||H||_1``.
     """
-    mats = drive.hamiltonians + dagger(drive.hamiltonians)
-    mats *= 0.5
-    if not np.isfinite(mats).all():
-        raise NumericalError("step Hamiltonians overflow when symmetrized")
-    w, v = np.linalg.eigh(mats)
-    phases = np.exp(-1j * w * drive.dt)
-    u = ordered_product(np.matmul(v * phases[:, None, :], dagger(v)))
+    h, d = drive.hamiltonians, drive.dim
+    size = 1 << max(0, (_STEP_BLOCK // (d * d)).bit_length() - 1)
+    products = np.empty((-(-len(h) // size), d, d), dtype=complex)
+    for b in range(len(products)):
+        products[b] = ordered_product(_step_exponentials(h[b * size : (b + 1) * size], drive.dt))
+    u = ordered_product(products)
+    drift = max_abs(u.conj().T @ u - np.eye(d))
+    if not np.isfinite(drift):
+        phase = drive.dt * np.abs(h).sum(axis=-2).max()
+        raise NumericalError(f"step exponentials overflow at dt*||H||_1 = {phase:.3e}")
     # rounding accumulates over very long products; project back to the
     # unitary manifold (nearest unitary = polar factor) when it shows
-    if max_abs(u.conj().T @ u - np.eye(drive.dim)) > 1e-12:
+    if drift > 1e-12:
         left, _, right = np.linalg.svd(u)
         u = left @ right
     return UnitaryOperator(u)

@@ -295,12 +295,22 @@ def spectral_decomposition(rho0: DensityOperator, drive: DiscretizedDrive) -> Sp
     :func:`quasi_distribution` exposes.
     """
     eps0, epst, m, rho = _eigendata(rho0, drive)
-    d = rho0.dim
-    # axes (k, i, j): w = rho_ij M_ki M*_kj, u = eps_k(T) - (eps_i(0) + eps_j(0)) / 2
-    weight = _cmul(_cmul(rho[None, :, :], m[:, :, None]), m.conj()[:, None, :])
+    # axes (k, i, j): w = rho_ij M_ki M*_kj, u = eps_k(T) - (eps_i(0) + eps_j(0)) / 2;
+    # w = (rho_ij M_ki) M*_kj in place in real parts, rounded as by two _cmul
+    mr, mi = m.real[:, :, None], m.imag[:, :, None]
+    pr, pi = rho.real * mr, rho.real * mi
+    pr -= rho.imag * mi
+    pi += rho.imag * mr
+    weight = np.empty(pr.shape, dtype=complex)
+    wr, wi, mr, mi = weight.real, weight.imag, m.real[:, None, :], m.imag[:, None, :]
+    np.multiply(pr, mr, out=wr)
+    wr += pi * mi
+    np.multiply(pi, mr, out=wi)
+    wi -= pr * mi
     support = epst[:, None, None] - 0.5 * (eps0[:, None] + eps0[None, :])
     keep = np.flatnonzero(np.abs(weight) >= PRUNE_TOL)
-    k, i, j = np.unravel_index(keep, (d, d, d))
+    k, ij = np.divmod(keep, m.size)
+    i, j = np.divmod(ij, len(m))
     weight = weight.ravel()[keep]
     total = weight.sum()
     if abs(total - 1.0) > 1e-10:
@@ -388,7 +398,8 @@ def merge_support_points(
     """Merge support points closer than ``bin_tol``; weights add.
 
     Sorted neighbours at most ``bin_tol`` apart share a bin. Merged positions
-    are magnitude-weighted means, so dominant contributions anchor the bin.
+    are magnitude-weighted means, so dominant contributions anchor the bin;
+    a bin of zero mass takes the plain mean.
     """
     order = np.argsort(supports)
     u = supports[order]
@@ -398,7 +409,7 @@ def merge_support_points(
         return u, w
     magnitude = np.abs(w)
     mass = np.add.reduceat(magnitude, starts)
-    plain_mean = np.add.reduceat(u, starts) / np.diff(starts, append=u.size)
+    plain_mean = None if (mass > 0).all() else np.add.reduceat(u, starts) / np.diff(starts, append=u.size)
     centers = np.divide(np.add.reduceat(u * magnitude, starts), mass, out=plain_mean, where=mass > 0)
     return centers, np.add.reduceat(w, starts)
 

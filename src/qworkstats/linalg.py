@@ -38,7 +38,6 @@ __all__ = [
     "random_hermitian",
     "random_unitary",
     "random_density",
-    "random_state_vector",
     "HERMITICITY_TOL",
     "UNITARITY_TOL",
     "TRACE_TOL",
@@ -305,8 +304,3 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = g @ g.conj().T
     return DensityOperator(rho / np.trace(rho))
-
-
-def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)

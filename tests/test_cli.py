@@ -243,6 +243,14 @@ class TestRun:
         assert main(argv + ["--tol-report", "--out", str(tmp_path)]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("duration", ["1e30", "1e308"])
+    def test_huge_step_phase_is_numerical_error(self, tmp_path, capsys, duration):
+        # dt*||H|| near 1e28 and 1e306: squaring the step exponentials overflows
+        argv = ["run", "closed", "--set", f"drive.duration={duration}", "--set", "drive.steps=64"]
+        assert main(argv + ["--tol-report", "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "dt*||H||_1" in err and "Traceback" not in err
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         import qworkstats.cli as cli_module
 

@@ -18,6 +18,11 @@ at step counts that span several of the engine's batched blocks.
 Each step-rule case draws a random curved drive and checks the observed
 order of the step product from successive doublings: 1 for ``left``, 4 for
 ``magnus4``.
+
+Each propagator case draws a random Hermitian step stack and checks the
+products-only step exponentials of ``evolution_operator`` against step
+exponentials from ``eigh``, over step phases ``dt * rho`` from 1e-3 to 50 and
+step counts that span several blocks and a partial one.
 """
 
 import numpy as np
@@ -53,6 +58,7 @@ from qworkstats import (
     two_kick_propagator,
 )
 from qworkstats import open_system
+from qworkstats.drive import ordered_product
 from qworkstats.fcs import merge_support_points
 from qworkstats.runner import run_scenario
 
@@ -448,3 +454,40 @@ def test_default_auto_run_picks_32_magnus4_steps(kind):
     report = run_scenario(Scenario.from_kind(kind), tol_report=True).report
     assert report["results"]["n_steps"] == 32
     assert all(check["pass"] for check in report["checks"])
+
+
+@pytest.mark.parametrize("kind", ["closed", "tmp-compare"])
+def test_auto_run_at_duration_5_picks_106_magnus4_steps(kind):
+    scenario = Scenario.from_kind(kind).with_overrides({"drive.duration": 5})
+    assert run_scenario(scenario).report["results"]["n_steps"] == 106
+
+
+PROPAGATOR_CASES = [(d, n) for d in (1, 2, 3, 8, 64) for n in (1, 7, 9, 64, 1000) if d < 64 or n <= 64]
+# step phase dt * max spectral radius -> max|U - U_eigh| allowed
+PHASE_TOLERANCES = {1e-3: 1e-13, 0.3: 1e-13, 3.0: 1e-13, 50.0: 1e-12}
+
+
+def random_step_drive(dim, n, phase, seed):
+    """``n`` random Hermitian steps with ``dt * max_k rho(H^k) = phase``."""
+    rng = np.random.default_rng(9000 + 101 * dim + n + seed)
+    g = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    h = 0.5 * (g + g.conj().transpose(0, 2, 1))
+    dt = phase / np.abs(np.linalg.eigvalsh(h)).max()
+    edge = HermitianOperator(h[0])
+    return DiscretizedDrive(times=np.arange(n) * dt, hamiltonians=h, dt=dt, h_start=edge, h_end=edge)
+
+
+def eigh_propagator(drive):
+    """Step exponentials from ``eigh``, reduced over the same pairwise tree."""
+    w, v = np.linalg.eigh(drive.hamiltonians)
+    steps = (v * np.exp(-1j * drive.dt * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return ordered_product(steps)
+
+
+@pytest.mark.parametrize("dim,n", PROPAGATOR_CASES, ids=[f"d{d}-n{n}" for d, n in PROPAGATOR_CASES])
+def test_propagator_matches_eigh_step_exponentials(dim, n):
+    for seed, (phase, tol) in enumerate(PHASE_TOLERANCES.items()):
+        drive = random_step_drive(dim, n, phase, seed)
+        u = evolution_operator(drive).matrix
+        assert np.max(np.abs(u - eigh_propagator(drive))) <= tol, phase
+        assert np.array_equal(u, evolution_operator(drive).matrix)
