@@ -135,57 +135,19 @@ def _formats(args) -> tuple[str, ...]:
     return ("csv", "json") if args.format == "both" else (args.format,)
 
 
-def _print_headlines(report: dict) -> None:
-    results = report["results"]
-    kind = report["kind"]
-    if kind == "cyclic-example":
-        print(f"FCS first moment:     {results['fcs_first_moment']: .3e}")
-        print(f"TMP average:          {results['tmp_average']: .6f}")
-        print(f"oracle average:       {results['oracle_average']: .6f}")
-        print(f"min quasi weight:     {results['quasi']['min_weight']: .6f}")
-        if results["oracle_vs_printed_form"] > 1e-9 >= results["oracle_vs_closed_form"]:
-            print(
-                "note: oracle matches the sin^2(xi) closed form; the sin^2(2 xi) "
-                f"variant differs by {results['oracle_vs_printed_form']:.3e}"
-            )
-    elif kind in ("closed", "tmp-compare"):
-        print(f"first moment:         {results['moments']['1']: .6f}")
-        print(f"second moment:        {results['moments']['2']: .6f}")
-        print(f"min quasi weight:     {results['quasi']['min_weight']: .6f}")
-        if "tmp" in results:
-            print(f"TMP average:          {results['tmp']['average']: .6f}")
-    elif kind == "open":
-        ledger = results["ledger"]
-        print(f"work W:               {ledger['work']: .6f}")
-        print(f"heat Q:               {ledger['heat']: .6f}")
-        print(f"energy change dU:     {ledger['internal_energy_change']: .6f}")
-        print(f"FD first moment:      {results['fd_first_moment']: .6f}")
-        if "duality_deviation" in results:
-            print(f"duality deviation:    {results['duality_deviation']: .3e}")
-    elif kind == "fast-decoherence":
-        print(f"work W:               {results['work']: .6f}")
-        print(f"heat Q:               {results['heat']: .6f}")
-        print(f"max |Q_k - T dS_k| (rel): {results['max_entropy_heat_mismatch']: .3e}")
-    elif kind == "paths-check":
-        print(f"paths:                {results['path_count']}")
-        print(f"max element residual: {results['max_matrix_element_residual']: .3e}")
-        print(f"halving ratios:       {', '.join(f'{r:.2f}' for r in results['halving_ratios'])}")
-    if "checks" in report:
-        for check in report["checks"]:
-            status = "PASS" if check["pass"] else "FAIL"
-            print(f"[{status}] {check['name']}: |{check['value']:.3e}| <= {check['tolerance']:.0e}")
-
-
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario, args)
     out_dir = _out_dir(args, scenario)
     result = run_scenario(scenario, out_dir=out_dir, formats=_formats(args), tol_report=args.tol_report)
-    _print_headlines(result.report)
+    checks = result.report.get("checks", [])
+    for line in result.headlines:
+        print(line)
+    for check in checks:
+        status = "PASS" if check["pass"] else "FAIL"
+        print(f"[{status}] {check['name']}: |{check['value']:.3e}| <= {check['tolerance']:.0e}")
     for f in result.files:
         print(f"wrote {f}")
-    if "checks" in result.report and not all(c["pass"] for c in result.report["checks"]):
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_NUMERICAL
 
 
 def _sweep_values(args) -> list:

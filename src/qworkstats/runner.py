@@ -1,9 +1,11 @@
 """Scenario execution: compute results and write artifact files.
 
 Each scenario kind has one runner that returns its results, its tolerance
-checks and its raw artifacts (characteristic samples, distributions, ledgers),
-keyed by file stem, that every number in the report can be recomputed from.
-Passing ``out_dir=None`` skips file writing, which is how sweep rows are
+checks, its raw artifacts (characteristic samples, distributions, ledgers)
+keyed by file stem, that every number in the report can be recomputed from,
+its stdout headline lines and its sweep-row values. The CLI prints the lines
+as they come and a sweep takes the row as it comes; neither branches on the
+kind. Passing ``out_dir=None`` skips file writing, which is how sweep rows are
 evaluated.
 """
 
@@ -27,8 +29,10 @@ from .scenario import (
     build_protocol,
 )
 
-__all__ = ["RunResult", "run_scenario", "sweep_scenario", "headline_row", "HEADLINE_COLUMNS"]
+__all__ = ["RunResult", "run_scenario", "sweep_scenario", "HEADLINE_COLUMNS"]
 
+# Columns of every sweep table, empty where a kind has no value; a kind may add
+# its own (``cyclic-example`` adds ``tmp_average``).
 HEADLINE_COLUMNS = (
     "moment1",
     "moment2",
@@ -41,12 +45,20 @@ HEADLINE_COLUMNS = (
 
 @dataclass
 class RunResult:
+    """``report.json`` content, the files written, and for one run its stdout
+    headline lines and its sweep-row values by column (a sweep leaves both empty)."""
+
     report: dict
     files: list[Path] = field(default_factory=list)
+    headlines: list[str] = field(default_factory=list)
+    row: dict = field(default_factory=dict)
 
 
 # Orders of the finite-difference moments a closed run reports.
 FD_ORDERS = (1, 2)
+
+# What a kind runner returns: results, checks, artifacts by stem, headline lines, sweep row
+_KindRun = tuple[dict, list, dict, list, dict]
 
 # Artifact stem -> its writer's name in ``serialize`` and keyword arguments
 # (``None``: CSV only, no formats), in file order. Writers are looked up by
@@ -83,8 +95,9 @@ def _check(name, value, tol):
     return {"name": name, "value": float(value), "tolerance": float(tol), "pass": bool(abs(value) <= tol)}
 
 
-def _spectral_statistics(rho0, drive, grid) -> tuple[dict, dict]:
-    """Moments, split and bins of the spectral expansion; ``G`` and the terms and bins as artifacts."""
+def _spectral_statistics(rho0, drive, grid) -> tuple[dict, dict, dict]:
+    """Moments, split and bins of the spectral expansion; ``G`` and the terms and
+    bins as artifacts; the first two moments and the least bin weight as sweep values."""
     terms = fcs.spectral_decomposition(rho0, drive)
     dist = fcs.quasi_distribution(terms)
     classical, coherent = fcs.coherent_classical_split(terms)
@@ -95,17 +108,19 @@ def _spectral_statistics(rho0, drive, grid) -> tuple[dict, dict]:
         "quasi": {"support": dist.support, "weights": dist.weights, "min_weight": dist.min_weight},
     }
     samples = fcs.characteristic_function(rho0, drive, grid)
-    return results, {"characteristic": samples, "quasi_distribution": dist, "spectral_terms": terms}
+    moments = results["moments"]
+    row = {"moment1": moments["1"], "moment2": moments["2"], "min_quasi_weight": dist.min_weight}
+    return results, {"characteristic": samples, "quasi_distribution": dist, "spectral_terms": terms}, row
 
 
-def _run_closed(scenario: Scenario) -> tuple[dict, list, dict]:
+def _run_closed(scenario: Scenario) -> _KindRun:
     """``closed`` and ``tmp-compare``; the latter adds the TMP comparison."""
     cfg = scenario.config
     drive = build_discretized_drive(scenario)
     rho0 = build_initial_state(cfg["initial_state"], drive.boundary_eigensystems[:2])
     grid = build_grid(scenario)
-    results, artifacts = _spectral_statistics(rho0, drive, grid)
-    m1 = results["moments"]["1"]
+    results, artifacts, row = _spectral_statistics(rho0, drive, grid)
+    m1 = row["moment1"]
     fd = _fd_first_moments(rho0, drive, artifacts["spectral_terms"])
     balance = _energy_balance_first_moment(rho0, drive)
     results["n_steps"] = drive.n_steps
@@ -114,6 +129,11 @@ def _run_closed(scenario: Scenario) -> tuple[dict, list, dict]:
     checks = [
         _check("first_moment_identity", m1 - balance, 1e-10),
         _check("fd_vs_spectral_first_moment", (fd[1] - m1) / max(abs(m1), 1e-9), 1e-6),
+    ]
+    lines = [
+        f"first moment:         {m1: .6f}",
+        f"second moment:        {row['moment2']: .6f}",
+        f"min quasi weight:     {row['min_quasi_weight']: .6f}",
     ]
     if scenario.kind == "tmp-compare":
         dist = artifacts["quasi_distribution"]
@@ -142,7 +162,8 @@ def _run_closed(scenario: Scenario) -> tuple[dict, list, dict]:
         }
         artifacts["tmp_characteristic"] = tmp.tmp_characteristic(outcomes, grid)
         artifacts["tmp_distribution"] = outcomes
-    return results, checks, artifacts
+        lines.append(f"TMP average:          {average: .6f}")
+    return results, checks, artifacts, lines, row
 
 
 def _cyclic_average_from_unitary(alpha: float, xi: float, gap: float) -> float:
@@ -154,7 +175,7 @@ def _cyclic_average_from_unitary(alpha: float, xi: float, gap: float) -> float:
     return float(sum(populations[i] * w[k, i] * (eps[k] - eps[i]) for i in range(2) for k in range(2)))
 
 
-def _run_cyclic(scenario: Scenario) -> tuple[dict, list, dict]:
+def _run_cyclic(scenario: Scenario) -> _KindRun:
     cfg = scenario.config
     cyc = cfg["cyclic"]
     alpha, xi, gap = cyc["alpha"], cyc["xi"], cyc["gap"]
@@ -163,8 +184,8 @@ def _run_cyclic(scenario: Scenario) -> tuple[dict, list, dict]:
         {"kind": "superposition", "amplitudes": [np.cos(alpha), np.sin(alpha)], "phases": None},
         drive.boundary_eigensystems[:2],
     )
-    results, artifacts = _spectral_statistics(rho0, drive, build_grid(scenario))
-    m1 = results["moments"]["1"]
+    results, artifacts, row = _spectral_statistics(rho0, drive, build_grid(scenario))
+    m1 = row["moment1"]
     outcomes = tmp.tmp_distribution(rho0, drive)
     average = tmp.tmp_average(outcomes)
     oracle = _cyclic_average_from_unitary(alpha, xi, gap)
@@ -190,10 +211,21 @@ def _run_cyclic(scenario: Scenario) -> tuple[dict, list, dict]:
         _check("tmp_matches_oracle", average - oracle, 1e-12),
     ]
     artifacts["tmp_distribution"] = outcomes
-    return results, checks, artifacts
+    lines = [
+        f"FCS first moment:     {m1: .3e}",
+        f"TMP average:          {average: .6f}",
+        f"oracle average:       {oracle: .6f}",
+        f"min quasi weight:     {row['min_quasi_weight']: .6f}",
+    ]
+    if results["oracle_vs_printed_form"] > 1e-9 >= results["oracle_vs_closed_form"]:
+        lines.append(
+            "note: oracle matches the sin^2(xi) closed form; the sin^2(2 xi) "
+            f"variant differs by {results['oracle_vs_printed_form']:.3e}"
+        )
+    return results, checks, artifacts, lines, {**row, "tmp_average": average}
 
 
-def _run_open(scenario: Scenario) -> tuple[dict, list, dict]:
+def _run_open(scenario: Scenario) -> _KindRun:
     cfg = scenario.config
     model, rho_s, rho_e = build_composite(scenario)
     n_steps = cfg["drive"]["steps"]
@@ -223,17 +255,26 @@ def _run_open(scenario: Scenario) -> tuple[dict, list, dict]:
         "fd_first_moment": fd_work,
         "fd_vs_ledger_work": fd_deviation,
     }
-    if cfg["duality"]:
-        results["duality_deviation"] = composite.duality_deviation(rho_s, rho_e, grid)
     checks = [
         _check("ledger_identity", ledger.work - (ledger.internal_energy_change - ledger.heat), 1e-10),
         _check("increment_regrouping", increments - ledger.work, 1e-10),
         _check("fd_vs_ledger_work", fd_deviation, 1e-7),
     ]
-    return results, checks, {"characteristic": samples, "ledger": ledger}
+    lines = [
+        f"work W:               {ledger.work: .6f}",
+        f"heat Q:               {ledger.heat: .6f}",
+        f"energy change dU:     {ledger.internal_energy_change: .6f}",
+        f"FD first moment:      {fd_work: .6f}",
+    ]
+    row = {"heat": ledger.heat, "work": ledger.work}
+    if cfg["duality"]:
+        deviation = composite.duality_deviation(rho_s, rho_e, grid)
+        results["duality_deviation"] = row["duality_deviation"] = deviation
+        lines.append(f"duality deviation:    {deviation: .3e}")
+    return results, checks, {"characteristic": samples, "ledger": ledger}, lines, row
 
 
-def _run_fast_decoherence(scenario: Scenario) -> tuple[dict, list, dict]:
+def _run_fast_decoherence(scenario: Scenario) -> _KindRun:
     cfg = scenario.config
     protocol = build_protocol(cfg["drive"], cfg["seed"])
     temperature = cfg["temperature"]
@@ -251,10 +292,16 @@ def _run_fast_decoherence(scenario: Scenario) -> tuple[dict, list, dict]:
         "entropy_change": float(ds.sum()),
         "max_entropy_heat_mismatch": mismatch,
     }
-    return results, [_check("entropy_heat_relation", mismatch, 1e-3)], {"ledger": ledger}
+    lines = [
+        f"work W:               {ledger.work: .6f}",
+        f"heat Q:               {ledger.heat: .6f}",
+        f"max |Q_k - T dS_k| (rel): {mismatch: .3e}",
+    ]
+    row = {"heat": ledger.heat, "work": ledger.work}
+    return results, [_check("entropy_heat_relation", mismatch, 1e-3)], {"ledger": ledger}, lines, row
 
 
-def _run_paths_check(scenario: Scenario) -> tuple[dict, list, dict]:
+def _run_paths_check(scenario: Scenario) -> _KindRun:
     cfg = scenario.config
     protocol = build_protocol(cfg["drive"], cfg["seed"])
     lam = cfg["counting_field"]
@@ -308,7 +355,12 @@ def _run_paths_check(scenario: Scenario) -> tuple[dict, list, dict]:
         "weighted_vs_two_kick": {str(k): v for k, v in deviations.items()},
         "halving_ratios": ratios,
     }
-    return results, [_check("path_sum_residual", residual, 1e-10)], artifacts
+    lines = [
+        f"paths:                {results['path_count']}",
+        f"max element residual: {residual: .3e}",
+        f"halving ratios:       {', '.join(f'{r:.2f}' for r in ratios)}",
+    ]
+    return results, [_check("path_sum_residual", residual, 1e-10)], artifacts, lines, {}
 
 
 _RUNNERS = {
@@ -328,7 +380,7 @@ def run_scenario(
     tol_report: bool = False,
 ) -> RunResult:
     """Execute one scenario; write artifacts when ``out_dir`` is given."""
-    results, checks, artifacts = _RUNNERS[scenario.kind](scenario)
+    results, checks, artifacts, headlines, row = _RUNNERS[scenario.kind](scenario)
     report = {"kind": scenario.kind, "scenario": scenario.config, "results": results}
     if tol_report:
         report["checks"] = checks
@@ -345,29 +397,7 @@ def run_scenario(
                     else:
                         files += write(out_dir, stem, artifacts[stem], scenario.config, formats, **options)
             files.append(serialize.write_report(out_dir, "report", report))
-    return RunResult(report=report, files=files)
-
-
-def headline_row(report: dict) -> dict:
-    """Stable headline columns for sweep tables."""
-    results = report["results"]
-    row = dict.fromkeys(HEADLINE_COLUMNS)
-    if "moments" in results:
-        row["moment1"] = results["moments"]["1"]
-        row["moment2"] = results["moments"]["2"]
-    if "quasi" in results:
-        row["min_quasi_weight"] = results["quasi"]["min_weight"]
-    if "ledger" in results:
-        row["heat"] = results["ledger"]["heat"]
-        row["work"] = results["ledger"]["work"]
-    elif "heat" in results:
-        row["heat"] = results["heat"]
-        row["work"] = results["work"]
-    if report["kind"] == "cyclic-example":
-        row["tmp_average"] = results["tmp_average"]
-    if "duality_deviation" in results:
-        row["duality_deviation"] = results["duality_deviation"]
-    return row
+    return RunResult(report=report, files=files, headlines=headlines, row=row)
 
 
 def sweep_scenario(
@@ -383,11 +413,8 @@ def sweep_scenario(
     """
     rows = []
     for value in values:
-        varied = scenario.with_override(parameter, value)
-        report = run_scenario(varied, out_dir=None).report
-        row = {"value": value}
-        row.update(headline_row(report))
-        rows.append(row)
+        row = run_scenario(scenario.with_override(parameter, value), out_dir=None).row
+        rows.append({"value": value, **dict.fromkeys(HEADLINE_COLUMNS), **row})
     columns = ["value"] + sorted({k for row in rows for k in row if k != "value"})
     table = {
         "kind": "sweep",

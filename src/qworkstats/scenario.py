@@ -400,12 +400,19 @@ def _check_semantics(cfg: dict) -> None:
             raise ScenarioError("'drive.params.dim' must be >= 1")
     if "initial_state" in cfg:
         state = cfg["initial_state"]
-        if state["kind"] == "superposition" and not state["amplitudes"]:
-            raise ScenarioError("'initial_state.amplitudes' is required for a superposition")
-        if state["kind"] == "superposition" and not any(state["amplitudes"]):
-            raise ScenarioError("'initial_state.amplitudes' must not all be zero")
-        if state["kind"] == "mixture" and not state["populations"]:
-            raise ScenarioError("'initial_state.populations' is required for a mixture")
+        # normalizing the state must neither overflow nor underflow to zero
+        if state["kind"] == "superposition":
+            if not state["amplitudes"]:
+                raise ScenarioError("'initial_state.amplitudes' is required for a superposition")
+            if not any(state["amplitudes"]):
+                raise ScenarioError("'initial_state.amplitudes' must not all be zero")
+            if not 0 < sum(x * x for x in map(float, state["amplitudes"])) < math.inf:
+                raise ScenarioError("'initial_state.amplitudes' must have a finite, positive squared norm")
+        if state["kind"] == "mixture":
+            if not state["populations"]:
+                raise ScenarioError("'initial_state.populations' is required for a mixture")
+            if not 0 < sum(map(float, state["populations"])) < math.inf:
+                raise ScenarioError("'initial_state.populations' must have a finite, positive sum")
         if state["kind"] == "gibbs" and state["temperature"] <= 0:
             raise ScenarioError("'initial_state.temperature' must be positive")
     if kind == "open":

@@ -204,8 +204,20 @@ class TestRun:
         [
             (["initial_state.kind=superposition", "initial_state.amplitudes=0,0"], "initial_state.amplitudes"),
             (["environment.preset=oscillator", "environment.levels=9"], "environment.levels"),
+            (["initial_state.kind=mixture", "initial_state.populations=1e308,1e308"], "initial_state.populations"),
+            (
+                ["initial_state.kind=superposition", "initial_state.amplitudes=1e308,1e308"],
+                "initial_state.amplitudes",
+            ),
+            (["initial_state.kind=superposition", "initial_state.amplitudes=1e-320,0"], "initial_state.amplitudes"),
         ],
-        ids=["zero-amplitudes", "oscillator-levels"],
+        ids=[
+            "zero-amplitudes",
+            "oscillator-levels",
+            "overflowing-populations",
+            "overflowing-amplitudes",
+            "underflowing-amplitudes",
+        ],
     )
     def test_unbuildable_state_or_environment_rejected(self, tmp_path, capsys, overrides, field):
         argv = ["run", "open", "--out", str(tmp_path)]
@@ -490,15 +502,19 @@ def artifact_names(*stems, formats=("csv", "json")):
 CLOSED_CHECKS = ["first_moment_identity", "fd_vs_spectral_first_moment"]
 OPEN_CHECKS = ["ledger_identity", "increment_regrouping", "fd_vs_ledger_work"]
 OPEN_FILES = artifact_names("characteristic", "ledger")
+CLOSED_LABELS = ["first moment:", "second moment:", "min quasi weight:"]
+OPEN_LABELS = ["work W:", "heat Q:", "energy change dU:", "FD first moment:"]
+PATHS_LABELS = ["paths:", "max element residual:", "halving ratios:"]
 
 
 @pytest.mark.parametrize(
-    "argv,checks,files",
+    "argv,checks,files,labels",
     [
         (
             ["closed"],
             CLOSED_CHECKS,
             artifact_names("characteristic", "quasi_distribution", "spectral_terms"),
+            CLOSED_LABELS,
         ),
         (
             ["tmp-compare"],
@@ -506,17 +522,34 @@ OPEN_FILES = artifact_names("characteristic", "ledger")
             artifact_names(
                 "characteristic", "tmp_characteristic", "quasi_distribution", "spectral_terms", "tmp_distribution"
             ),
+            CLOSED_LABELS + ["TMP average:"],
         ),
         (
             ["cyclic-example"],
             ["fcs_first_moment_zero", "tmp_matches_oracle"],
             artifact_names("characteristic", "quasi_distribution", "spectral_terms", "tmp_distribution"),
+            ["FCS first moment:", "TMP average:", "oracle average:", "min quasi weight:", "note:"],
         ),
-        (["open"], OPEN_CHECKS, OPEN_FILES),
-        (["open", "--duality", "--set", "drive.protocol=constant"], OPEN_CHECKS, OPEN_FILES),
-        (["fast-decoherence"], ["entropy_heat_relation"], artifact_names("ledger")),
-        (["paths-check"], ["path_sum_residual"], ["report.json"]),
-        (["paths-check", "--set", "dump_paths=true"], ["path_sum_residual"], ["path_records.csv", "report.json"]),
+        (["open"], OPEN_CHECKS, OPEN_FILES, OPEN_LABELS),
+        (
+            ["open", "--duality", "--set", "drive.protocol=constant"],
+            OPEN_CHECKS,
+            OPEN_FILES,
+            OPEN_LABELS + ["duality deviation:"],
+        ),
+        (
+            ["fast-decoherence"],
+            ["entropy_heat_relation"],
+            artifact_names("ledger"),
+            ["work W:", "heat Q:", "max |Q_k - T dS_k| (rel):"],
+        ),
+        (["paths-check"], ["path_sum_residual"], ["report.json"], PATHS_LABELS),
+        (
+            ["paths-check", "--set", "dump_paths=true"],
+            ["path_sum_residual"],
+            ["path_records.csv", "report.json"],
+            PATHS_LABELS,
+        ),
     ],
     ids=[
         "closed",
@@ -529,12 +562,44 @@ OPEN_FILES = artifact_names("characteristic", "ledger")
         "paths-check-dump",
     ],
 )
-def test_each_kind_reports_its_checks_and_files_in_order(tmp_path, capsys, argv, checks, files):
+def test_each_kind_reports_its_checks_and_files_in_order(tmp_path, capsys, argv, checks, files, labels):
     main(["run", *argv, "--tol-report", "--out", str(tmp_path)])
-    written = [line.split(" ", 1)[1] for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    lines = capsys.readouterr().out.splitlines()
+    written = [line.split(" ", 1)[1] for line in lines if line.startswith("wrote ")]
     assert [Path(path).name for path in written] == files
     assert [Path(path).parent for path in written] == [tmp_path] * len(files)
     assert [check["name"] for check in read_json(tmp_path / "report.json")["checks"]] == checks
+    # headline lines first, then one line per check, then the written files
+    sections = [
+        2 if line.startswith("wrote ") else 1 if line.startswith(("[PASS] ", "[FAIL] ")) else 0 for line in lines
+    ]
+    assert sections == sorted(sections) and sections.count(1) == len(checks)
+    assert [line.split(":", 1)[0] + ":" for line, section in zip(lines, sections) if section == 0] == labels
+
+
+SWEEP_COLUMNS = ["value", "duality_deviation", "heat", "min_quasi_weight", "moment1", "moment2", "work"]
+SPECTRAL_CELLS = {"moment1", "moment2", "min_quasi_weight"}
+
+
+@pytest.mark.parametrize(
+    "kind,columns,filled",
+    [
+        ("closed", SWEEP_COLUMNS, SPECTRAL_CELLS),
+        ("tmp-compare", SWEEP_COLUMNS, SPECTRAL_CELLS),
+        ("cyclic-example", SWEEP_COLUMNS[:-1] + ["tmp_average", "work"], SPECTRAL_CELLS | {"tmp_average"}),
+        ("open", SWEEP_COLUMNS, {"heat", "work"}),
+        ("fast-decoherence", SWEEP_COLUMNS, {"heat", "work"}),
+        ("paths-check", SWEEP_COLUMNS, set()),
+    ],
+)
+def test_each_kind_fills_its_sweep_columns(tmp_path, kind, columns, filled):
+    assert main(["sweep", kind, "--parameter", "seed", "--values", "1,2", "--out", str(tmp_path)]) == EXIT_OK
+    table = read_json(tmp_path / "sweep.json")
+    assert table["columns"] == columns
+    assert [row["value"] for row in table["rows"]] == [1, 2]
+    for row in table["rows"]:
+        assert set(row) == set(columns)
+        assert {c for c in columns[1:] if row[c] is not None} == filled
 
 
 def test_characteristic_files_carry_their_protocol(tmp_path):
