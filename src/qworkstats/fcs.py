@@ -136,7 +136,7 @@ SYMMETRY_TOL = 1e-10
 class CharacteristicSamples:
     """``G`` sampled on a counting grid.
 
-    Construction enforces normalization ``G(0) = 1`` (to
+    Construction enforces finite values, normalization ``G(0) = 1`` (to
     ``NORMALIZATION_TOL``) and the symmetry ``G(-lam) = conj(G(lam))`` (to
     ``SYMMETRY_TOL``) that guarantees a real quasi-distribution.
     """
@@ -145,6 +145,8 @@ class CharacteristicSamples:
         v = np.asarray(values, dtype=complex).ravel()
         if v.size != grid.size:
             raise ValueError("sample count does not match grid size")
+        if not np.isfinite(v).all():
+            raise NumericalError(f"G is not finite at lam = {grid.lambdas[~np.isfinite(v)][0]}")
         g0 = v[grid.index_of(0.0)]
         if abs(g0 - 1.0) > NORMALIZATION_TOL:
             raise NumericalError(f"G(0) = {g0} deviates from 1 by {abs(g0 - 1.0):.3e}")
@@ -214,9 +216,6 @@ class QuasiDistribution:
     @property
     def min_weight(self) -> float:
         return float(self.weights.min())
-
-    def moment(self, n: int) -> float:
-        return float(np.sum(self.weights * self.support**n))
 
 
 def two_kick_propagator(drive: DiscretizedDrive, lam: float) -> UnitaryOperator:

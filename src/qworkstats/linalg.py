@@ -179,6 +179,18 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a (stack of) Hermitian matrices, symmetrized first;
+    :class:`NumericalError` when the symmetrized matrix overflows or LAPACK fails."""
+    m = 0.5 * (h + dagger(h))
+    if not np.isfinite(m).all():
+        raise NumericalError(f"Hermitian matrix is not finite when symmetrized: max|H| = {max_abs(h):.3e}")
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"Hermitian eigendecomposition failed: {exc}") from exc
+
+
 def eig_hermitian(h) -> tuple[np.ndarray, UnitaryOperator]:
     """Eigendecomposition ``H = V diag(eps) V^dag`` of a Hermitian operator.
 
@@ -192,14 +204,7 @@ def eig_hermitian(h) -> tuple[np.ndarray, UnitaryOperator]:
         If the symmetrized matrix overflows or the LAPACK eigensolver fails
         to converge.
     """
-    m = mat(h)
-    m = 0.5 * (m + m.conj().T)
-    if not np.isfinite(m).all():
-        raise NumericalError(f"Hermitian matrix is not finite when symmetrized: max|H| = {max_abs(h):.3e}")
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"Hermitian eigendecomposition failed: {exc}") from exc
+    values, vectors = _eigh(mat(h))
     return values.real, UnitaryOperator(_fix_phases(vectors))
 
 

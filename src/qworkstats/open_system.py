@@ -53,6 +53,7 @@ from .linalg import (
     HermitianOperator,
     NumericalError,
     UnitaryOperator,
+    _eigh,
     dagger,
     gibbs_weights,
     max_abs,
@@ -147,11 +148,6 @@ class HeatLedger:
 # Complex elements per batched temporary of the step axis (128 KiB); a block
 # of steps holds at most this many, or one step.
 _STEP_BLOCK = 1 << 13
-
-
-def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystems of a (stack of) Hermitian matrices, symmetrized first."""
-    return np.linalg.eigh(0.5 * (h + dagger(h)))
 
 
 def _reduced_state_spectra(states: np.ndarray) -> np.ndarray:

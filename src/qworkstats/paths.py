@@ -211,10 +211,10 @@ def kicked_product(
     beta = np.asarray(beta, dtype=float)
     u = np.eye(drive.dim, dtype=complex)
     for k in range(n):
-        generator = HermitianOperator(
-            samples[k] - lam * beta[k] * mat(observables[k])
-        )
-        u = expm_unitary(generator, drive.dt).matrix @ u
+        generator = samples[k] - lam * beta[k] * mat(observables[k])
+        if not np.isfinite(generator).all():
+            raise NumericalError(f"combined generator of step {k} overflows at lam = {lam}")
+        u = expm_unitary(HermitianOperator(generator), drive.dt).matrix @ u
     if beta[n] != 0.0:
         u = expm_unitary(observables[n], -lam * drive.dt * beta[n]).matrix @ u
     return u

@@ -227,10 +227,9 @@ def _run_cyclic(scenario: Scenario) -> _KindRun:
 
 def _run_open(scenario: Scenario) -> _KindRun:
     cfg = scenario.config
-    model, rho_s, rho_e = build_composite(scenario)
+    composite, rho_s, rho_e = build_composite(scenario)
     n_steps = cfg["drive"]["steps"]
     grid = build_grid(scenario)
-    composite = model.discretize(n_steps)
     ledger, increments = composite.trajectory(
         rho_s, rho_e, refresh_every=cfg["environment"]["refresh_every"]
     )

@@ -29,6 +29,7 @@ resolved configuration that is echoed into every output artifact.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,7 +55,6 @@ from .drive import (
 from .fcs import CountingGrid, symmetric_grid
 from .linalg import (
     DensityOperator,
-    HermitianOperator,
     eig_hermitian,
     gibbs_state,
     gibbs_weights,
@@ -63,6 +63,7 @@ from .linalg import (
 )
 from .open_system import (
     CompositeModel,
+    DiscretizedComposite,
     oscillator_environment,
     qubit_exchange_environment,
     two_qubit_exchange_environment,
@@ -94,11 +95,6 @@ SCENARIO_KINDS = (
     "cyclic-example",
     "paths-check",
 )
-
-DRIVE_PROTOCOLS = ("constant", "gap-ramp", "linear", "rabi", "random")
-
-ENVIRONMENT_PRESETS = ("qubit-exchange", "two-qubit-exchange", "oscillator")
-
 
 class ScenarioError(ValueError):
     """Invalid scenario input; the message names the offending field."""
@@ -173,30 +169,68 @@ def parse_scenario_text(text: str) -> dict:
 
 @dataclass(frozen=True)
 class _Field:
+    """A scalar field: its type, its default, the strings it allows, its
+    numeric bounds (``low <= x <= high``, and ``x > 0`` when ``positive``)
+    and one literal it accepts besides its type, such as ``"auto"``."""
+
     type: str
     default: object = None
     choices: tuple = ()
+    low: float = -math.inf
+    high: float = math.inf
+    positive: bool = False
+    special: object = None
 
 
-_PROTOCOL_PARAMS: dict[str, dict[str, _Field]] = {
-    "constant": {"gap": _Field("float", 1.0)},
-    "gap-ramp": {"gap_start": _Field("float", 1.0), "gap_end": _Field("float", 1.5)},
-    "linear": {"gap": _Field("float", 1.0), "transverse": _Field("float", 1.0)},
-    "rabi": {
-        "splitting": _Field("float", 1.0),
-        "amplitude": _Field("float", 0.5),
-        "frequency": _Field("float", 1.0),
-    },
-    "random": {"dim": _Field("int", 2), "scale": _Field("float", 1.0)},
+# Drive protocol -> its parameter schema and its builder ``(params, duration, seed)``
+_PROTOCOLS = {
+    "constant": (
+        {"gap": _Field("float", 1.0)},
+        lambda p, t, seed: constant_protocol(-0.5 * p["gap"] * SIGMA_Z, t),
+    ),
+    "gap-ramp": (
+        {"gap_start": _Field("float", 1.0), "gap_end": _Field("float", 1.5)},
+        lambda p, t, seed: gap_ramp_protocol(p["gap_start"], p["gap_end"], t),
+    ),
+    "linear": (
+        {"gap": _Field("float", 1.0), "transverse": _Field("float", 1.0)},
+        lambda p, t, seed: linear_ramp_protocol(
+            -0.5 * p["gap"] * SIGMA_Z, p["transverse"] * SIGMA_X, t, label="linear"
+        ),
+    ),
+    "rabi": (
+        {
+            "splitting": _Field("float", 1.0),
+            "amplitude": _Field("float", 0.5),
+            "frequency": _Field("float", 1.0),
+        },
+        lambda p, t, seed: rabi_protocol(p["splitting"], p["amplitude"], p["frequency"], t),
+    ),
+    "random": (
+        {"dim": _Field("int", 2, low=1), "scale": _Field("float", 1.0)},
+        lambda p, t, seed: random_ramp_protocol(p["dim"], t, np.random.default_rng(seed), p["scale"]),
+    ),
 }
 
+# Environment preset -> the ``environment`` fields it reads, in order, and its
+# ``(H_E, H_SE)`` builder; ``gap`` is read after ``resonant`` is resolved.
+_PRESETS = {
+    "qubit-exchange": (("gap",), qubit_exchange_environment),
+    "two-qubit-exchange": (("gap",), two_qubit_exchange_environment),
+    "oscillator": (("frequency", "levels"), oscillator_environment),
+}
 
-def _drive_schema(default_protocol: str, default_duration: float, default_steps) -> dict:
+DRIVE_PROTOCOLS = tuple(_PROTOCOLS)
+
+ENVIRONMENT_PRESETS = tuple(_PRESETS)
+
+
+def _drive_schema(protocol: str, duration: float, steps: _Field) -> dict:
     return {
-        "protocol": _Field("str", default_protocol, DRIVE_PROTOCOLS),
-        "duration": _Field("float", default_duration),
-        "steps": _Field("int_or_auto", default_steps),
-        "params": dict,  # resolved against _PROTOCOL_PARAMS[protocol]
+        "protocol": _Field("str", protocol, DRIVE_PROTOCOLS),
+        "duration": _Field("float", duration, positive=True),
+        "steps": steps,
+        "params": dict,  # resolved against the schema of the protocol read before it
     }
 
 
@@ -209,30 +243,28 @@ _STATE_SCHEMA = {
     "temperature": _Field("float", 1.0),
 }
 
-_GRID_SCHEMA = {"max": _Field("float", 4.0), "points": _Field("int", 41)}
+_GRID_SCHEMA = {"max": _Field("float", 4.0, positive=True), "points": _Field("int", 41, low=3)}
 
-_OUTPUT_SCHEMA = {
-    "directory": _Field("str", None),
-    "formats": _Field("str_list", ["csv", "json"]),
-}
+_OUTPUT_SCHEMA = {"directory": _Field("str", None), "formats": _Field("str_list", ["csv", "json"])}
 
 _ENV_SCHEMA = {
     "preset": _Field("str", "qubit-exchange", ENVIRONMENT_PRESETS),
-    "coupling": _Field("float", 0.05),
-    "temperature": _Field("float", 1.0),
-    "gap": _Field("float_or_resonant", "resonant"),
+    "coupling": _Field("float", 0.05, low=0.0),
+    "temperature": _Field("float", 1.0, positive=True),
+    "gap": _Field("float", "resonant", special="resonant"),
     "state": _Field("str", "gibbs", ("gibbs", "coherent")),
     "frequency": _Field("float", 1.0),
-    "levels": _Field("int", 4),
-    "refresh_every": _Field("optional_int", None),
+    "levels": _Field("int", 4, low=2, high=8),
+    "refresh_every": _Field("int", None, low=1),
 }
+
 
 def _kind_schema(kind: str, **fields) -> dict:
     """Schema of one kind: the common ``kind``, ``seed``, ``label`` and
     ``output`` fields around the kind's own, in artifact order."""
     return {
         "kind": _Field("str", kind, SCENARIO_KINDS),
-        "seed": _Field("int", 0),
+        "seed": _Field("int", 0, low=0),
         "label": _Field("str", ""),
         **fields,
         "output": _OUTPUT_SCHEMA,
@@ -240,7 +272,7 @@ def _kind_schema(kind: str, **fields) -> dict:
 
 
 _CLOSED_FIELDS = {
-    "drive": _drive_schema("rabi", 1.0, "auto"),
+    "drive": _drive_schema("rabi", 1.0, _Field("int", "auto", low=1, special="auto")),
     "initial_state": _STATE_SCHEMA,
     "lambda_grid": _GRID_SCHEMA,
 }
@@ -250,7 +282,7 @@ _SCHEMAS: dict[str, dict] = {
     "tmp-compare": _kind_schema("tmp-compare", **_CLOSED_FIELDS),
     "open": _kind_schema(
         "open",
-        drive=_drive_schema("gap-ramp", 6.0, 96),
+        drive=_drive_schema("gap-ramp", 6.0, _Field("int", 96, low=1)),
         initial_state=_STATE_SCHEMA,
         environment=_ENV_SCHEMA,
         duality=_Field("bool", False),
@@ -258,25 +290,26 @@ _SCHEMAS: dict[str, dict] = {
     ),
     "fast-decoherence": _kind_schema(
         "fast-decoherence",
-        drive=_drive_schema("gap-ramp", 1.0, 512),
-        temperature=_Field("float", 1.0),
+        drive=_drive_schema("gap-ramp", 1.0, _Field("int", 512, low=1)),
+        temperature=_Field("float", 1.0, positive=True),
     ),
     "cyclic-example": _kind_schema(
         "cyclic-example",
         cyclic={
             "alpha": _Field("float", float(np.pi / 3)),
             "xi": _Field("float", float(np.pi / 4)),
-            "gap": _Field("float", 1.0),
+            "gap": _Field("float", 1.0, positive=True),
             "physical": _Field("bool", False),
-            "steps": _Field("int", 64),
+            "steps": _Field("int", 64, low=4),
         },
         lambda_grid=_GRID_SCHEMA,
     ),
     "paths-check": _kind_schema(
         "paths-check",
-        drive=_drive_schema("linear", 1.0, 4),
+        # two steps at least: the boundary weight profile needs both ends
+        drive=_drive_schema("linear", 1.0, _Field("int", 4, low=2)),
         counting_field=_Field("float", 0.6),
-        doublings=_Field("int", 2),
+        doublings=_Field("int", 2, low=1),
         dump_paths=_Field("bool", False),
     ),
 }
@@ -295,18 +328,31 @@ def _finite_number(value, path: str, expected: str) -> float:
     return number
 
 
+def _within_bounds(number, field: _Field, path: str):
+    if field.positive and not number > 0:
+        raise ScenarioError(f"'{path}' must be positive, got {number!r}")
+    if not field.low <= number <= field.high:
+        bound = f">= {field.low}" if field.high == math.inf else f"between {field.low} and {field.high}"
+        raise ScenarioError(f"'{path}' must be {bound}, got {number!r}")
+    return number
+
+
 def _coerce(value, field: _Field, path: str):
     if value is None:
-        if field.type == "optional_int" or field.default is None:
+        if field.default is None:
             return None
         raise ScenarioError(f"'{path}' must not be null")
+    if value == field.special:
+        return value
     t = field.type
     if t == "int":
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"'{path}' must be an integer, got {value!r}")
-        return value
+            or_special = "" if field.special is None else f" or {field.special!r}"
+            raise ScenarioError(f"'{path}' must be an integer{or_special}, got {value!r}")
+        return _within_bounds(value, field, path)
     if t == "float":
-        return _finite_number(value, path, "a number")
+        expected = "a number" if field.special is None else f"a number or {field.special!r}"
+        return _within_bounds(_finite_number(value, path, expected), field, path)
     if t == "bool":
         if not isinstance(value, bool):
             raise ScenarioError(f"'{path}' must be true or false, got {value!r}")
@@ -315,9 +361,7 @@ def _coerce(value, field: _Field, path: str):
         if not isinstance(value, str):
             raise ScenarioError(f"'{path}' must be a string, got {value!r}")
         if field.choices and value not in field.choices:
-            raise ScenarioError(
-                f"'{path}' must be one of {', '.join(field.choices)}; got {value!r}"
-            )
+            raise ScenarioError(f"'{path}' must be one of {', '.join(field.choices)}; got {value!r}")
         return value
     if t == "number_list":
         items = value if isinstance(value, list) else [value]
@@ -328,22 +372,6 @@ def _coerce(value, field: _Field, path: str):
             if not isinstance(item, str):
                 raise ScenarioError(f"'{path}' must be a list of strings, got {item!r}")
         return list(items)
-    if t == "int_or_auto":
-        if value == "auto":
-            return "auto"
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"'{path}' must be an integer or 'auto', got {value!r}")
-        return value
-    if t == "optional_int":
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"'{path}' must be an integer or null, got {value!r}")
-        return value
-    if t == "float_or_resonant":
-        if value == "resonant":
-            return "resonant"
-        return _finite_number(value, path, "a number or 'resonant'")
     raise AssertionError(f"unhandled field type {t}")
 
 
@@ -357,7 +385,7 @@ def _resolve_section(schema: Mapping, data: Mapping, path: str) -> dict:
     for key, spec in schema.items():
         dotted = f"{path}{key}"
         if spec is dict:  # protocol params, resolved against the protocol read before them
-            spec = _PROTOCOL_PARAMS[out["protocol"]]
+            spec = _PROTOCOLS[out["protocol"]][0]
         if isinstance(spec, Mapping):
             out[key] = _resolve_section(spec, data.get(key, {}), f"{dotted}.")
         else:
@@ -383,21 +411,9 @@ def resolve_scenario(data: Mapping) -> dict:
 
 
 def _check_semantics(cfg: dict) -> None:
-    kind = cfg["kind"]
-    if "lambda_grid" in cfg:
-        grid = cfg["lambda_grid"]
-        if grid["max"] <= 0:
-            raise ScenarioError("'lambda_grid.max' must be positive")
-        if grid["points"] < 3 or grid["points"] % 2 == 0:
-            raise ScenarioError("'lambda_grid.points' must be an odd number >= 3")
-    if "drive" in cfg:
-        drive = cfg["drive"]
-        if drive["duration"] <= 0:
-            raise ScenarioError("'drive.duration' must be positive")
-        if drive["steps"] != "auto" and drive["steps"] < 1:
-            raise ScenarioError("'drive.steps' must be >= 1 or 'auto'")
-        if drive["protocol"] == "random" and drive["params"]["dim"] < 1:
-            raise ScenarioError("'drive.params.dim' must be >= 1")
+    """The rules a field's own schema entry cannot state; its bounds are checked there."""
+    if "lambda_grid" in cfg and cfg["lambda_grid"]["points"] % 2 == 0:
+        raise ScenarioError("'lambda_grid.points' must be an odd number >= 3")
     if "initial_state" in cfg:
         state = cfg["initial_state"]
         # normalizing the state must neither overflow nor underflow to zero
@@ -415,41 +431,14 @@ def _check_semantics(cfg: dict) -> None:
                 raise ScenarioError("'initial_state.populations' must have a finite, positive sum")
         if state["kind"] == "gibbs" and state["temperature"] <= 0:
             raise ScenarioError("'initial_state.temperature' must be positive")
-    if kind == "open":
-        env = cfg["environment"]
-        if env["coupling"] < 0:
-            raise ScenarioError("'environment.coupling' must be nonnegative")
-        if env["temperature"] <= 0:
-            raise ScenarioError("'environment.temperature' must be positive")
-        if not 2 <= env["levels"] <= 8:
-            raise ScenarioError("'environment.levels' must be between 2 and 8")
-        if env["refresh_every"] is not None and env["refresh_every"] < 1:
-            raise ScenarioError("'environment.refresh_every' must be >= 1 or null")
-        if cfg["duality"] and cfg["drive"]["protocol"] != "constant":
-            raise ScenarioError("'duality' requires 'drive.protocol: constant'")
-        if cfg["drive"]["steps"] == "auto":
-            raise ScenarioError("'drive.steps' must be explicit for open scenarios")
-    if kind == "fast-decoherence":
-        if cfg["temperature"] <= 0:
-            raise ScenarioError("'temperature' must be positive")
-        if cfg["drive"]["steps"] == "auto":
-            raise ScenarioError("'drive.steps' must be explicit for fast-decoherence")
-    if kind == "cyclic-example":
-        cyc = cfg["cyclic"]
-        if cyc["gap"] <= 0:
-            raise ScenarioError("'cyclic.gap' must be positive")
-        if cyc["steps"] < 4 or cyc["steps"] % 4:
-            raise ScenarioError("'cyclic.steps' must be a positive multiple of 4")
-    if kind == "paths-check":
-        if cfg["drive"]["steps"] == "auto":
-            raise ScenarioError("'drive.steps' must be explicit for paths-check")
-        if cfg["doublings"] < 1:
-            raise ScenarioError("'doublings' must be >= 1")
-        steps = cfg["drive"]["steps"]
-        if steps < 2:
-            raise ScenarioError("'drive.steps' must be >= 2 for paths-check (boundary weight profile)")
+    if cfg.get("duality") and cfg["drive"]["protocol"] != "constant":
+        raise ScenarioError("'duality' requires 'drive.protocol: constant'")
+    if "cyclic" in cfg and cfg["cyclic"]["steps"] % 4:
+        raise ScenarioError("'cyclic.steps' must be a positive multiple of 4")
+    if cfg["kind"] == "paths-check":
         # Every protocol but 'random' is a qubit. The exponent is capped before
         # the power is formed: at dim >= 2 twenty gridpoints already pass the limit.
+        steps = cfg["drive"]["steps"]
         dim = cfg["drive"]["params"].get("dim", 2)
         finest = steps * 2 ** min(cfg["doublings"], 20)
         if dim ** min(finest + 1, 64) > PATH_ENUMERATION_LIMIT:
@@ -467,16 +456,11 @@ def set_by_path(config: dict, dotted: str, value) -> dict:
     schema validation to accept or reject, so protocol-specific keys can be
     introduced by overrides.
     """
-    import copy
-
     out = copy.deepcopy(config)
-    parts = dotted.split(".")
+    *parents, leaf = dotted.split(".")
     node = out
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ScenarioError(f"unknown parameter path '{dotted}'")
-        node = node[part]
-    leaf = parts[-1]
+    for part in parents:
+        node = node.get(part) if isinstance(node, dict) else None
     if not isinstance(node, dict):
         raise ScenarioError(f"unknown parameter path '{dotted}'")
     if isinstance(node.get(leaf), dict):
@@ -543,16 +527,10 @@ class Scenario:
         allowed keys are protocol-specific.
         """
         cfg = self.config
-        new_protocol = overrides.get("drive.protocol")
-        if new_protocol is not None and new_protocol != cfg.get("drive", {}).get("protocol"):
-            cfg = set_by_path(cfg, "drive.protocol", new_protocol)
-            node = dict(cfg["drive"])
-            node["params"] = {}
-            cfg = dict(cfg)
-            cfg["drive"] = node
+        protocol = overrides.get("drive.protocol")
+        if protocol is not None and "drive" in cfg and protocol != cfg["drive"]["protocol"]:
+            cfg = {**cfg, "drive": {**cfg["drive"], "params": {}}}
         for dotted, value in overrides.items():
-            if dotted == "drive.protocol":
-                continue
             cfg = set_by_path(cfg, dotted, value)
         return Scenario(resolve_scenario(cfg))
 
@@ -562,25 +540,8 @@ class Scenario:
 
 
 def build_protocol(drive_cfg: Mapping, seed: int = 0) -> DriveProtocol:
-    name = drive_cfg["protocol"]
-    duration = drive_cfg["duration"]
-    p = drive_cfg["params"]
-    if name == "constant":
-        return constant_protocol(
-            HermitianOperator(-0.5 * p["gap"] * SIGMA_Z), duration, label="constant"
-        )
-    if name == "gap-ramp":
-        return gap_ramp_protocol(p["gap_start"], p["gap_end"], duration)
-    if name == "linear":
-        return linear_ramp_protocol(
-            -0.5 * p["gap"] * SIGMA_Z, p["transverse"] * SIGMA_X, duration, label="linear"
-        )
-    if name == "rabi":
-        return rabi_protocol(p["splitting"], p["amplitude"], p["frequency"], duration)
-    if name == "random":
-        rng = np.random.default_rng(seed)
-        return random_ramp_protocol(p["dim"], duration, rng, p["scale"])
-    raise ScenarioError(f"unknown drive protocol {name!r}")
+    build = _PROTOCOLS[drive_cfg["protocol"]][1]
+    return build(drive_cfg["params"], drive_cfg["duration"], seed)
 
 
 def build_discretized_drive(scenario: Scenario) -> DiscretizedDrive:
@@ -626,33 +587,33 @@ def build_initial_state(state_cfg: Mapping, h_start) -> DensityOperator:
         if np.any(pops < 0) or pops.sum() <= 0:
             raise ScenarioError("'initial_state.populations' must be nonnegative")
         pops = pops / pops.sum()
-    elif kind == "gibbs":
+    else:  # gibbs
         pops = gibbs_weights(values, state_cfg["temperature"])
-    else:
-        raise ScenarioError(f"unknown initial state kind {kind!r}")
     return DensityOperator((v * pops) @ v.conj().T)
 
 
-def build_composite(scenario: Scenario) -> tuple[CompositeModel, DensityOperator, DensityOperator]:
-    """Model plus initial system and environment states for an open scenario."""
+def build_composite(scenario: Scenario) -> tuple[DiscretizedComposite, DensityOperator, DensityOperator]:
+    """The engine of an open scenario plus its initial system and environment states.
+
+    The resonant gap and the system state come from the drive's boundary
+    eigensystems, which the work counting reads again: ``H(0)`` is diagonalized once.
+    """
     cfg = scenario.config
     protocol = build_protocol(cfg["drive"], cfg["seed"])
     if protocol.dim != 2:
         raise ScenarioError("environment presets require a qubit system drive")
+    drive = discretize(protocol, cfg["drive"]["steps"])
     env = cfg["environment"]
-    eigensystem = eig_hermitian(protocol(0.0))
-    gap = float(eigensystem[0][-1] - eigensystem[0][0]) if env["gap"] == "resonant" else env["gap"]
-    preset = env["preset"]
-    if preset == "qubit-exchange":
-        h_env, h_se = qubit_exchange_environment(gap)
-    elif preset == "two-qubit-exchange":
-        h_env, h_se = two_qubit_exchange_environment(gap)
-    elif preset == "oscillator":
-        h_env, h_se = oscillator_environment(env["frequency"], env["levels"])
-    else:  # pragma: no cover - guarded by schema choices
-        raise ScenarioError(f"unknown environment preset {preset!r}")
+    eps0, v0 = drive.boundary_eigensystems[:2]
+    args = {**env, "gap": float(eps0[-1] - eps0[0]) if env["gap"] == "resonant" else env["gap"]}
+    fields, build = _PRESETS[env["preset"]]
+    try:
+        h_env, h_se = build(*(args[name] for name in fields))
+    except ValueError as exc:
+        names = ", ".join(f"'environment.{name}'" for name in fields)
+        raise ScenarioError(f"{names} cannot build the {env['preset']} environment: {exc}") from exc
     model = CompositeModel(protocol, h_env, h_se, coupling_scale=env["coupling"])
-    rho_s = build_initial_state(cfg["initial_state"], eigensystem)
+    rho_s = build_initial_state(cfg["initial_state"], (eps0, v0))
     if env["state"] == "coherent":
         # equal superposition of the environment energy eigenstates
         _, vectors = eig_hermitian(h_env)
@@ -660,7 +621,7 @@ def build_composite(scenario: Scenario) -> tuple[CompositeModel, DensityOperator
         rho_e = pure_state_density(vectors.matrix @ amp)
     else:
         rho_e = gibbs_state(h_env, env["temperature"])
-    return model, rho_s, rho_e
+    return DiscretizedComposite(model, drive), rho_s, rho_e
 
 
 def build_grid(scenario: Scenario) -> CountingGrid:

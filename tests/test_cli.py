@@ -210,6 +210,7 @@ class TestRun:
                 "initial_state.amplitudes",
             ),
             (["initial_state.kind=superposition", "initial_state.amplitudes=1e-320,0"], "initial_state.amplitudes"),
+            (["environment.preset=oscillator", "environment.frequency=1e308"], "environment.frequency"),
         ],
         ids=[
             "zero-amplitudes",
@@ -217,8 +218,10 @@ class TestRun:
             "overflowing-populations",
             "overflowing-amplitudes",
             "underflowing-amplitudes",
+            "overflowing-oscillator",
         ],
     )
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_unbuildable_state_or_environment_rejected(self, tmp_path, capsys, overrides, field):
         argv = ["run", "open", "--out", str(tmp_path)]
         for item in overrides:
@@ -262,6 +265,23 @@ class TestRun:
         assert main(argv + ["--tol-report", "--out", str(tmp_path)]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "dt*||H||_1" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closed", "--set", "lambda_grid.max=1e308", "--tol-report"],
+            ["open", "--set", "environment.coupling=1e308"],
+            ["paths-check", "--set", "counting_field=1e308"],
+        ],
+        ids=["overflowing-lambda-grid", "overflowing-coupling", "overflowing-counting-field"],
+    )
+    def test_overflowing_input_is_numerical_error(self, tmp_path, capsys, argv):
+        # each used to exit 0 with NaN samples or 1 with a traceback
+        assert main(["run", *argv, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         import qworkstats.cli as cli_module
@@ -483,6 +503,48 @@ class TestValidateAndPresets:
         assert main(["run", str(scn), "--xi", "0.3", "--out", str(out_dir)]) == EXIT_OK
         report = read_json(out_dir / "report.json")
         assert report["results"]["xi"] == pytest.approx(0.3)
+
+
+# kind, field, the value just outside its bound, the value just inside, other overrides
+FIELD_BOUNDS = [
+    # both seed runs reach NumPy's generator, which raises on a negative seed
+    ("closed", "seed", "-1", "0", ["drive.protocol=random"]),
+    ("paths-check", "seed", "-1", "0", []),
+    ("closed", "lambda_grid.max", "0.0", "1e-300", []),
+    ("closed", "lambda_grid.points", "1", "3", []),
+    ("closed", "drive.duration", "0.0", "1e-9", []),
+    ("closed", "drive.steps", "0", "1", []),
+    ("closed", "drive.params.dim", "0", "1", ["drive.protocol=random"]),
+    ("open", "drive.steps", "auto", "1", []),
+    ("open", "environment.coupling", "-1e-300", "0.0", []),
+    ("open", "environment.temperature", "0.0", "1e-9", []),
+    ("open", "environment.levels", "1", "2", []),
+    ("open", "environment.levels", "9", "8", []),
+    ("open", "environment.refresh_every", "0", "1", []),
+    ("fast-decoherence", "drive.steps", "auto", "1", []),
+    ("fast-decoherence", "temperature", "0.0", "1e-9", []),
+    ("cyclic-example", "cyclic.gap", "0.0", "1e-9", []),
+    ("cyclic-example", "cyclic.steps", "0", "4", []),
+    ("paths-check", "drive.steps", "1", "2", []),
+    ("paths-check", "drive.steps", "auto", "2", []),
+    ("paths-check", "doublings", "0", "1", []),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,field,outside,inside,extra", FIELD_BOUNDS, ids=[f"{k}-{f}={o}" for k, f, o, _, _ in FIELD_BOUNDS]
+)
+def test_field_bound(tmp_path, capsys, kind, field, outside, inside, extra):
+    from qworkstats.scenario import Scenario, _parse_scalar
+
+    argv = ["run", kind, "--out", str(tmp_path)]
+    for item in extra:
+        argv += ["--set", item]
+    assert main(argv + ["--set", f"{field}={outside}"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err and "Traceback" not in err
+    overrides = dict(item.split("=") for item in extra)
+    Scenario.from_kind(kind).with_overrides({**overrides, field: _parse_scalar(inside)})
 
 
 @pytest.mark.parametrize("value", ["5", "-1"])

@@ -172,6 +172,13 @@ class TestCharacteristicFunction:
         with pytest.raises(NumericalError, match="conj"):
             CharacteristicSamples(grid, np.array([1.0 + 0.5j, 1.0, 1.0 + 0.5j]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_samples_rejected(self, bad):
+        # NaN compares False with every tolerance, so it must be caught on its own
+        grid = symmetric_grid(1.0, 3)
+        with pytest.raises(NumericalError, match="not finite"):
+            CharacteristicSamples(grid, np.array([bad, 1.0, np.conj(bad)]))
+
 
 class TestSpectralDecomposition:
     def test_diagonal_state_keeps_only_diagonal_terms(self, rng, random_qubit_drive):

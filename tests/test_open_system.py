@@ -29,7 +29,7 @@ from qworkstats import (
     von_neumann_entropy,
 )
 from qworkstats.fcs import fd_stencil_grid, moment_fd
-from qworkstats.linalg import NumericalError, max_abs
+from qworkstats.linalg import NumericalError, mat, max_abs
 
 from conftest import PAULI_X, PAULI_Z
 
@@ -432,13 +432,33 @@ class TestOpenRun:
         from qworkstats.runner import run_scenario
 
         calls = []
-        original = CompositeModel.discretize
-        monkeypatch.setattr(CompositeModel, "discretize", lambda m, n: calls.append(n) or original(m, n))
+        original = DiscretizedComposite.__init__
+        monkeypatch.setattr(
+            DiscretizedComposite, "__init__", lambda c, m, d: calls.append(d.n_steps) or original(c, m, d)
+        )
         overrides = {"drive.protocol": "constant", "duality": True} if duality else {}
         scenario = Scenario.from_kind("open").with_overrides({"drive.steps": 16, **overrides})
         report = run_scenario(scenario, tol_report=True).report
         assert ("duality_deviation" in report["results"]) == duality
         assert calls == [16]
+
+    def test_open_run_diagonalizes_initial_hamiltonian_once(self, monkeypatch):
+        # the resonant gap, the system state and the work kicks share one eigensystem of H(0)
+        import qworkstats.drive as drive_module
+        import qworkstats.linalg as linalg_module
+        import qworkstats.scenario as scenario_module
+        from qworkstats import Scenario
+        from qworkstats.runner import run_scenario
+
+        # a Rabi H(0) is not diagonal, so it differs from the resonant H_E
+        scenario = Scenario.from_kind("open").with_overrides({"drive.protocol": "rabi", "drive.steps": 16})
+        h0 = scenario_module.build_protocol(scenario.config["drive"])(0.0).matrix
+        calls = []
+        original = linalg_module.eig_hermitian
+        for module in (drive_module, linalg_module, scenario_module):
+            monkeypatch.setattr(module, "eig_hermitian", lambda h: calls.append(mat(h)) or original(h))
+        run_scenario(scenario, tol_report=True)
+        assert sum(m.shape == h0.shape and np.array_equal(m, h0) for m in calls) == 1
 
     def test_refresh_keeps_increment_regrouping(self):
         # ledger and increment form read the same refreshed trajectory
@@ -461,12 +481,10 @@ class TestOpenRun:
         scenario = Scenario.from_kind("open").with_overrides(
             {"environment.preset": "oscillator", "environment.levels": 8}
         )
-        model, rho_s, rho_e = build_composite(scenario)
         grid = build_grid(scenario)
-        assert (model.dim, scenario.config["drive"]["steps"], grid.size) == (16, 96, 41)
         tracemalloc.start()
         try:
-            composite = model.discretize(96)
+            composite, rho_s, rho_e = build_composite(scenario)
             discretize_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             tracemalloc.start()
@@ -474,5 +492,6 @@ class TestOpenRun:
             characteristic_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert (composite.dim, composite.drive.n_steps, grid.size) == (16, 96, 41)
         assert discretize_peak <= 1.5 * 2**20
         assert characteristic_peak <= 1.5 * 2**20

@@ -214,8 +214,9 @@ class TestBuilders:
 
     def test_composite_resonant_gap(self):
         scenario = Scenario.from_kind("open", {"drive.steps": 8})
-        model, rho_s, rho_e = build_composite(scenario)
-        values, _ = eig_hermitian(model.h_env)
+        composite, rho_s, rho_e = build_composite(scenario)
+        assert composite.drive.n_steps == 8
+        values, _ = eig_hermitian(composite.model.h_env)
         # resonant default matches the initial system gap (1.0 for the ramp)
         assert values[-1] - values[0] == pytest.approx(1.0, abs=1e-12)
         assert isinstance(rho_e, DensityOperator)
