@@ -34,14 +34,14 @@ rho0 = pure_state_density(psi0)
 
 print("=== characteristic function ===")
 grid = symmetric_grid(4.0, 9)
-samples = characteristic_function(rho0, drive, grid)
+terms = spectral_decomposition(rho0, drive)
+samples = characteristic_function(terms, grid)
 for lam, g in zip(grid.lambdas, samples.values):
     print(f"  G({lam:+.1f}) = {g.real:+.6f} {g.imag:+.6f}i")
 
 print("\n=== moments of the internal-energy change ===")
-terms = spectral_decomposition(rho0, drive)
 h = default_fd_step(terms.support)
-fd_samples = characteristic_function(rho0, drive, fd_stencil_grid(h, order=2, richardson=True))
+fd_samples = characteristic_function(terms, fd_stencil_grid(h, order=2))
 u = evolution_operator(drive).matrix
 balance = np.trace(drive.h_end.matrix @ u @ rho0.matrix @ u.conj().T) - np.trace(
     drive.h_start.matrix @ rho0.matrix

@@ -17,8 +17,8 @@ from qworkstats import (
     moment,
     pure_state_density,
     spectral_decomposition,
-    tmp_average,
     tmp_distribution,
+    tmp_moment,
 )
 
 GAP = 1.0
@@ -32,7 +32,7 @@ for alpha in np.linspace(0.0, np.pi / 2, 13):
     rho = pure_state_density(cyclic_qubit_state(alpha))
     terms = spectral_decomposition(rho, drive)
     classical, coherent = coherent_classical_split(terms)
-    projective = tmp_average(tmp_distribution(rho, drive))
+    projective = tmp_moment(tmp_distribution(terms), 1)
     print(
         f"{alpha:10.4f} {moment(terms, 1):+14.8f} {projective:+14.8f} {coherent:+14.8f}"
     )
@@ -48,10 +48,10 @@ print(
 alpha = np.pi / 3
 drive = cyclic_qubit_drive(alpha, XI, GAP)
 rho = pure_state_density(cyclic_qubit_state(alpha))
-outcomes = tmp_distribution(rho, drive)
+outcomes = tmp_distribution(spectral_decomposition(rho, drive))
 print(f"\nprojective outcome table at alpha = pi/3:")
 print(f"{'initial':>8} {'final':>6} {'probability':>12} {'work':>8}")
 for i, k, probability, work in zip(outcomes.i, outcomes.k, outcomes.probability, outcomes.work):
     print(f"{i:>8} {k:>6} {probability:>12.6f} {work:>+8.3f}")
 closed_form = GAP * np.cos(2 * alpha) * np.sin(2 * alpha) ** 2 * np.sin(XI) ** 2
-print(f"projective average {tmp_average(outcomes):+.8f} = dE cos(2a) sin^2(2a) sin^2(xi) = {closed_form:+.8f}")
+print(f"projective average {tmp_moment(outcomes, 1):+.8f} = dE cos(2a) sin^2(2a) sin^2(xi) = {closed_form:+.8f}")

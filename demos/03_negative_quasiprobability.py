@@ -37,7 +37,8 @@ def show(dist, label):
     print(f"  sum = {dist.weights.sum():.12f}\n")
 
 
-dist = quasi_distribution(spectral_decomposition(rho, drive))
+terms = spectral_decomposition(rho, drive)
+dist = quasi_distribution(terms)
 show(dist, f"coherent initial state, alpha = pi/3, xi = pi/4")
 
 dist_dephased = quasi_distribution(spectral_decomposition(dephase(rho, drive.h_start), drive))
@@ -45,7 +46,7 @@ show(dist_dephased, "same state dephased in the energy basis (projective limit)"
 
 print("windowed Fourier inversion of G as an independent cross-check:")
 lam_max, points, sigma_u = fourier_grid_for_supports(dist.support)
-samples = characteristic_function(rho, drive, symmetric_grid(lam_max, points))
+samples = characteristic_function(terms, symmetric_grid(lam_max, points))
 recovered = fourier_quasi_weights(samples, dist.support, sigma_u)
 print(f"  grid extent {lam_max:.0f}, {points} points, energy resolution {sigma_u:.3f}")
 for support, exact, estimate in zip(dist.support, dist.weights, recovered):

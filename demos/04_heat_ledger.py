@@ -46,7 +46,7 @@ print(f"  |difference| = {abs(increments - ledger.work):.2e}")
 
 h = 1e-3
 samples = composite.characteristic_function(
-    rho_s, rho_e, fd_stencil_grid(h, order=1, richardson=True)
+    rho_s, rho_e, fd_stencil_grid(h, order=1)
 )
 fd_work = moment_fd(samples, 1, h=h)
 print(f"  first moment of the counting function = {fd_work:+.10f}")

@@ -69,7 +69,7 @@ from .fcs import (
     symmetric_grid,
     two_kick_propagator,
 )
-from .tmp import TmpDistribution, dephase, tmp_average, tmp_characteristic, tmp_distribution, tmp_moment
+from .tmp import TmpDistribution, dephase, tmp_characteristic, tmp_distribution, tmp_moment
 from .open_system import (
     CompositeModel,
     DiscretizedComposite,

@@ -112,19 +112,15 @@ def symmetric_grid(lambda_max: float, points: int) -> CountingGrid:
     return CountingGrid(np.linspace(-lambda_max, lambda_max, points))
 
 
-def fd_stencil_grid(h: float, order: int = 2, richardson: bool = True) -> CountingGrid:
-    """Grid holding every point the order-``order`` central stencil needs.
-
-    With ``richardson`` the doubled-step stencil points are included as well.
-    """
+def fd_stencil_grid(h: float, order: int = 2) -> CountingGrid:
+    """Grid holding every point the order-``order`` central stencil needs on
+    steps ``h`` and ``2h`` (the Richardson pair of :func:`moment_fd`)."""
     if h <= 0:
         raise ValueError("stencil step must be positive")
     m = (order + 1) // 2
     offsets = {0}
     for j in range(1, m + 1):
-        offsets.update({j, -j})
-        if richardson:
-            offsets.update({2 * j, -2 * j})
+        offsets.update({j, -j, 2 * j, -2 * j})
     return CountingGrid(np.array(sorted(offsets), dtype=float) * h)
 
 
@@ -173,7 +169,10 @@ class SpectralExpansion:
     Terms with ``i == j`` carry the coherence-free (two-measurement) part and
     have real nonnegative weight; ``i != j`` terms encode initial coherences.
 
-    ``eps0`` holds the eigenvalues of ``H(0)`` that ``i`` and ``j`` index.
+    The unpruned eigendata the terms came from rides along: ``eps0`` and
+    ``epst`` are the eigenvalues of ``H(0)`` and ``H(T)``, ``m[k, i] =
+    <eps_k(T)|U|eps_i(0)>`` and ``rho`` is the initial state in the ``H(0)``
+    eigenbasis. ``G`` on a grid and the two-measurement outcomes read these.
     """
 
     i: np.ndarray
@@ -182,6 +181,9 @@ class SpectralExpansion:
     support: np.ndarray
     weight: np.ndarray
     eps0: np.ndarray
+    epst: np.ndarray
+    m: np.ndarray
+    rho: np.ndarray
 
     def __len__(self) -> int:
         return self.support.size
@@ -226,33 +228,20 @@ def two_kick_propagator(drive: DiscretizedDrive, lam: float) -> UnitaryOperator:
     return UnitaryOperator(kick_end @ drive.propagator.matrix @ kick_start)
 
 
-def _eigendata(rho0: DensityOperator, drive: DiscretizedDrive) -> tuple:
-    """``(eps0, epst, m, rho)`` from the drive's cached ``U`` and eigensystems:
-    ``m[k, i] = <eps_k(T)|U|eps_i(0)>`` and ``rho = v0^dag rho0 v0``."""
-    if rho0.dim != drive.dim:
-        raise ValueError(f"state dim {rho0.dim} != drive dim {drive.dim}")
-    eps0, v0, epst, vt = drive.boundary_eigensystems
-    m = vt.conj().T @ drive.propagator.matrix @ v0
-    rho = v0.conj().T @ rho0.matrix @ v0
-    return eps0, epst, m, rho
-
-
 # Complex elements per (lambda, d, d) block in characteristic_function; keeps
 # its temporaries at a few MB for any grid size.
 _G_BLOCK = 1 << 18
 
 
-def characteristic_function(
-    rho0: DensityOperator, drive: DiscretizedDrive, grid: CountingGrid
-) -> CharacteristicSamples:
+def characteristic_function(terms: SpectralExpansion, grid: CountingGrid) -> CharacteristicSamples:
     """Evaluate ``G(lam) = Tr[K(lam) rho0 K(-lam)^dag]`` on the grid.
 
     In the boundary eigenbases ``G(lam) = sum_k e^{i lam eps_k(T)} sum_ij
     A_ki rho_ij B_kj`` with ``A = m e^{-i lam eps(0)/2}`` and ``B = m^*
     e^{-i lam eps(0)/2}``: one batched matmul per block of grid points, each
-    point evaluated independently.
+    point evaluated independently from the unpruned eigendata of ``terms``.
     """
-    eps0, epst, m, rho = _eigendata(rho0, drive)
+    eps0, epst, m, rho = terms.eps0, terms.epst, terms.m, terms.rho
     lambdas = grid.lambdas
     values = np.empty(lambdas.size, dtype=complex)
     block = max(1, _G_BLOCK // m.size)
@@ -291,9 +280,15 @@ def spectral_decomposition(rho0: DensityOperator, drive: DiscretizedDrive) -> Sp
     Terms with ``|weight| < PRUNE_TOL`` are dropped. Eigenvectors inside
     degenerate subspaces are taken as returned by the eigensolver; only
     binned support/weight pairs are basis-independent, which is what
-    :func:`quasi_distribution` exposes.
+    :func:`quasi_distribution` exposes. This is the only function that forms
+    ``m`` and ``rho``; ``G``, moments, bins and the two-measurement outcomes
+    of one run all read the expansion it returns.
     """
-    eps0, epst, m, rho = _eigendata(rho0, drive)
+    if rho0.dim != drive.dim:
+        raise ValueError(f"state dim {rho0.dim} != drive dim {drive.dim}")
+    eps0, v0, epst, vt = drive.boundary_eigensystems
+    m = vt.conj().T @ drive.propagator.matrix @ v0
+    rho = v0.conj().T @ rho0.matrix @ v0
     # axes (k, i, j): w = rho_ij M_ki M*_kj, u = eps_k(T) - (eps_i(0) + eps_j(0)) / 2;
     # w = (rho_ij M_ki) M*_kj in place in real parts, rounded as by two _cmul
     mr, mi = m.real[:, :, None], m.imag[:, :, None]
@@ -314,7 +309,7 @@ def spectral_decomposition(rho0: DensityOperator, drive: DiscretizedDrive) -> Sp
     total = weight.sum()
     if abs(total - 1.0) > 1e-10:
         raise NumericalError(f"spectral weights sum to {total}, not 1")
-    return SpectralExpansion(i, j, k, support.ravel()[keep], weight, eps0)
+    return SpectralExpansion(i, j, k, support.ravel()[keep], weight, eps0, epst, m, rho)
 
 
 def moment(terms: SpectralExpansion, n: int) -> float:
@@ -347,26 +342,15 @@ def _central_weights(n: int, m: int) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def moment_fd(
-    samples: CharacteristicSamples,
-    n: int,
-    h: float | None = None,
-    richardson: bool = True,
-) -> float:
+def moment_fd(samples: CharacteristicSamples, n: int, h: float) -> float:
     """Finite-difference estimate of the n-th moment at ``lam = 0``.
 
-    Central differences of minimal symmetric width on step ``h`` (default:
-    the smallest positive grid value), optionally Richardson-extrapolated
-    once against the doubled step. Raises ``KeyError`` if the sample grid is
-    missing a stencil point.
+    Central differences of minimal symmetric width on step ``h``,
+    Richardson-extrapolated once against the doubled step. Raises
+    ``KeyError`` if the sample grid is missing a stencil point.
     """
     if n < 1:
         raise ValueError("moment order must be >= 1")
-    if h is None:
-        positive = samples.grid.lambdas[samples.grid.lambdas > 0]
-        if positive.size == 0:
-            raise ValueError("grid has no positive points to infer the step from")
-        h = float(positive.min())
     m = (n + 1) // 2
     weights = _central_weights(n, m)
 
@@ -378,9 +362,7 @@ def moment_fd(
             acc += w * samples.value_at(j * step)
         return acc / step**n
 
-    d = estimate(h)
-    if richardson:
-        d = (4.0 * d - estimate(2.0 * h)) / 3.0
+    d = (4.0 * estimate(h) - estimate(2.0 * h)) / 3.0
     out = (-1j) ** n * d
     return float(out.real)
 

@@ -74,12 +74,11 @@ _WRITERS = {
 }
 
 
-def _fd_first_moments(rho0, drive, terms):
+def _fd_first_moments(terms):
     """Finite-difference moments on a dedicated stencil grid."""
     h = fcs.default_fd_step(terms.support)
-    grid = fcs.fd_stencil_grid(h, order=max(FD_ORDERS), richardson=True)
-    samples = fcs.characteristic_function(rho0, drive, grid)
-    return {n: fcs.moment_fd(samples, n, h=h, richardson=True) for n in FD_ORDERS}
+    samples = fcs.characteristic_function(terms, fcs.fd_stencil_grid(h, order=max(FD_ORDERS)))
+    return {n: fcs.moment_fd(samples, n, h=h) for n in FD_ORDERS}
 
 
 def _energy_balance_first_moment(rho0, drive) -> float:
@@ -95,10 +94,9 @@ def _check(name, value, tol):
     return {"name": name, "value": float(value), "tolerance": float(tol), "pass": bool(abs(value) <= tol)}
 
 
-def _spectral_statistics(rho0, drive, grid) -> tuple[dict, dict, dict]:
+def _spectral_statistics(terms, grid) -> tuple[dict, dict, dict]:
     """Moments, split and bins of the spectral expansion; ``G`` and the terms and
     bins as artifacts; the first two moments and the least bin weight as sweep values."""
-    terms = fcs.spectral_decomposition(rho0, drive)
     dist = fcs.quasi_distribution(terms)
     classical, coherent = fcs.coherent_classical_split(terms)
     results = {
@@ -107,7 +105,7 @@ def _spectral_statistics(rho0, drive, grid) -> tuple[dict, dict, dict]:
         "coherent_part": coherent,
         "quasi": {"support": dist.support, "weights": dist.weights, "min_weight": dist.min_weight},
     }
-    samples = fcs.characteristic_function(rho0, drive, grid)
+    samples = fcs.characteristic_function(terms, grid)
     moments = results["moments"]
     row = {"moment1": moments["1"], "moment2": moments["2"], "min_quasi_weight": dist.min_weight}
     return results, {"characteristic": samples, "quasi_distribution": dist, "spectral_terms": terms}, row
@@ -119,9 +117,10 @@ def _run_closed(scenario: Scenario) -> _KindRun:
     drive = build_discretized_drive(scenario)
     rho0 = build_initial_state(cfg["initial_state"], drive.boundary_eigensystems[:2])
     grid = build_grid(scenario)
-    results, artifacts, row = _spectral_statistics(rho0, drive, grid)
+    terms = fcs.spectral_decomposition(rho0, drive)
+    results, artifacts, row = _spectral_statistics(terms, grid)
     m1 = row["moment1"]
-    fd = _fd_first_moments(rho0, drive, artifacts["spectral_terms"])
+    fd = _fd_first_moments(terms)
     balance = _energy_balance_first_moment(rho0, drive)
     results["n_steps"] = drive.n_steps
     results["fd_moments"] = {str(n): v for n, v in fd.items()}
@@ -137,8 +136,8 @@ def _run_closed(scenario: Scenario) -> _KindRun:
     ]
     if scenario.kind == "tmp-compare":
         dist = artifacts["quasi_distribution"]
-        outcomes = tmp.tmp_distribution(rho0, drive)
-        average = tmp.tmp_average(outcomes)
+        outcomes = tmp.tmp_distribution(terms)
+        average = tmp.tmp_moment(outcomes, 1)
         tmp_support, tmp_weights = fcs.merge_support_points(
             outcomes.work,
             outcomes.probability,
@@ -184,10 +183,11 @@ def _run_cyclic(scenario: Scenario) -> _KindRun:
         {"kind": "superposition", "amplitudes": [np.cos(alpha), np.sin(alpha)], "phases": None},
         drive.boundary_eigensystems[:2],
     )
-    results, artifacts, row = _spectral_statistics(rho0, drive, build_grid(scenario))
+    terms = fcs.spectral_decomposition(rho0, drive)
+    results, artifacts, row = _spectral_statistics(terms, build_grid(scenario))
     m1 = row["moment1"]
-    outcomes = tmp.tmp_distribution(rho0, drive)
-    average = tmp.tmp_average(outcomes)
+    outcomes = tmp.tmp_distribution(terms)
+    average = tmp.tmp_moment(outcomes, 1)
     oracle = _cyclic_average_from_unitary(alpha, xi, gap)
     closed_form = gap * np.cos(2 * alpha) * np.sin(2 * alpha) ** 2 * np.sin(xi) ** 2
     printed_form = gap * np.cos(2 * alpha) * np.sin(2 * alpha) ** 2 * np.sin(2 * xi) ** 2
@@ -236,9 +236,8 @@ def _run_open(scenario: Scenario) -> _KindRun:
     samples = composite.characteristic_function(rho_s, rho_e, grid)
     scale = max(max_abs(composite.drive.h_start), max_abs(composite.drive.h_end), 1e-6)
     h = 1e-3 / scale
-    fd_grid = fcs.fd_stencil_grid(h, order=1, richardson=True)
-    fd_samples = composite.characteristic_function(rho_s, rho_e, fd_grid)
-    fd_work = fcs.moment_fd(fd_samples, 1, h=h, richardson=True)
+    fd_samples = composite.characteristic_function(rho_s, rho_e, fcs.fd_stencil_grid(h, order=1))
+    fd_work = fcs.moment_fd(fd_samples, 1, h=h)
     fd_deviation = float(abs(fd_work - ledger.work))
     results = {
         "n_steps": n_steps,
@@ -330,16 +329,18 @@ def _run_paths_check(scenario: Scenario) -> _KindRun:
     commuting_residual = abs(
         paths.counting_weighted_sum(ensemble, lam) - complex(np.conj(psi1) @ kicked @ psi0)
     )
+    # the first rung is the base drive and ensemble above
     deviations = {}
-    steps = base_steps
-    for _ in range(cfg["doublings"] + 1):
-        fine = discretize(protocol, steps)
-        ensemble = paths.enumerate_paths(fine, psi0, psi1)
+    fine = drive
+    for rung in range(cfg["doublings"] + 1):
+        steps = base_steps << rung
+        if rung:
+            fine = discretize(protocol, steps)
+            ensemble = paths.enumerate_paths(fine, psi0, psi1)
         weighted = paths.counting_weighted_sum(ensemble, lam)
         two_kick = fcs.two_kick_propagator(fine, 2.0 * lam).matrix
         element = complex(np.conj(psi1) @ two_kick @ psi0)
         deviations[steps] = abs(weighted - element)
-        steps *= 2
     step_list = sorted(deviations)
     ratios = [
         deviations[step_list[n]] / max(deviations[step_list[n + 1]], 1e-300)

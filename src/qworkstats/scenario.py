@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -182,6 +183,10 @@ class _Field:
     special: object = None
 
 
+# Largest magnitude whose double is still finite
+_HALF_MAX = sys.float_info.max / 2
+
+
 # Drive protocol -> its parameter schema and its builder ``(params, duration, seed)``
 _PROTOCOLS = {
     "constant": (
@@ -296,8 +301,9 @@ _SCHEMAS: dict[str, dict] = {
     "cyclic-example": _kind_schema(
         "cyclic-example",
         cyclic={
-            "alpha": _Field("float", float(np.pi / 3)),
-            "xi": _Field("float", float(np.pi / 4)),
+            # the drive and the closed forms double both angles
+            "alpha": _Field("float", float(np.pi / 3), low=-_HALF_MAX, high=_HALF_MAX),
+            "xi": _Field("float", float(np.pi / 4), low=-_HALF_MAX, high=_HALF_MAX),
             "gap": _Field("float", 1.0, positive=True),
             "physical": _Field("bool", False),
             "steps": _Field("int", 64, low=4),

@@ -22,14 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drive import DiscretizedDrive
-from .fcs import DEGENERACY_TOL, PRUNE_TOL, CharacteristicSamples, CountingGrid, _eigendata, _level_groups
+from .fcs import DEGENERACY_TOL, PRUNE_TOL, CharacteristicSamples, CountingGrid, SpectralExpansion, _level_groups
 from .linalg import DensityOperator, HermitianOperator, NumericalError, eig_hermitian
 
 __all__ = [
     "TmpDistribution",
     "tmp_distribution",
-    "tmp_average",
     "tmp_moment",
     "tmp_characteristic",
     "dephase",
@@ -58,24 +56,21 @@ def _group_energies(values: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
 
 
 def tmp_distribution(
-    rho0: DensityOperator,
-    drive: DiscretizedDrive,
-    *,
-    degeneracy_tol: float = DEGENERACY_TOL,
+    terms: SpectralExpansion, *, degeneracy_tol: float = DEGENERACY_TOL
 ) -> TmpDistribution:
     """Joint outcome distribution of the two projective energy measurements.
 
     Outcomes are labeled by distinct eigenvalues of the boundary
     Hamiltonians; joint probabilities below ``PRUNE_TOL`` are dropped. The
     remaining probabilities are nonnegative and sum to one. In the boundary
-    eigenbases this is the spectral tensor of :mod:`qworkstats.fcs`
-    restricted to pairs inside one initial group,
+    eigenbases this is the spectral tensor of ``terms`` (its unpruned ``m``
+    and ``rho``) restricted to pairs inside one initial group,
     ``p(g, h) = sum_{k in h} sum_{i, j in g} rho_ij M_ki M*_kj``; its
     average is the classical part of
     :func:`qworkstats.fcs.coherent_classical_split` at the same
     ``degeneracy_tol``, to within the level spread inside a group.
     """
-    eps0, epst, m, rho = _eigendata(rho0, drive)
+    eps0, epst, m, rho = terms.eps0, terms.epst, terms.m, terms.rho
     labels0 = _level_groups(eps0, degeneracy_tol)
     starts0, energies0 = _group_energies(eps0, labels0)
     startst, energiest = _group_energies(epst, _level_groups(epst, degeneracy_tol))
@@ -92,18 +87,26 @@ def tmp_distribution(
     return TmpDistribution(i, k, probability, energiest[k] - energies0[i])
 
 
-def tmp_average(outcomes: TmpDistribution) -> float:
-    """Average work ``sum_o p_o w_o``."""
-    return float(np.sum(outcomes.probability * outcomes.work))
-
-
 def tmp_moment(outcomes: TmpDistribution, n: int) -> float:
+    """n-th work moment ``sum_o p_o w_o^n``; ``n = 1`` is the average work."""
     return float(np.sum(outcomes.probability * outcomes.work**n))
 
 
+# Complex elements per (lambda, outcome) block in tmp_characteristic; keeps
+# its temporaries at a few MB for any grid size.
+_PHASE_BLOCK = 1 << 18
+
+
 def tmp_characteristic(outcomes: TmpDistribution, grid: CountingGrid) -> CharacteristicSamples:
-    """Characteristic function ``sum_o p_o exp(i lam w_o)`` on the grid."""
-    values = [np.exp(1j * lam * outcomes.work) @ outcomes.probability for lam in grid.lambdas]
+    """Characteristic function ``sum_o p_o exp(i lam w_o)`` on the grid, one
+    matrix product per block of grid points."""
+    lambdas = grid.lambdas
+    values = np.empty(lambdas.size, dtype=complex)
+    block = max(1, _PHASE_BLOCK // len(outcomes))
+    for start in range(0, lambdas.size, block):
+        phases = np.outer(lambdas[start : start + block], outcomes.work) * 1j
+        np.exp(phases, out=phases)
+        values[start : start + block] = phases @ outcomes.probability
     return CharacteristicSamples(grid, values)
 
 

@@ -36,9 +36,9 @@ from qworkstats import (
     random_ramp_protocol,
     spectral_decomposition,
     symmetric_grid,
-    tmp_average,
     tmp_characteristic,
     tmp_distribution,
+    tmp_moment,
     two_kick_propagator,
 )
 from qworkstats.fcs import default_fd_step, fd_stencil_grid, merge_support_points, moment_fd
@@ -91,7 +91,7 @@ def test_criterion_1_cyclic_fcs_invariance():
         rho = pure_state_density(cyclic_qubit_state(alpha))
         terms = spectral_decomposition(rho, drive)
         max_fcs = max(max_fcs, abs(moment(terms, 1)))
-        tmp_value = tmp_average(tmp_distribution(rho, drive))
+        tmp_value = tmp_moment(tmp_distribution(terms), 1)
         oracle = cyclic_tmp_oracle(alpha, xi, gap)
         max_oracle_gap = max(max_oracle_gap, abs(tmp_value - oracle))
         min_tmp = min(min_tmp, abs(tmp_value))
@@ -103,8 +103,9 @@ def test_criterion_1_cyclic_fcs_invariance():
     for alpha, xi in ((0.0, 0.8), (np.pi / 2, 0.8), (np.pi / 4, 0.8), (0.6, 0.0)):
         drive = cyclic_qubit_drive(alpha, xi, gap)
         rho = pure_state_density(cyclic_qubit_state(alpha))
-        assert abs(tmp_average(tmp_distribution(rho, drive))) <= 1e-12
-        assert abs(moment(spectral_decomposition(rho, drive), 1)) <= 1e-10
+        terms = spectral_decomposition(rho, drive)
+        assert abs(tmp_moment(tmp_distribution(terms), 1)) <= 1e-12
+        assert abs(moment(terms, 1)) <= 1e-10
     print(
         f"[criterion 1] closed-form comparison: oracle matches the sin^2(xi) form "
         f"to {max_closed_form_gap:.1e}; the printed sin^2(2 xi) variant deviates "
@@ -134,8 +135,9 @@ def test_criterion_2_mixture_equivalence():
         pops /= pops.sum()
         v = vectors.matrix
         rho = DensityOperator((v * pops) @ v.conj().T)
-        dist = quasi_distribution(spectral_decomposition(rho, drive))
-        outcomes = tmp_distribution(rho, drive)
+        terms = spectral_decomposition(rho, drive)
+        dist = quasi_distribution(terms)
+        outcomes = tmp_distribution(terms)
         tmp_u, tmp_w = merge_support_points(outcomes.work, outcomes.probability, 1e-9)
         assert len(tmp_u) == len(dist.support)
         worst_support = max(worst_support, float(np.max(np.abs(tmp_u - dist.support))))
@@ -156,13 +158,13 @@ def test_criterion_3_normalization_and_hermiticity():
     batteries = []
     for dim in (2, 3, 4):
         drive = discretize(random_ramp_protocol(dim, 1.0, rng), 16)
-        batteries.append(characteristic_function(random_density(dim, rng), drive, grid))
-        outcomes = tmp_distribution(random_density(dim, rng), drive)
+        terms = spectral_decomposition(random_density(dim, rng), drive)
+        batteries.append(characteristic_function(terms, grid))
+        outcomes = tmp_distribution(spectral_decomposition(random_density(dim, rng), drive))
         batteries.append(tmp_characteristic(outcomes, grid))
     drive = cyclic_qubit_drive(np.pi / 3, np.pi / 4, 1.0)
-    batteries.append(
-        characteristic_function(pure_state_density(cyclic_qubit_state(np.pi / 3)), drive, grid)
-    )
+    terms = spectral_decomposition(pure_state_density(cyclic_qubit_state(np.pi / 3)), drive)
+    batteries.append(characteristic_function(terms, grid))
     h_env, h_se = qubit_exchange_environment(1.0)
     protocol = constant_protocol(cyclic_qubit_hamiltonian(1.0), 2.0)
     model = CompositeModel(protocol, h_env, h_se, coupling_scale=0.1)
@@ -200,7 +202,7 @@ def test_criterion_4_first_moment_identity():
         m1 = moment(terms, 1)
         worst_identity = max(worst_identity, abs(m1 - balance.real))
         h = default_fd_step(terms.support)
-        samples = characteristic_function(rho, drive, fd_stencil_grid(h, order=2, richardson=True))
+        samples = characteristic_function(terms, fd_stencil_grid(h, order=2))
         for n in (1, 2):
             spectral = moment(terms, n)
             fd = moment_fd(samples, n, h=h)

@@ -525,6 +525,9 @@ FIELD_BOUNDS = [
     ("fast-decoherence", "temperature", "0.0", "1e-9", []),
     ("cyclic-example", "cyclic.gap", "0.0", "1e-9", []),
     ("cyclic-example", "cyclic.steps", "0", "4", []),
+    # the drive doubles both angles: 2 * 1e308 overflows
+    ("cyclic-example", "cyclic.alpha", "1e308", "-8.9e307", []),
+    ("cyclic-example", "cyclic.xi", "1e308", "8.9e307", []),
     ("paths-check", "drive.steps", "1", "2", []),
     ("paths-check", "drive.steps", "auto", "2", []),
     ("paths-check", "doublings", "0", "1", []),
@@ -669,3 +672,41 @@ def test_characteristic_files_carry_their_protocol(tmp_path):
     assert read_json(tmp_path / "characteristic.json")["protocol"] == "fcs"
     assert read_json(tmp_path / "tmp_characteristic.json")["protocol"] == "tmp"
     assert "# protocol: tmp" in (tmp_path / "tmp_characteristic.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("kind,readers", [("tmp-compare", 3), ("cyclic-example", 2)])
+def test_closed_run_reads_one_spectral_expansion(monkeypatch, kind, readers):
+    # G on the grid, G on the FD stencil and the TMP outcomes all take the
+    # one expansion the run builds
+    from qworkstats import fcs, runner, tmp
+    from qworkstats.scenario import Scenario
+
+    made, seen = [], []
+    decompose = fcs.spectral_decomposition
+
+    def counted(rho0, drive):
+        made.append(decompose(rho0, drive))
+        return made[-1]
+
+    def reader(fn):
+        return lambda terms, *args, **kwargs: seen.append(terms) or fn(terms, *args, **kwargs)
+
+    monkeypatch.setattr(fcs, "spectral_decomposition", counted)
+    monkeypatch.setattr(fcs, "characteristic_function", reader(fcs.characteristic_function))
+    monkeypatch.setattr(tmp, "tmp_distribution", reader(tmp.tmp_distribution))
+    runner.run_scenario(Scenario.from_kind(kind))
+    assert len(made) == 1
+    assert len(seen) == readers and all(terms is made[0] for terms in seen)
+
+
+def test_paths_check_discretizes_each_rung_once(monkeypatch):
+    from qworkstats import runner
+    from qworkstats.scenario import Scenario
+
+    steps = []
+    discretize = runner.discretize
+    monkeypatch.setattr(runner, "discretize", lambda protocol, n: steps.append(n) or discretize(protocol, n))
+    scenario = Scenario.from_kind("paths-check")
+    runner.run_scenario(scenario)
+    base, doublings = scenario.config["drive"]["steps"], scenario.config["doublings"]
+    assert steps == [base << rung for rung in range(doublings + 1)]

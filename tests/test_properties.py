@@ -51,7 +51,6 @@ from qworkstats import (
     spectral_decomposition,
     symmetric_grid,
     tensor,
-    tmp_average,
     tmp_characteristic,
     tmp_distribution,
     tmp_moment,
@@ -168,8 +167,8 @@ def test_array_core_matches_triple_loop(make, dim, seed):
 def test_characteristic_function_matches_references(make, dim, seed):
     drive, rho = make(dim, seed)
     grid = symmetric_grid(3.0, 21)
-    values = characteristic_function(rho, drive, grid).values
     terms = spectral_decomposition(rho, drive)
+    values = characteristic_function(terms, grid).values
     from_terms = np.array([np.sum(terms.weight * np.exp(1j * lam * terms.support)) for lam in grid.lambdas])
     assert np.max(np.abs(values - from_terms)) <= 1e-12
     assert np.max(np.abs(values - two_kick_g(rho, drive, grid.lambdas))) <= 1e-12
@@ -190,7 +189,7 @@ def test_first_moment_is_energy_balance(make, dim, seed):
 @pytest.mark.parametrize("make,dim,seed", CASES, ids=IDS)
 def test_tmp_matches_projector_form(make, dim, seed):
     drive, rho = make(dim, seed)
-    outcomes = tmp_distribution(rho, drive)
+    outcomes = tmp_distribution(spectral_decomposition(rho, drive))
     table = projector_tmp(rho, drive)
     kept = {key: value for key, value in table.items() if value[0] >= 1e-14}
     assert len(outcomes) == len(kept)
@@ -205,20 +204,20 @@ def test_tmp_matches_projector_form(make, dim, seed):
 def test_mixture_equals_tmp(make, dim, seed):
     drive, rho = make(dim, seed)
     mixture = dephase(rho, drive.h_start)
-    outcomes = tmp_distribution(mixture, drive)
+    terms = spectral_decomposition(mixture, drive)
+    outcomes = tmp_distribution(terms)
     # the first measurement ignores the coherences that dephasing removes
-    coherent_outcomes = tmp_distribution(rho, drive)
+    coherent_outcomes = tmp_distribution(spectral_decomposition(rho, drive))
     assert len(coherent_outcomes) == len(outcomes)
     assert np.max(np.abs(coherent_outcomes.probability - outcomes.probability)) <= 1e-12
-    terms = spectral_decomposition(mixture, drive)
     scale = max(1.0, float(np.max(np.abs(terms.support))))
     classical, coherent = coherent_classical_split(terms)
-    assert classical == pytest.approx(tmp_average(outcomes), abs=1e-10 * scale)
+    assert classical == pytest.approx(tmp_moment(outcomes, 1), abs=1e-10 * scale)
     assert abs(coherent) <= 1e-10 * scale
     for n in (1, 2, 3):
         assert moment(terms, n) == pytest.approx(tmp_moment(outcomes, n), abs=1e-9 * scale**n)
     grid = symmetric_grid(2.0, 15)
-    fcs_values = characteristic_function(mixture, drive, grid).values
+    fcs_values = characteristic_function(terms, grid).values
     assert np.max(np.abs(fcs_values - tmp_characteristic(outcomes, grid).values)) <= 1e-10
     dist = quasi_distribution(terms)
     tmp_u, tmp_w = merge_support_points(outcomes.work, outcomes.probability, 1e-9 * scale)
@@ -233,7 +232,7 @@ def test_degenerate_case_has_grouped_levels():
     for h in (drive.h_start, drive.h_end):
         values, _ = eig_hermitian(h)
         assert np.sum(np.diff(values) <= 1e-12) == 4
-    outcomes = tmp_distribution(rho, drive)
+    outcomes = tmp_distribution(spectral_decomposition(rho, drive))
     assert set(outcomes.i) == {0, 1, 2, 3}
     assert set(outcomes.k) == {0, 1, 2, 3}
 

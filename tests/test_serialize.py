@@ -73,7 +73,7 @@ def test_characteristic_round_trip(tmp_path):
     drive, rho = cyclic_fixture(0.5, 0.25)
     from qworkstats import characteristic_function
 
-    samples = characteristic_function(rho, drive, symmetric_grid(2.0, 9))
+    samples = characteristic_function(spectral_decomposition(rho, drive), symmetric_grid(2.0, 9))
     files = write_characteristic(tmp_path, "char", samples, CONFIG, ("csv", "json"))
     header, columns, rows = parse_csv(files[0])
     assert header["schema_version"] == str(SCHEMA_VERSION)
@@ -92,14 +92,15 @@ def test_characteristic_round_trip(tmp_path):
 
 def test_quasi_and_tmp_round_trip(tmp_path):
     drive, rho = cyclic_fixture(np.pi / 3, np.pi / 4)
-    dist = quasi_distribution(spectral_decomposition(rho, drive))
+    terms = spectral_decomposition(rho, drive)
+    dist = quasi_distribution(terms)
     files = write_quasi_distribution(tmp_path, "quasi", dist, CONFIG, ("csv", "json"))
     _, columns, rows = parse_csv(files[0])
     assert columns == ["support", "weight"]
     weights = np.array([float(r[1]) for r in rows])
     assert np.array_equal(weights, dist.weights)
 
-    outcomes = tmp_distribution(rho, drive)
+    outcomes = tmp_distribution(terms)
     files = write_tmp_distribution(tmp_path, "tmp", outcomes, CONFIG, ("csv", "json"))
     header, columns, _ = parse_csv(files[0])
     assert header["protocol"] == "tmp"
