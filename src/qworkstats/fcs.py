@@ -19,13 +19,15 @@ initial and final eigenbases gives an exact finite sum of phases,
 
 from which moments are computed exactly and the quasi-probability
 distribution of the energy change is obtained by merging equal support
-values. The weights are real after merging but may be negative when the
+values. As ``rho`` is Hermitian, terms ``(i, j, k)`` and ``(j, i, k)`` share
+a support and carry conjugate weights: the ``d^3`` complex terms fold into
+``d^2 (d + 1) / 2`` real ones. Merged weights may be negative when the
 initial state carries coherences between energy eigenstates; a dephased
 (diagonal) initial state reproduces the nonnegative two-measurement result.
 
-:class:`SpectralExpansion` holds the terms as arrays with the eigendata
-they came from; moments, binning, the classical/coherent split, ``G`` on a
-grid and the two-measurement distribution are array expressions over it.
+:class:`SpectralExpansion` holds the folded terms as arrays with the
+eigendata they came from; moments, binning, the classical/coherent split,
+``G`` on a grid and the two-measurement distribution are array expressions.
 
 A windowed Fourier inversion of ``G`` sampled on a wide counting-field grid
 is provided as an independent validation path for the binned distribution;
@@ -36,11 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .drive import DiscretizedDrive
-from .linalg import DensityOperator, NumericalError, UnitaryOperator
+from .linalg import HERMITICITY_TOL, DensityOperator, NumericalError, UnitaryOperator
 
 __all__ = [
     "CountingGrid",
@@ -162,12 +165,13 @@ class CharacteristicSamples:
 
 @dataclass(frozen=True, eq=False)
 class SpectralExpansion:
-    """The exact phase terms of ``G`` as arrays: ``G = sum_t weight_t exp(i lam support_t)``.
+    """The exact phase terms of ``G``, folded: ``G = sum_t weight_t exp(i lam support_t)``.
 
-    Term ``t`` has initial eigenbasis indices ``i[t], j[t]`` and final index
-    ``k[t]``; terms are ordered by ``k``, then ``i``, then ``j``, after pruning.
-    Terms with ``i == j`` carry the coherence-free (two-measurement) part and
-    have real nonnegative weight; ``i != j`` terms encode initial coherences.
+    Term ``t`` stands for the conjugate pair ``(i, j, k)``, ``(j, i, k)`` with
+    ``i[t] <= j[t]``; terms are ordered by ``k``, ``i``, ``j`` after pruning.
+    ``pair_weight`` is the complex ``w_kij = rho_ij M_ki M*_kj`` and ``weight``
+    the real folded one, ``2 Re w`` for ``i < j`` and ``Re w`` for ``i == j``:
+    the nonnegative two-measurement part; ``i != j`` encodes coherences.
 
     The unpruned eigendata the terms came from rides along: ``eps0`` and
     ``epst`` are the eigenvalues of ``H(0)`` and ``H(T)``, ``m[k, i] =
@@ -180,6 +184,7 @@ class SpectralExpansion:
     k: np.ndarray
     support: np.ndarray
     weight: np.ndarray
+    pair_weight: np.ndarray
     eps0: np.ndarray
     epst: np.ndarray
     m: np.ndarray
@@ -228,9 +233,9 @@ def two_kick_propagator(drive: DiscretizedDrive, lam: float) -> UnitaryOperator:
     return UnitaryOperator(kick_end @ drive.propagator.matrix @ kick_start)
 
 
-# Complex elements per (lambda, d, d) block in characteristic_function; keeps
-# its temporaries at a few MB for any grid size.
-_G_BLOCK = 1 << 18
+# Complex elements per block of grid points in characteristic_function and
+# tmp_characteristic; keeps their temporaries near 1 MiB for any grid size.
+_G_BLOCK = 1 << 16
 
 
 def characteristic_function(terms: SpectralExpansion, grid: CountingGrid) -> CharacteristicSamples:
@@ -274,59 +279,64 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 PRUNE_TOL = 1e-14
 
 
-def spectral_decomposition(rho0: DensityOperator, drive: DiscretizedDrive) -> SpectralExpansion:
-    """Exact expansion of ``G`` in the initial and final eigenbases.
+@lru_cache(maxsize=8)
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs ``i <= j`` in row-major order and their fold factors."""
+    i, j = np.triu_indices(d)
+    return i, j, np.where(i == j, 1.0, 2.0)
 
-    Terms with ``|weight| < PRUNE_TOL`` are dropped. Eigenvectors inside
-    degenerate subspaces are taken as returned by the eigensolver; only
-    binned support/weight pairs are basis-independent, which is what
-    :func:`quasi_distribution` exposes. This is the only function that forms
-    ``m`` and ``rho``; ``G``, moments, bins and the two-measurement outcomes
-    of one run all read the expansion it returns.
+
+def spectral_decomposition(rho0: DensityOperator, drive: DiscretizedDrive) -> SpectralExpansion:
+    """Exact folded expansion of ``G`` in the initial and final eigenbases.
+
+    Pairs with ``|w_kij| = |w_kji| < PRUNE_TOL`` are dropped. The fold needs
+    ``rho = rho^dag``: a deviation above ``HERMITICITY_TOL * d`` (the most a
+    change of basis grows an admissible ``rho0``'s) raises NumericalError.
+    Eigenvectors inside degenerate subspaces are taken as returned by the
+    eigensolver; only the bins of :func:`quasi_distribution` are
+    basis-independent. This is the only function that forms ``m`` and ``rho``.
     """
     if rho0.dim != drive.dim:
         raise ValueError(f"state dim {rho0.dim} != drive dim {drive.dim}")
     eps0, v0, epst, vt = drive.boundary_eigensystems
     m = vt.conj().T @ drive.propagator.matrix @ v0
     rho = v0.conj().T @ rho0.matrix @ v0
-    # axes (k, i, j): w = rho_ij M_ki M*_kj, u = eps_k(T) - (eps_i(0) + eps_j(0)) / 2;
-    # w = (rho_ij M_ki) M*_kj in place in real parts, rounded as by two _cmul
-    mr, mi = m.real[:, :, None], m.imag[:, :, None]
-    pr, pi = rho.real * mr, rho.real * mi
-    pr -= rho.imag * mi
-    pi += rho.imag * mr
-    weight = np.empty(pr.shape, dtype=complex)
-    wr, wi, mr, mi = weight.real, weight.imag, m.real[:, None, :], m.imag[:, None, :]
-    np.multiply(pr, mr, out=wr)
-    wr += pi * mi
-    np.multiply(pi, mr, out=wi)
-    wi -= pr * mi
-    support = epst[:, None, None] - 0.5 * (eps0[:, None] + eps0[None, :])
-    keep = np.flatnonzero(np.abs(weight) >= PRUNE_TOL)
-    k, ij = np.divmod(keep, m.size)
-    i, j = np.divmod(ij, len(m))
-    weight = weight.ravel()[keep]
-    total = weight.sum()
+    dev = np.abs(rho - rho.conj().T).max()
+    if dev > HERMITICITY_TOL * len(rho):
+        raise NumericalError(f"initial state is not Hermitian: max|rho - rho^dag| = {dev:.3e}")
+    iu, ju, fold = _pairs(len(m))
+    # axes (k, p) over pairs p = (i <= j): w = (rho_ij M_ki) M*_kj in real
+    # parts, rounded as by two _cmul, in reused buffers
+    rr, ri = rho.real[iu, ju], rho.imag[iu, ju]
+    ar, ai, br, bi = (np.take(part, index, axis=1) for index in (iu, ju) for part in (m.real, m.imag))
+    pr, t = rr * ar, ri * ai
+    pr -= t
+    pi = np.multiply(rr, ai, out=ai)
+    pi += np.multiply(ri, ar, out=t)
+    wr = np.multiply(pr, br, out=ar)
+    wr += np.multiply(pi, bi, out=t)
+    wi = np.multiply(pi, br, out=br)
+    wi -= np.multiply(pr, bi, out=t)
+    weight = np.empty(wr.shape, dtype=complex)
+    weight.real, weight.imag = wr, wi
+    support = np.subtract(epst[:, None], 0.5 * (eps0[iu] + eps0[ju]), out=t)
+    keep = np.flatnonzero(np.abs(weight, out=pr) >= PRUNE_TOL)
+    k, p = np.divmod(keep, iu.size)
+    folded = np.multiply(wr, fold, out=wr).ravel()[keep]
+    total = folded.sum()
     if abs(total - 1.0) > 1e-10:
         raise NumericalError(f"spectral weights sum to {total}, not 1")
-    return SpectralExpansion(i, j, k, support.ravel()[keep], weight, eps0, epst, m, rho)
+    return SpectralExpansion(iu[p], ju[p], k, support.ravel()[keep], folded, weight.ravel()[keep], eps0, epst, m, rho)
 
 
 def moment(terms: SpectralExpansion, n: int) -> float:
-    """n-th moment ``Re sum_t w_t u_t^n`` from the exact spectral terms.
-
-    The imaginary residue of the sum cancels pairwise between ``(i, j)`` and
-    ``(j, i)`` terms; a residue above 1e-10 signals a broken decomposition.
-    """
+    """n-th moment ``sum_t w_t u_t^n`` over the folded spectral terms."""
     if n < 1:
         raise ValueError("moment order must be >= 1")
     power = terms.support
     for _ in range(n - 1):  # repeated products; ``**`` calls libm pow for n > 2
         power = power * terms.support
-    total = np.sum(terms.weight * power)
-    if abs(total.imag) > 1e-10:
-        raise NumericalError(f"moment has imaginary residue {total.imag:.3e}")
-    return float(total.real)
+    return float(np.sum(terms.weight * power))
 
 
 def _central_weights(n: int, m: int) -> np.ndarray:
@@ -355,12 +365,8 @@ def moment_fd(samples: CharacteristicSamples, n: int, h: float) -> float:
     weights = _central_weights(n, m)
 
     def estimate(step: float) -> complex:
-        acc = 0.0 + 0.0j
-        for j, w in zip(range(-m, m + 1), weights):
-            if w == 0.0:
-                continue
-            acc += w * samples.value_at(j * step)
-        return acc / step**n
+        parts = (w * samples.value_at(j * step) for j, w in zip(range(-m, m + 1), weights) if w)
+        return sum(parts, 0j) / step**n
 
     d = (4.0 * estimate(h) - estimate(2.0 * h)) / 3.0
     out = (-1j) ** n * d
@@ -400,8 +406,8 @@ def quasi_distribution(
 ) -> QuasiDistribution:
     """Bin the spectral terms into the energy-change quasi-probability.
 
-    ``bin_tol`` defaults to ``1e-9`` times the support scale. Imaginary parts
-    of the merged weights must cancel pairwise; a residue above 1e-10 raises.
+    ``bin_tol`` defaults to ``1e-9`` times the support scale. Bins merge the
+    real folded weights, so a bin centre is weighted by ``|2 Re w|`` per pair.
     """
     if len(terms) == 0:
         raise ValueError("no spectral terms to bin")
@@ -409,11 +415,7 @@ def quasi_distribution(
         bin_tol = 1e-9 * max(1.0, float(np.max(np.abs(terms.support))))
     if bin_tol <= 0:
         raise ValueError("bin_tol must be positive")
-    u, w = merge_support_points(terms.support, terms.weight, bin_tol)
-    residue = float(np.max(np.abs(w.imag)))
-    if residue > 1e-10:
-        raise NumericalError(f"imaginary weight residue {residue:.3e} after binning")
-    return QuasiDistribution(u, w.real)
+    return QuasiDistribution(*merge_support_points(terms.support, terms.weight, bin_tol))
 
 
 # Relative eigenvalue gap below which levels form one degenerate group.
@@ -433,16 +435,14 @@ def coherent_classical_split(
     """Split the first moment into its two-measurement and coherence parts.
 
     The classical part sums the terms whose initial levels ``i, j`` share one
-    degenerate group (``i == j`` on a nondegenerate spectrum) and equals the
-    two-measurement average of :func:`qworkstats.tmp.tmp_distribution` at the
-    same ``degeneracy_tol`` (to within the level spread inside a group, as
-    the two-measurement work takes each group's mean level); the coherent part is the remainder, carried by
-    the coherences between distinct energies that a projective first
-    measurement destroys.
+    degenerate group and equals the two-measurement average at the same
+    ``degeneracy_tol``, to within the level spread inside a group; the
+    coherent part, the remainder, is carried by the coherences between
+    distinct energies that a projective first measurement destroys.
     """
     labels = _level_groups(terms.eps0, degeneracy_tol)
     diagonal = labels[terms.i] == labels[terms.j]
-    classical = float(np.sum(terms.weight.real[diagonal] * terms.support[diagonal]))
+    classical = float(np.sum(terms.weight[diagonal] * terms.support[diagonal]))
     return classical, moment(terms, 1) - classical
 
 

@@ -138,11 +138,8 @@ def _run_closed(scenario: Scenario) -> _KindRun:
         dist = artifacts["quasi_distribution"]
         outcomes = tmp.tmp_distribution(terms)
         average = tmp.tmp_moment(outcomes, 1)
-        tmp_support, tmp_weights = fcs.merge_support_points(
-            outcomes.work,
-            outcomes.probability,
-            bin_tol=1e-9 * max(1.0, float(np.max(np.abs(outcomes.work)))),
-        )
+        scale = max(1.0, float(np.max(np.abs(outcomes.work))))
+        tmp_support, tmp_weights = fcs.merge_support_points(outcomes.work, outcomes.probability, 1e-9 * scale)
         # nearest quasi bin of each TMP bin (ascending supports; ties go low)
         u = dist.support
         hi = np.minimum(np.searchsorted(u, tmp_support), u.size - 1)

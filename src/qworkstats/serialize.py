@@ -269,6 +269,18 @@ def write_tmp_distribution(
     return _write_artifact(directory, stem, formats, header, config, columns, fields)
 
 
+def _unfolded_columns(terms: SpectralExpansion) -> dict[str, np.ndarray]:
+    """Rows ``(i, j, k)`` in ``k, i, j`` order; a term with ``i < j`` adds the conjugate ``(j, i)`` row."""
+    d, mirror = terms.eps0.size, terms.i != terms.j
+    i, j, k = (np.concatenate((a, b[mirror])) for a, b in ((terms.i, terms.j), (terms.j, terms.i), (terms.k, terms.k)))
+    slot = np.full(d**3, -1)  # slot (k, i, j) of the d^3 cube holds the row that fills it
+    slot[(k * d + i) * d + j] = np.arange(k.size)
+    rows = slot[slot >= 0]
+    w = np.concatenate((terms.pair_weight, terms.pair_weight[mirror].conj()))[rows]
+    u = np.concatenate((terms.support, terms.support[mirror]))[rows]
+    return {"i": i[rows], "j": j[rows], "k": k[rows], "support": u, "weight_re": w.real, "weight_im": w.imag}
+
+
 def write_spectral_terms(
     directory: Path,
     stem: str,
@@ -276,15 +288,7 @@ def write_spectral_terms(
     config: Mapping,
     formats: Sequence[str],
 ) -> list[Path]:
-    """The exact phase terms of G: per-term indices, support and weight."""
-    columns = {
-        "i": terms.i,
-        "j": terms.j,
-        "k": terms.k,
-        "support": terms.support,
-        "weight_re": terms.weight.real,
-        "weight_im": terms.weight.imag,
-    }
+    columns = _unfolded_columns(terms)
     return _write_artifact(directory, stem, formats, {"kind": "spectral_terms"}, config, columns, columns)
 
 

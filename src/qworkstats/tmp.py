@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fcs import DEGENERACY_TOL, PRUNE_TOL, CharacteristicSamples, CountingGrid, SpectralExpansion, _level_groups
+from .fcs import _G_BLOCK, DEGENERACY_TOL, PRUNE_TOL, CharacteristicSamples, CountingGrid, SpectralExpansion, _level_groups
 from .linalg import DensityOperator, HermitianOperator, NumericalError, eig_hermitian
 
 __all__ = [
@@ -38,12 +38,15 @@ __all__ = [
 class TmpDistribution:
     """Joint outcomes as arrays: outcome ``n`` pairs initial level group ``i[n]``
     with final level group ``k[n]``, has ``probability[n]`` and work
-    ``work[n] = E_k(T) - E_i(0)``. Ordered by ``i``, then ``k``."""
+    ``work[n] = energyt[k[n]] - energy0[i[n]]``, ordered by ``i``, then ``k``;
+    ``energy0`` and ``energyt`` are the mean levels of the groups."""
 
     i: np.ndarray
     k: np.ndarray
     probability: np.ndarray
     work: np.ndarray
+    energy0: np.ndarray
+    energyt: np.ndarray
 
     def __len__(self) -> int:
         return self.probability.size
@@ -65,10 +68,7 @@ def tmp_distribution(
     remaining probabilities are nonnegative and sum to one. In the boundary
     eigenbases this is the spectral tensor of ``terms`` (its unpruned ``m``
     and ``rho``) restricted to pairs inside one initial group,
-    ``p(g, h) = sum_{k in h} sum_{i, j in g} rho_ij M_ki M*_kj``; its
-    average is the classical part of
-    :func:`qworkstats.fcs.coherent_classical_split` at the same
-    ``degeneracy_tol``, to within the level spread inside a group.
+    ``p(g, h) = sum_{k in h} sum_{i, j in g} rho_ij M_ki M*_kj``.
     """
     eps0, epst, m, rho = terms.eps0, terms.epst, terms.m, terms.rho
     labels0 = _level_groups(eps0, degeneracy_tol)
@@ -84,7 +84,7 @@ def tmp_distribution(
     total = probability.sum()
     if abs(total - 1.0) > 1e-12:
         raise NumericalError(f"outcome probabilities sum to {total}, not 1")
-    return TmpDistribution(i, k, probability, energiest[k] - energies0[i])
+    return TmpDistribution(i, k, probability, energiest[k] - energies0[i], energies0, energiest)
 
 
 def tmp_moment(outcomes: TmpDistribution, n: int) -> float:
@@ -92,21 +92,20 @@ def tmp_moment(outcomes: TmpDistribution, n: int) -> float:
     return float(np.sum(outcomes.probability * outcomes.work**n))
 
 
-# Complex elements per (lambda, outcome) block in tmp_characteristic; keeps
-# its temporaries at a few MB for any grid size.
-_PHASE_BLOCK = 1 << 18
-
-
 def tmp_characteristic(outcomes: TmpDistribution, grid: CountingGrid) -> CharacteristicSamples:
-    """Characteristic function ``sum_o p_o exp(i lam w_o)`` on the grid, one
-    matrix product per block of grid points."""
+    """Characteristic function ``sum_o p_o exp(i lam w_o)`` on the grid, as
+    ``sum_h e^{i lam E_h(T)} sum_g p_gh e^{-i lam E_g(0)}``: exponentials of
+    the group energies and one matrix product per block of grid points."""
+    g = outcomes.energy0.size
+    p = np.zeros((g, outcomes.energyt.size))
+    p[outcomes.i, outcomes.k] = outcomes.probability
+    energies = np.concatenate((-outcomes.energy0, outcomes.energyt))
     lambdas = grid.lambdas
     values = np.empty(lambdas.size, dtype=complex)
-    block = max(1, _PHASE_BLOCK // len(outcomes))
+    block = max(1, _G_BLOCK // energies.size)
     for start in range(0, lambdas.size, block):
-        phases = np.outer(lambdas[start : start + block], outcomes.work) * 1j
-        np.exp(phases, out=phases)
-        values[start : start + block] = phases @ outcomes.probability
+        phases = np.exp(1j * lambdas[start : start + block, None] * energies)
+        values[start : start + block] = ((phases[:, :g] @ p) * phases[:, g:]).sum(axis=1)
     return CharacteristicSamples(grid, values)
 
 

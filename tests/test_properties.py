@@ -43,6 +43,7 @@ from qworkstats import (
     evolution_operator,
     expm_unitary,
     moment,
+    pure_state_density,
     quasi_distribution,
     random_density,
     random_hermitian,
@@ -58,7 +59,7 @@ from qworkstats import (
 )
 from qworkstats import open_system
 from qworkstats.drive import ordered_product
-from qworkstats.fcs import merge_support_points
+from qworkstats.fcs import _level_groups, merge_support_points
 from qworkstats.runner import run_scenario
 
 DIMS = (2, 3, 5, 8, 16)
@@ -155,12 +156,86 @@ def test_array_core_matches_triple_loop(make, dim, seed):
     drive, rho = make(dim, seed)
     terms = spectral_decomposition(rho, drive)
     rows = brute_terms(rho, drive)
+    by_index = {(i, j, k): w for i, j, k, _, w in rows}
+    # the fold keeps one term per conjugate pair: (i, j, k) with i <= j
+    for i, j, k, _, w in rows:
+        assert abs(by_index[(j, i, k)] - np.conj(w)) <= 1e-15
+    rows = [row for row in rows if row[0] <= row[1]]
     assert len(terms) == len(rows)
     i, j, k, support, weight = (np.array(col) for col in zip(*rows))
     assert np.array_equal(terms.i, i) and np.array_equal(terms.j, j) and np.array_equal(terms.k, k)
     assert np.max(np.abs(terms.support - support)) <= 1e-14 * max(1.0, np.max(np.abs(support)))
-    assert np.max(np.abs(terms.weight - weight)) <= 1e-15
+    assert np.max(np.abs(terms.pair_weight - weight)) <= 1e-15
+    assert np.array_equal(terms.weight, np.where(i < j, 2.0, 1.0) * terms.pair_weight.real)
     assert abs(np.sum(terms.weight) - 1.0) <= 1e-10
+
+
+def unfolded_terms(rho0, drive):
+    """The unfolded ``d^3`` expansion, every ``(i, j, k)`` with its complex
+    weight in ``k, i, j`` order, as arrays, pruned at ``|w| >= 1e-14``."""
+    eps0, v0, epst, vt = drive.boundary_eigensystems
+    m = vt.conj().T @ drive.propagator.matrix @ v0
+    rho = v0.conj().T @ rho0.matrix @ v0
+    weight = rho[None, :, :] * m[:, :, None] * m.conj()[:, None, :]
+    support = epst[:, None, None] - 0.5 * (eps0[:, None] + eps0[None, :])
+    keep = np.flatnonzero(np.abs(weight) >= 1e-14)
+    k, ij = np.divmod(keep, m.size)
+    i, j = np.divmod(ij, len(m))
+    return i, j, k, support.ravel()[keep], weight.ravel()[keep]
+
+
+def pure_superposition(drive, rng):
+    """A pure state with random complex amplitudes on every ``H(0)`` level."""
+    amplitudes = rng.normal(size=drive.dim) + 1j * rng.normal(size=drive.dim)
+    v0 = drive.boundary_eigensystems[1]
+    return pure_state_density(v0 @ (amplitudes / np.linalg.norm(amplitudes)))
+
+
+STATES = ("mixed", "mixture", "superposition")
+FOLD_CASES = [
+    (make, dim, state) for make in (random_case, degenerate_case) for dim in (1,) + DIMS for state in STATES
+]
+FOLD_IDS = [f"{make.__name__}-d{dim}-{state}" for make, dim, state in FOLD_CASES]
+
+
+@pytest.mark.parametrize("make,dim,state", FOLD_CASES, ids=FOLD_IDS)
+def test_folded_statistics_match_unfolded_reference(make, dim, state):
+    drive, rho = make(dim, 0)
+    if state == "mixture":
+        rho = dephase(rho, drive.h_start)
+    elif state == "superposition":
+        rho = pure_superposition(drive, np.random.default_rng(7000 + dim))
+    terms = spectral_decomposition(rho, drive)
+    i, j, k, support, weight = unfolded_terms(rho, drive)
+    upper = i <= j
+    assert np.array_equal(terms.k, k[upper]) and np.array_equal(terms.i, i[upper])
+    assert np.max(np.abs(terms.pair_weight - weight[upper])) <= 1e-15
+    labels = _level_groups(drive.boundary_eigensystems[0], 1e-9)
+    if state == "mixture":
+        # coherences between distinct levels are rounding-level, so every
+        # weight that pairs two of them is pruned
+        assert np.array_equal(labels[terms.i], labels[terms.j])
+    # bins: same count, weights within 1e-15, centres within half a bin width
+    bin_tol = 1e-9 * max(1.0, float(np.max(np.abs(support))))
+    dist = quasi_distribution(terms)
+    centres, merged = merge_support_points(support, weight, bin_tol)
+    assert len(dist.support) == len(centres)
+    assert np.max(np.abs(dist.weights - merged.real)) <= 1e-15
+    assert np.max(np.abs(dist.support - centres)) <= 0.5 * bin_tol
+    # moments and the split, relative to the sum of the term magnitudes
+    for n in (1, 2, 3, 4):
+        scale = np.sum(np.abs(weight) * np.abs(support) ** n)
+        assert abs(moment(terms, n) - np.sum(weight * support**n).real) <= 1e-12 * scale
+    diagonal = labels[i] == labels[j]
+    reference = np.sum(weight[diagonal].real * support[diagonal])
+    scale = np.sum(np.abs(weight) * np.abs(support))
+    classical, coherent = coherent_classical_split(terms)
+    assert abs(classical - reference) <= 1e-12 * scale
+    assert abs(coherent - (np.sum(weight * support).real - reference)) <= 1e-12 * scale
+    # G from the real folded terms is the two-kick G
+    grid = symmetric_grid(3.0, 21)
+    from_terms = np.exp(1j * np.outer(grid.lambdas, terms.support)) @ terms.weight
+    assert np.max(np.abs(characteristic_function(terms, grid).values - from_terms)) <= 1e-12
 
 
 @pytest.mark.parametrize("make,dim,seed", CASES, ids=IDS)

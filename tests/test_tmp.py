@@ -5,6 +5,7 @@ import pytest
 
 from qworkstats import (
     DensityOperator,
+    DiscretizedDrive,
     HermitianOperator,
     characteristic_function,
     cyclic_qubit_unitary,
@@ -12,7 +13,9 @@ from qworkstats import (
     discretize,
     pure_state_density,
     random_density,
+    random_hermitian,
     random_ramp_protocol,
+    random_unitary,
     spectral_decomposition,
     symmetric_grid,
     tmp_characteristic,
@@ -131,15 +134,17 @@ class TestCharacteristic:
         assert np.max(np.abs(tmp_characteristic(outcomes, grid).values - reference)) <= 1e-15
 
     def test_memory_is_bounded_for_long_grids(self):
-        # 4,096 outcomes (d = 64) on 2,001 points: the whole phase matrix at
-        # once would be 125 MiB
+        # 4,096 outcomes (64 x 64 level groups, as at d = 64) on 2,001 points:
+        # one phase per outcome and point would be 125 MiB
         import tracemalloc
 
         from qworkstats.tmp import TmpDistribution
 
         n = 4096
-        work = np.linspace(-3.0, 3.0, n)
-        outcomes = TmpDistribution(np.zeros(n, int), np.zeros(n, int), np.full(n, 1.0 / n), work)
+        levels = np.linspace(-1.5, 1.5, 64)
+        i, k = np.repeat(np.arange(64), 64), np.tile(np.arange(64), 64)
+        work = levels[k] - levels[i]
+        outcomes = TmpDistribution(i, k, np.full(n, 1.0 / n), work, levels, levels)
         grid = symmetric_grid(2.0, 2001)
         tracemalloc.start()
         try:
@@ -148,6 +153,23 @@ class TestCharacteristic:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+    def test_factored_form_matches_per_outcome_sum_on_degenerate_levels(self):
+        rng = np.random.default_rng(11)
+        dim = 8
+
+        def degenerate_hamiltonian():
+            levels = np.repeat(np.sort(rng.normal(size=dim // 2)), 2)
+            v = random_unitary(dim, rng).matrix
+            return HermitianOperator((v * levels) @ v.conj().T, tol=1e-10)
+
+        steps = np.stack([random_hermitian(dim, rng).matrix for _ in range(4)])
+        drive = DiscretizedDrive(np.arange(4) * 0.25, steps, 0.25, degenerate_hamiltonian(), degenerate_hamiltonian())
+        outcomes = tmp_distribution(spectral_decomposition(random_density(dim, rng), drive))
+        assert outcomes.energy0.size == outcomes.energyt.size == dim // 2
+        grid = symmetric_grid(5.0, 2001)
+        reference = np.exp(1j * np.outer(grid.lambdas, outcomes.work)) @ outcomes.probability
+        assert np.max(np.abs(tmp_characteristic(outcomes, grid).values - reference)) <= 1e-14
 
     def test_matches_fcs_for_diagonal_state(self, rng, random_qubit_drive):
         rho = random_diagonal_state(random_qubit_drive.h_start, rng)
