@@ -6,15 +6,20 @@ recomputed from the dumped raw artifacts. JSON output is key-sorted and
 float-formatted by ``repr``, which makes identical runs byte-identical except
 for the ``generated_at`` stamp (excluded from determinism comparisons).
 
-Inside an :class:`ArtifactText` block each 1-D int or float array is formatted
-once, and every file that prints it (CSV, JSON, ``report.json``) reuses that
-text; outside one, each writer formats its arrays itself.
+Writers stream: a CSV file is formatted and written ``_ROW_BLOCK`` rows at a
+time and a JSON file in chunks, so no file is held whole. Inside an
+:class:`ArtifactText` block each 1-D int or float array is formatted once (by
+the CSV writer, if it prints the array), and every file that prints it (CSV,
+JSON, ``report.json``) reuses that text; outside one, each writer formats its
+arrays itself. Spectral-term rows are printed from the folded terms: a mirror
+row repeats the text of its term, with the sign of ``weight_im`` flipped.
 """
 
 from __future__ import annotations
 
 import json
 from contextvars import ContextVar
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -77,11 +82,11 @@ class ArtifactText:
 
     ``with ArtifactText(keep):`` around a run's writes makes every writer take
     an array's text, the ``repr`` of its elements joined by ``"\\n"``, from
-    here. Entries are keyed by array identity and hold their array, so no id
-    is reused while its entry lives; the arrays must not change inside the
-    block. Each artifact's entries are dropped once its files are written,
-    except those of arrays held by ``keep`` (a nested dict or list, such as
-    the report), which stay until the block ends.
+    here, or leaves the text it formats. Entries are keyed by array identity
+    and hold their array, so no id is reused while its entry lives; the arrays
+    must not change inside the block. Each artifact's entries are dropped once
+    its files are written, except those of arrays held by ``keep`` (a nested
+    dict or list, such as the report), which stay until the block ends.
     """
 
     def __init__(self, keep=()):
@@ -99,8 +104,12 @@ class ArtifactText:
     def text(self, values: np.ndarray) -> str:
         entry = self._text.get(id(values))
         if entry is None:
-            entry = self._text[id(values)] = (values, _format_column(values))
+            entry = self._text[id(values)] = (values, "\n".join(_format_cells(values)))
         return entry[1]
+
+    def add(self, values: np.ndarray, text: str) -> None:
+        """Keep ``text``, already formatted, as the text of ``values`` unless it has one."""
+        self._text.setdefault(id(values), (values, text))
 
     def release(self) -> None:
         """Drop the text of every array not held by ``keep``."""
@@ -121,30 +130,42 @@ def _columns_in(obj):
             yield from _columns_in(value)
 
 
-def _format_column(values: np.ndarray) -> str:
+def _format_cells(values: np.ndarray) -> list[str]:
     fmt = float.__repr__ if values.dtype.kind == "f" else int.__repr__
-    return "\n".join(map(fmt, values.tolist()))
+    return list(map(fmt, values.tolist()))
 
 
-def _array_text(values: np.ndarray) -> str:
-    """Text of a 1-D int or float array: from the open ``ArtifactText``, if any."""
+def _column_text(values) -> str:
+    """Cells of a 1-D int or float array, or of a text column, joined by
+    newlines; an array's text comes from the open ``ArtifactText``, if any."""
+    if isinstance(values, _TextColumn):
+        return "\n".join(values.texts[values.index].tolist())
     store = _OPEN_TEXT.get()
-    return _format_column(values) if store is None else store.text(values)
+    return "\n".join(_format_cells(values)) if store is None else store.text(values)
 
 
-def _release_text() -> None:
-    store = _OPEN_TEXT.get()
-    if store is not None:
-        store.release()
+# Rows that _write_csv formats and writes at a time; keeps a block's cells
+# near 1 MiB for any artifact.
+_ROW_BLOCK = 1 << 12
 
 
-def _column_text(values) -> list[str]:
-    """Cells of one column, as ``_fmt`` writes them."""
-    if _is_column(values):
-        return _array_text(values).split("\n") if len(values) else []
-    if isinstance(values, np.ndarray) and values.dtype.kind == "b":
-        return list(map(str, values.tolist()))
-    return [_fmt(x) for x in values]
+@dataclass(frozen=True)
+class _TextColumn:
+    """A column whose cells are ``texts[index]``: one text serves many rows."""
+
+    texts: np.ndarray  # 1-D object array of str
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return self.index.size
+
+
+def _cells(column, start: int, stop: int) -> list[str]:
+    """Cells of rows ``start:stop`` of one column, as ``_fmt`` writes them."""
+    if isinstance(column, _TextColumn):
+        return column.texts[column.index[start:stop]].tolist()
+    part = column[start:stop]
+    return _format_cells(part) if _is_column(part) else [_fmt(x) for x in part]
 
 
 def _write_csv(
@@ -153,56 +174,63 @@ def _write_csv(
     columns: Sequence[Sequence],
     header: Mapping[str, object],
 ) -> None:
+    """Rows in blocks of ``_ROW_BLOCK``, as many as the shortest column has; the
+    text of a numeric column written whole goes to the open ``ArtifactText``."""
     lines = [f"# schema_version: {SCHEMA_VERSION}", f"# generated_at: {_stamp()}"]
-    for key, value in header.items():
-        lines.append(f"# {key}: {_fmt(value)}")
+    lines += [f"# {key}: {_fmt(value)}" for key, value in header.items()]
     lines.append(",".join(names))
-    lines.extend(map(",".join, zip(*map(_column_text, columns))))
-    path.write_text("\n".join(lines) + "\n")
+    store, rows = _OPEN_TEXT.get(), min(map(len, columns), default=0)
+    texts = {n: [] for n, c in enumerate(columns) if store is not None and _is_column(c) and len(c) == rows}
+    with path.open("w") as out:
+        out.write("\n".join(lines) + "\n")
+        for start in range(0, rows, _ROW_BLOCK):
+            cells = [_cells(column, start, start + _ROW_BLOCK) for column in columns]
+            for n, parts in texts.items():
+                parts.append("\n".join(cells[n]))
+            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    for n, parts in texts.items():
+        store.add(columns[n], "\n".join(parts))
 
 
-def _json_text(obj, indent: str) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` at nesting ``indent``, with
-    keys converted by ``str``, NumPy scalars as Python scalars, ``complex`` as
-    ``{"re", "im"}``, and arrays that are not 1-D int or float as ``tolist()``.
+def _json_chunks(obj, indent: str = ""):
+    """Chunks of ``json.dumps(obj, sort_keys=True, indent=2)`` at nesting
+    ``indent``, with keys converted by ``str``, NumPy scalars as Python
+    scalars, ``complex`` as ``{"re", "im"}``, and arrays that are not 1-D int
+    or float as ``tolist()``.
 
-    1-D int or float arrays are joined in one pass instead of going through
-    the pure-Python encoder that ``indent`` selects; every other value and
-    every non-finite float is still written by ``json`` itself.
+    A 1-D int or float array, or a text column, is one chunk joined in one
+    pass instead of going through the pure-Python encoder that ``indent``
+    selects; every other value is still written by ``json`` itself.
     """
-    if isinstance(obj, Mapping):
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        items = {str(key): value for key, value in obj.items()}
-        text = (f"{json.dumps(key)}: {_json_text(items[key], inner)}" for key in sorted(items))
-        return "{\n" + inner + (",\n" + inner).join(text) + "\n" + indent + "}"
-    if isinstance(obj, np.ndarray) and not _is_column(obj):
+    if isinstance(obj, np.ndarray) and not (_is_column(obj) and obj.size):
         obj = obj.tolist()
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        if not len(obj):
-            return "[]"
-        inner = indent + "  "
-        if isinstance(obj, np.ndarray):
-            text = _array_text(obj)
-            if "n" in text:  # nan or inf, which json spells NaN and Infinity
-                text = "\n".join(map(json.dumps, obj.tolist()))
-            text = text.replace("\n", ",\n" + inner)
-        else:
-            text = (",\n" + inner).join(_json_text(v, inner) for v in obj)
-        return "[\n" + inner + text + "\n" + indent + "]"
     if isinstance(obj, complex):
-        return _json_text({"re": obj.real, "im": obj.imag}, indent)
-    if isinstance(obj, np.floating):
-        obj = float(obj)
-    elif isinstance(obj, np.integer):
-        obj = int(obj)
-    return json.dumps(obj)
+        obj = {"re": obj.real, "im": obj.imag}
+    inner = indent + "  "
+    if isinstance(obj, (Mapping, list, tuple)) and obj:
+        mapping = isinstance(obj, Mapping)
+        items = sorted({str(key): value for key, value in obj.items()}.items()) if mapping else enumerate(obj)
+        sep = ("{" if mapping else "[") + "\n" + inner
+        for key, value in items:
+            yield sep + (f"{json.dumps(key)}: " if mapping else "")
+            yield from _json_chunks(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + ("}" if mapping else "]")
+    elif isinstance(obj, (np.ndarray, _TextColumn)):
+        text = _column_text(obj)
+        if "n" in text:  # nan or inf, which json spells NaN and Infinity
+            text = "\n".join(json.dumps(float(cell)) if "n" in cell else cell for cell in text.split("\n"))
+        text = text.replace("\n", ",\n" + inner)
+        yield from ("[\n" + inner, text, "\n" + indent + "]")
+    else:
+        yield json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
 
 
 def _write_json(path: Path, payload: Mapping) -> None:
     body = {"schema_version": SCHEMA_VERSION, "generated_at": _stamp(), **payload}
-    path.write_text(_json_text(body, "") + "\n")
+    with path.open("w") as out:
+        out.writelines(_json_chunks(body))
+        out.write("\n")
 
 
 def _write_artifact(
@@ -226,7 +254,9 @@ def _write_artifact(
     if "json" in formats:
         written.append(directory / f"{stem}.json")
         _write_json(written[-1], {**header, "config": config, **json_fields})
-    _release_text()
+    store = _OPEN_TEXT.get()
+    if store is not None:
+        store.release()
     return written
 
 
@@ -269,16 +299,9 @@ def write_tmp_distribution(
     return _write_artifact(directory, stem, formats, header, config, columns, fields)
 
 
-def _unfolded_columns(terms: SpectralExpansion) -> dict[str, np.ndarray]:
-    """Rows ``(i, j, k)`` in ``k, i, j`` order; a term with ``i < j`` adds the conjugate ``(j, i)`` row."""
-    d, mirror = terms.eps0.size, terms.i != terms.j
-    i, j, k = (np.concatenate((a, b[mirror])) for a, b in ((terms.i, terms.j), (terms.j, terms.i), (terms.k, terms.k)))
-    slot = np.full(d**3, -1)  # slot (k, i, j) of the d^3 cube holds the row that fills it
-    slot[(k * d + i) * d + j] = np.arange(k.size)
-    rows = slot[slot >= 0]
-    w = np.concatenate((terms.pair_weight, terms.pair_weight[mirror].conj()))[rows]
-    u = np.concatenate((terms.support, terms.support[mirror]))[rows]
-    return {"i": i[rows], "j": j[rows], "k": k[rows], "support": u, "weight_re": w.real, "weight_im": w.imag}
+def _flip_sign(text: str) -> str:
+    """``repr(-x)`` from ``repr(x)``: ``0.0`` and ``-0.0`` swap, ``nan`` stays."""
+    return text[1:] if text[0] == "-" else text if text == "nan" else "-" + text
 
 
 def write_spectral_terms(
@@ -288,7 +311,24 @@ def write_spectral_terms(
     config: Mapping,
     formats: Sequence[str],
 ) -> list[Path]:
-    columns = _unfolded_columns(terms)
+    """Unfolded rows ``(i, j, k)`` in ``k, i, j`` order; a term with ``i < j``
+    adds the conjugate ``(j, i, k)`` row, printed with the text of its term
+    and the sign of ``weight_im`` flipped. Each folded number is formatted once."""
+    d, n, mirror = terms.eps0.size, len(terms), np.flatnonzero(terms.i != terms.j)
+    slot = np.full(d**3, -1)  # slot (k, i, j) of the d^3 cube holds the row that fills it
+    slot[(terms.k * d + terms.i) * d + terms.j] = np.arange(n)
+    slot[((terms.k * d + terms.j) * d + terms.i)[mirror]] = np.arange(n, n + mirror.size)
+    k, i, j = np.unravel_index(np.flatnonzero(slot >= 0), (d, d, d))
+    rows = slot[slot >= 0]
+    im = _format_cells(terms.pair_weight.imag)
+    im = np.array(im + [_flip_sign(im[t]) for t in mirror.tolist()], dtype=object)
+    levels = np.array(list(map(str, range(d))), dtype=object)
+    support, weight_re = (np.array(_format_cells(x), dtype=object) for x in (terms.support, terms.pair_weight.real))
+    term = np.concatenate((np.arange(n), mirror))[rows]
+    columns = {"i": _TextColumn(levels, i), "j": _TextColumn(levels, j), "k": _TextColumn(levels, k)}
+    columns.update(support=_TextColumn(support, term), weight_re=_TextColumn(weight_re, term))
+    columns["weight_im"] = _TextColumn(im, rows)
+    del slot  # the d^3 cube is not held while the files are written
     return _write_artifact(directory, stem, formats, {"kind": "spectral_terms"}, config, columns, columns)
 
 

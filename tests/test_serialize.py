@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,22 +11,26 @@ import numpy as np
 import pytest
 
 from qworkstats import (
+    DensityOperator,
     discretize,
     enumerate_paths,
     fast_decoherence_run,
     gap_ramp_protocol,
     linear_ramp_protocol,
     quasi_distribution,
+    random_ramp_protocol,
+    serialize,
     spectral_decomposition,
     symmetric_grid,
     tmp_distribution,
 )
 import qworkstats
 from qworkstats.runner import run_scenario
-from qworkstats.scenario import Scenario
+from qworkstats.scenario import Scenario, build_discretized_drive, build_initial_state
 from qworkstats.serialize import (
     SCHEMA_VERSION,
     ArtifactText,
+    _flip_sign,
     _fmt,
     _write_csv,
     _write_json,
@@ -178,7 +183,7 @@ def test_json_writer_is_json_dumps(tmp_path):
     assert target.read_text() == json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
-def test_csv_writer_matches_per_cell_format(tmp_path):
+def write_and_check_csv(tmp_path):
     columns = [
         np.array([0.1, 1e-300, -2.5, np.nan, np.inf]),
         np.arange(5),
@@ -193,6 +198,10 @@ def test_csv_writer_matches_per_cell_format(tmp_path):
     expected.append("f,i,b,mixed")
     expected += [",".join(_fmt(x) for x in row) for row in zip(*columns)]
     assert target.read_text() == "\n".join(expected) + "\n"
+
+
+def test_csv_writer_matches_per_cell_format(tmp_path):
+    write_and_check_csv(tmp_path)
 
 
 def test_path_records_index_column_is_product_order(tmp_path):
@@ -315,8 +324,7 @@ EDGE_ARRAYS = {
 }
 
 
-@pytest.mark.parametrize("inside", [False, True], ids=["outside", "inside"])
-def test_edge_arrays_match_json_dumps_and_fmt(tmp_path, inside):
+def write_and_check_edge_arrays(tmp_path, inside):
     payload = {
         **EDGE_ARRAYS,
         "again": {"nonfinite": EDGE_ARRAYS["nonfinite"]},
@@ -324,15 +332,158 @@ def test_edge_arrays_match_json_dumps_and_fmt(tmp_path, inside):
         "int_keyed": {2: EDGE_ARRAYS["ints"], 10: np.float64(1e-300), 1: {0: np.int64(3)}},
     }
     columns = [EDGE_ARRAYS[name] for name in ("nonfinite", "signed_zero", "ints", "single")]
+    single = [np.array([0.5]), np.array([-1])]
+    # the CSV writes come first, as in a run: inside a block JSON reuses their text
     with ArtifactText(keep=payload) if inside else contextlib.nullcontext():
-        _write_json(tmp_path / "edge.json", payload)
         _write_csv(tmp_path / "edge.csv", ["a", "b", "c", "d"], columns, {})
         _write_csv(tmp_path / "empty.csv", ["e"], [EDGE_ARRAYS["empty"]], {})
+        _write_csv(tmp_path / "single.csv", ["f", "g"], single, {})
+        _write_json(tmp_path / "edge.json", payload)
+        _write_csv(tmp_path / "again.csv", ["a", "b", "c", "d"], columns, {})
     body = {"schema_version": SCHEMA_VERSION, "generated_at": written_stamp(tmp_path / "edge.json")}
     body.update(reference_sanitize(payload))
     assert (tmp_path / "edge.json").read_text() == json.dumps(body, sort_keys=True, indent=2) + "\n"
     _, _, rows = parse_csv(tmp_path / "edge.csv")
     assert rows == [[_fmt(x) for x in row] for row in zip(*columns)]
     assert rows[0][:2] == ["nan", "-0.0"] and rows[1][0] == "inf"
+    assert parse_csv(tmp_path / "again.csv") == parse_csv(tmp_path / "edge.csv")
     _, names, rows = parse_csv(tmp_path / "empty.csv")
     assert names == ["e"] and rows == []
+    _, names, rows = parse_csv(tmp_path / "single.csv")
+    assert names == ["f", "g"] and rows == [["0.5", "-1"]]
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["outside", "inside"])
+def test_edge_arrays_match_json_dumps_and_fmt(tmp_path, inside):
+    write_and_check_edge_arrays(tmp_path, inside)
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["outside", "inside"])
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_row_blocks_write_the_same_bytes(tmp_path, monkeypatch, block, inside):
+    """Blocks of 1, 2 and 3 rows write the bytes of one block. The 3-element
+    arrays fill whole blocks of 1 and 3 rows, the 4-row CSV whole blocks of 1
+    and 2; the other sizes end in a partial block."""
+    monkeypatch.setattr(serialize, "_ROW_BLOCK", block)
+    write_and_check_csv(tmp_path)
+    write_and_check_edge_arrays(tmp_path, inside)
+
+
+def test_csv_text_is_reused_by_json_and_report(tmp_path, monkeypatch):
+    """Inside a block each element of a written array is formatted once, by
+    the CSV writer, whatever the block size."""
+    drive, rho = cyclic_fixture(np.pi / 3, np.pi / 4)
+    dist = quasi_distribution(spectral_decomposition(rho, drive))
+    report = {"results": {"quasi": {"support": dist.support, "weights": dist.weights}}}
+    formatted = []
+    format_cells = serialize._format_cells
+
+    def counted(values):
+        formatted.append(values.size)
+        return format_cells(values)
+
+    monkeypatch.setattr(serialize, "_format_cells", counted)
+    monkeypatch.setattr(serialize, "_ROW_BLOCK", 2)
+    with ArtifactText(keep=report):
+        write_quasi_distribution(tmp_path, "quasi", dist, CONFIG, ("csv", "json"))
+        write_report(tmp_path, "report", report)
+    assert dist.support.size > 2  # more than one block
+    assert sum(formatted) == dist.support.size + dist.weights.size
+    report_text = json_tokens((tmp_path / "report.json").read_text())["results"]["quasi"]
+    assert report_text["support"] == json_tokens((tmp_path / "quasi.json").read_text())["support"]
+
+
+# ---------------------------------------------------------------------------
+# spectral terms printed from the folded terms
+
+
+def reference_unfold(terms):
+    """Rows ``(i, j, k)`` in ``k, i, j`` order; a term with ``i < j`` adds the
+    conjugate ``(j, i)`` row. The numeric unfold that ``write_spectral_terms``
+    does by text."""
+    d, mirror = terms.eps0.size, terms.i != terms.j
+    i, j, k = (np.concatenate((a, b[mirror])) for a, b in ((terms.i, terms.j), (terms.j, terms.i), (terms.k, terms.k)))
+    slot = np.full(d**3, -1)  # slot (k, i, j) of the d^3 cube holds the row that fills it
+    slot[(k * d + i) * d + j] = np.arange(k.size)
+    rows = slot[slot >= 0]
+    w = np.concatenate((terms.pair_weight, terms.pair_weight[mirror].conj()))[rows]
+    u = np.concatenate((terms.support, terms.support[mirror]))[rows]
+    return {"i": i[rows], "j": j[rows], "k": k[rows], "support": u, "weight_re": w.real, "weight_im": w.imag}
+
+
+def pruned_mixture_terms(seed):
+    """A d=5 mixture of two states in the span of H(0) levels 0, 2 and 3:
+    every pair with level 1 or 4 is pruned."""
+    rng = np.random.default_rng(seed)
+    drive = discretize(random_ramp_protocol(5, 1.0, rng), 12)
+    levels = drive.boundary_eigensystems[1][:, [0, 2, 3]]
+    psi = levels @ (rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
+    psi /= np.linalg.norm(psi, axis=0)
+    rho = 0.6 * np.outer(psi[:, 0], psi[:, 0].conj()) + 0.4 * np.outer(psi[:, 1], psi[:, 1].conj())
+    terms = spectral_decomposition(DensityOperator(rho), drive)
+    assert not np.isin(np.concatenate((terms.i, terms.j)), [1, 4]).any()
+    return terms
+
+
+def superposition_terms(dim, seed, steps=16):
+    scenario = random_tmp_compare(dim, seed).with_overrides({"drive.steps": steps})
+    drive = build_discretized_drive(scenario)
+    rho = build_initial_state(scenario.config["initial_state"], drive.boundary_eigensystems[:2])
+    return spectral_decomposition(rho, drive)
+
+
+def cyclic_terms():
+    drive, rho = cyclic_fixture(np.pi / 3, np.pi / 4)
+    return spectral_decomposition(rho, drive)
+
+
+def signed_zero_terms(seed):
+    """Superposition terms whose imaginary weights are 0.0 and -0.0 in turn."""
+    terms = superposition_terms(4, seed)
+    weight = terms.pair_weight.copy()
+    weight.imag = np.where(np.arange(len(terms)) % 2, -0.0, 0.0)
+    assert np.signbit(weight.imag).any() and not np.signbit(weight.imag).all()
+    return dataclasses.replace(terms, pair_weight=weight)
+
+
+SPECTRAL_CASES = {
+    **{f"superposition-d{dim}-{seed}": (superposition_terms, dim, seed) for dim, seed in ((3, 1), (5, 2), (8, 3))},
+    "pruned-mixture": (pruned_mixture_terms, 7),
+    "degenerate-cyclic": (cyclic_terms,),
+    "signed-zero-imag": (signed_zero_terms, 9),
+}
+
+
+@pytest.mark.parametrize("case", SPECTRAL_CASES)
+def test_spectral_terms_print_the_reference_unfold(tmp_path, case):
+    make, *args = SPECTRAL_CASES[case]
+    terms = make(*args)
+    reference = {name: [_fmt(x) for x in values] for name, values in reference_unfold(terms).items()}
+    assert len(reference["i"]) == 2 * len(terms) - np.count_nonzero(terms.i == terms.j)
+    write_spectral_terms(tmp_path, "terms", terms, CONFIG, ("csv", "json"))
+    _, columns, rows = parse_csv(tmp_path / "terms.csv")
+    assert columns == list(reference)
+    assert dict(zip(columns, map(list, zip(*rows)))) == reference
+    payload = json_tokens((tmp_path / "terms.json").read_text())
+    assert {name: payload[name] for name in reference} == reference
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324, 1.5, np.inf, -np.inf, np.nan])
+def test_flip_sign_is_repr_of_the_negation(x):
+    assert _flip_sign(repr(x)) == repr(-x)
+
+
+def test_spectral_terms_write_memory_is_bounded(tmp_path):
+    # d = 32, 64 steps: the folded texts and one JSON column peak near 8 MiB;
+    # unfolding the d^3 terms before formatting each cell peaked at 19.2 MiB
+    import tracemalloc
+
+    terms = superposition_terms(32, 13, steps=64)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        write_spectral_terms(tmp_path, "terms", terms, CONFIG, ("csv", "json"))
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
