@@ -41,6 +41,7 @@ eigensystems they share and works on capped blocks of steps, not step by step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,6 @@ from .linalg import (
     DensityOperator,
     HermitianOperator,
     NumericalError,
-    UnitaryOperator,
     _eigh,
     dagger,
     gibbs_weights,
@@ -109,14 +109,6 @@ class CompositeModel:
     def dim(self) -> int:
         return self.dim_s * self.dim_e
 
-    def step_hamiltonian(self, h_s: HermitianOperator) -> HermitianOperator:
-        full = (
-            tensor(h_s, np.eye(self.dim_e))
-            + tensor(np.eye(self.dim_s), self.h_env)
-            + self.coupling_scale * self.coupling.matrix
-        )
-        return HermitianOperator(full)
-
     def discretize(self, n_steps: int) -> DiscretizedComposite:
         """The model on ``n_steps`` left-endpoint steps of its drive."""
         return DiscretizedComposite(self, discretize(self.drive, n_steps))
@@ -124,25 +116,29 @@ class CompositeModel:
 
 @dataclass(frozen=True, eq=False)
 class HeatLedger:
-    """Per-step heat/entropy increments with totals obeying ``W = dU - Q``.
+    """Per-step heat/entropy increments and the internal-energy change ``dU``.
 
     ``k``, ``time``, ``heat_increments`` and ``entropy_increments`` are equal-
     length arrays, one entry per drive step. Sign convention: positive heat
-    flows into the system.
+    flows into the system. The totals are derived: ``heat`` sums the
+    increments and ``work`` is ``dU - Q`` by definition.
     """
 
     k: np.ndarray
     time: np.ndarray
     heat_increments: np.ndarray
     entropy_increments: np.ndarray
-    heat: float
     internal_energy_change: float
-    work: float
-    temperature: float | None = None
 
-    def __post_init__(self):
-        if abs(self.work - (self.internal_energy_change - self.heat)) > 1e-10:
-            raise NumericalError("ledger identity W = dU - Q violated")
+    @cached_property
+    def heat(self) -> float:
+        """Total heat ``Q``: the increments summed left to right."""
+        return float(sum(self.heat_increments))
+
+    @property
+    def work(self) -> float:
+        """``W = dU - Q``."""
+        return self.internal_energy_change - self.heat
 
 
 # Complex elements per batched temporary of the step axis (128 KiB); a block
@@ -260,12 +256,14 @@ class DiscretizedComposite:
             u = ordered_product(block.reshape(len(k), -1, self.dim, self.dim)) @ u
         return u
 
-    def _operators(self, lams: np.ndarray, counting: str) -> np.ndarray:
-        """Counting operators ``K(lam)`` for every ``lam``: shape ``(L, D, D)``.
+    def counting_operators(self, lams: np.ndarray, counting: str) -> np.ndarray:
+        """Counting operators ``K(lam)`` of one family for every ``lam``: shape ``(L, D, D)``.
 
-        Each is ``k_N E_{N-1} ... E_0 k_0``, where the kicks ``k_j`` merge the
-        kicks of neighbouring blocks (``B_k = exp(-i lam/2 H_S^k) E_k
-        exp(+i lam/2 H_S^k)``) and, for work counting, the boundary kicks.
+        ``"heat"``: the block product ``B_{N-1} ... B_0``. ``"work"``: boundary
+        kicks on ``H_S(0)`` and ``H_S(T)`` around it. Both are ``k_N E_{N-1} ...
+        E_0 k_0``, the kicks ``k_j`` merging those of neighbouring blocks.
+        ``"environment"``: kicks on ``H_E`` around the plain product; it
+        requires a constant system Hamiltonian over the window.
         """
         lams = np.asarray(lams, dtype=float)
         if counting == "environment":
@@ -288,29 +286,6 @@ class DiscretizedComposite:
             raise ValueError(f"unknown counting mode {counting!r}")
         return self._chain(_kicks(first, self.step_eigensystems, last, lams), self.propagators)
 
-    def block(self, k: int, lam: float) -> UnitaryOperator:
-        """The step-``k`` measurement block ``exp(-i lam/2 H_S^k) E_k exp(+i lam/2 H_S^k)``.
-
-        Negative kick first (leftmost), opposite in sign to the closed-system
-        boundary kicks: the block tracks the heat exchanged during the step.
-        """
-        if not 0 <= k < self.drive.n_steps:
-            raise ValueError(f"step index {k} outside 0..{self.drive.n_steps - 1}")
-        none = np.zeros(self.dim_s), np.eye(self.dim_s)  # H = 0: identity kicks
-        kicks = _kicks(none, [e[k : k + 1] for e in self.step_eigensystems], none, np.array([float(lam)]))
-        return UnitaryOperator(self._chain(kicks, self.propagators[k : k + 1])[0])
-
-    def counting_operator(self, lam: float, counting: str) -> UnitaryOperator:
-        """``K(lam)`` of one counting family.
-
-        ``"work"``: boundary kicks on ``H_S(0)`` and ``H_S(T)`` around the
-        block product; at zero coupling the closed-system two-kick propagator
-        tensored with the environment's free evolution. ``"heat"``: the block
-        product alone. ``"environment"``: kicks on ``H_E`` around the plain
-        product; requires a constant system Hamiltonian over the window.
-        """
-        return UnitaryOperator(self._operators(np.array([float(lam)]), counting)[0])
-
     def characteristic_function(
         self,
         rho_s: DensityOperator,
@@ -320,12 +295,12 @@ class DiscretizedComposite:
     ) -> CharacteristicSamples:
         """``G(lam) = Tr_{S+E}[K(lam) (rho_S (x) rho_E) K(-lam)^dag]`` on ``grid``.
 
-        ``counting`` selects the operator family of :meth:`counting_operator`;
+        ``counting`` selects the operator family of :meth:`counting_operators`;
         ``"work"`` has first moment W, ``"heat"`` first moment -Q. Counting
         grids are symmetric, so ``K(-lam)`` is the operator at the mirrored
         grid index.
         """
-        k = self._operators(grid.lambdas, counting)
+        k = self.counting_operators(grid.lambdas, counting)
         k_rho = k @ self._product_state(rho_s, rho_e)
         np.conjugate(k, out=k)
         return CharacteristicSamples(grid, np.einsum("lij,lij->l", k_rho, k[::-1]))
@@ -381,9 +356,7 @@ class DiscretizedComposite:
         entropy = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
         du = float(np.trace(h[-1] @ states[-1]).real)
         du -= float(np.trace(mat(self.drive.h_start) @ rho_s.matrix).real)
-        q = float(sum(heat))
-        ledger = HeatLedger(np.arange(n), self.drive.times, heat, np.diff(entropy), q, du, du - q)
-        return ledger, increments
+        return HeatLedger(np.arange(n), self.drive.times, heat, np.diff(entropy), du), increments
 
 
 def fast_decoherence_run(
@@ -408,9 +381,7 @@ def fast_decoherence_run(
     energy = np.einsum("kij,kji->k", h, states).real
     heat = np.einsum("kij,kji->k", h[1:], states[1:] - states[:-1]).real
     k = np.arange(1, n_steps + 1)
-    du = float(energy[-1] - energy[0])
-    q = float(sum(heat))
-    return HeatLedger(k, k * drive.dt, heat, np.diff(entropy), q, du, du - q, temperature=temperature)
+    return HeatLedger(k, k * drive.dt, heat, np.diff(entropy), float(energy[-1] - energy[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from qworkstats import (
+    CompositeModel,
     DiscretizedDrive,
     HermitianOperator,
+    constant_protocol,
     cyclic_qubit_drive,
     cyclic_qubit_state,
     discretize,
     pure_state_density,
     random_ramp_protocol,
 )
+from qworkstats.linalg import UNITARITY_TOL, dagger, mat, max_abs
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -33,6 +36,31 @@ def make_static_drive(h, duration=1.0, generator=None):
         generator if isinstance(generator, HermitianOperator) else HermitianOperator(generator)
     )
     return DiscretizedDrive(np.zeros(1), gen.matrix[None], duration, ham, ham)
+
+
+def composite_hamiltonian(model, h_s):
+    """``H^k = H_S^k (x) 1 + 1 (x) H_E + g H_SE`` from explicit Kronecker
+    products; ``h_s`` may be an ``(N, d_s, d_s)`` stack of steps."""
+    return (
+        np.kron(mat(h_s), np.eye(model.dim_e))
+        + np.kron(np.eye(model.dim_s), model.h_env.matrix)
+        + model.coupling_scale * model.coupling.matrix
+    )
+
+
+def step_slice(model, n_steps, k):
+    """Step ``k`` of ``model`` on ``n_steps`` steps as a one-step composite:
+    its heat counting operators are the measurement blocks
+    ``B_k(lam) = exp(-i lam/2 H_S^k) E_k exp(+i lam/2 H_S^k)``."""
+    drive = discretize(model.drive, n_steps)
+    protocol = constant_protocol(drive.hamiltonians[k], drive.dt)
+    return CompositeModel(protocol, model.h_env, model.coupling, model.coupling_scale).discretize(1)
+
+
+def assert_unitary(u):
+    """Every matrix of the ``(..., D, D)`` stack ``u`` passes the
+    :class:`UnitaryOperator` check ``max|U^dag U - 1| <= UNITARITY_TOL``."""
+    assert max_abs(dagger(u) @ u - np.eye(u.shape[-1])) <= UNITARITY_TOL
 
 
 def cyclic_fixture(alpha, xi, gap=1.0):

@@ -62,6 +62,8 @@ from qworkstats.drive import ordered_product
 from qworkstats.fcs import _level_groups, merge_support_points
 from qworkstats.runner import run_scenario
 
+from conftest import assert_unitary, composite_hamiltonian, step_slice
+
 DIMS = (2, 3, 5, 8, 16)
 
 
@@ -332,7 +334,7 @@ def kron_block(model, drive, k, lam):
     """``exp(-i lam/2 H_S^k (x) 1) E_k exp(+i lam/2 H_S^k (x) 1)`` with explicit Kronecker products."""
     h_s = drive.hamiltonians[k]
     eye_e = np.eye(model.dim_e)
-    step = expm_unitary(model.step_hamiltonian(h_s), drive.dt).matrix
+    step = expm_unitary(composite_hamiltonian(model, h_s), drive.dt).matrix
     return (
         tensor(expm_unitary(h_s, 0.5 * lam).matrix, eye_e)
         @ step
@@ -343,11 +345,13 @@ def kron_block(model, drive, k, lam):
 @pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
 def test_open_blocks_match_kron_reference(d_s, d_e, seed):
     model, _, _ = open_case(d_s, d_e, seed)
-    composite = model.discretize(6)
+    drive = discretize(model.drive, 6)
+    lams = (-1.3, 0.0, 0.7)
     for k in (0, 3, 5):
-        for lam in (-1.3, 0.0, 0.7):
-            reference = kron_block(model, composite.drive, k, lam)
-            assert np.max(np.abs(composite.block(k, lam).matrix - reference)) <= 1e-12
+        blocks = step_slice(model, 6, k).counting_operators(np.array(lams), "heat")
+        assert_unitary(blocks)
+        for lam, block in zip(lams, blocks):
+            assert np.max(np.abs(block - kron_block(model, drive, k, lam))) <= 1e-12
 
 
 @pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
@@ -376,9 +380,11 @@ def test_open_decoupled_work_counting_is_closed_two_kick(d_s, d_e, seed):
     model, _, _ = open_case(d_s, d_e, seed, coupling_scale=0.0)
     composite = model.discretize(8)
     free_env = expm_unitary(model.h_env, composite.drive.duration).matrix
-    for lam in (-0.9, 0.0, 1.6):
+    lams = (-0.9, 0.0, 1.6)
+    works = composite.counting_operators(np.array(lams), "work")
+    assert_unitary(works)
+    for lam, work in zip(lams, works):
         closed = two_kick_propagator(composite.drive, lam).matrix
-        work = composite.counting_operator(lam, "work").matrix
         assert np.max(np.abs(work - tensor(closed, free_env))) <= 1e-12
 
 
@@ -392,13 +398,7 @@ def multi_block_steps(dim):
 def kron_steps(model, drive):
     """Every step propagator ``exp(-i dt H^k)``, from the Kronecker form of
     ``H^k`` and a batched eigendecomposition."""
-    h_s = drive.hamiltonians
-    full = (
-        np.kron(h_s, np.eye(model.dim_e))
-        + np.kron(np.eye(model.dim_s), model.h_env.matrix)
-        + model.coupling_scale * model.coupling.matrix
-    )
-    w, v = np.linalg.eigh(full)
+    w, v = np.linalg.eigh(composite_hamiltonian(model, drive.hamiltonians))
     return (v * np.exp(-1j * drive.dt * w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
 
 
@@ -419,7 +419,11 @@ def test_open_counting_operators_match_kron_product(d_s, d_e, seed):
         composite = model.discretize(n)
         drive = composite.drive
         steps = kron_steps(model, drive)
-        for lam in (-1.3, 0.7):
+        lams = (-1.3, 0.7)
+        heat_ops, work_ops = (composite.counting_operators(np.array(lams), c) for c in ("heat", "work"))
+        assert_unitary(heat_ops)
+        assert_unitary(work_ops)
+        for lam, heat_op, work_op in zip(lams, heat_ops, work_ops):
             blocks = kron_kicks(drive.hamiltonians, 0.5 * lam, d_e) @ steps
             blocks = blocks @ kron_kicks(drive.hamiltonians, -0.5 * lam, d_e)
             heat = np.eye(d_s * d_e, dtype=complex)
@@ -427,8 +431,8 @@ def test_open_counting_operators_match_kron_product(d_s, d_e, seed):
                 heat = block @ heat
             h_end, h_start = drive.h_end.matrix, drive.h_start.matrix
             work = kron_kicks(h_end, -0.5 * lam, d_e) @ heat @ kron_kicks(h_start, 0.5 * lam, d_e)
-            for counting, reference in (("heat", heat), ("work", work)):
-                assert np.max(np.abs(composite.counting_operator(lam, counting).matrix - reference)) <= 1e-12
+            assert np.max(np.abs(heat_op - heat)) <= 1e-12
+            assert np.max(np.abs(work_op - work)) <= 1e-12
 
 
 @pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
@@ -440,17 +444,19 @@ def test_open_environment_counting_matches_kron_product(d_s, d_e, seed):
     eye_s = np.eye(d_s)
     for n in (1, 2, 7, multi_block_steps(d_s * d_e)):
         composite = model.discretize(n)
-        step = expm_unitary(model.step_hamiltonian(model.drive(0.0)), composite.drive.dt).matrix
+        step = expm_unitary(composite_hamiltonian(model, model.drive(0.0)), composite.drive.dt).matrix
         plain = np.eye(d_s * d_e, dtype=complex)
         for _ in range(n):
             plain = step @ plain
-        for lam in (-1.3, 0.7):
+        lams = (-1.3, 0.7)
+        operators = composite.counting_operators(np.array(lams), "environment")
+        assert_unitary(operators)
+        for lam, operator in zip(lams, operators):
             reference = (
                 tensor(eye_s, expm_unitary(model.h_env, -0.5 * lam).matrix)
                 @ plain
                 @ tensor(eye_s, expm_unitary(model.h_env, 0.5 * lam).matrix)
             )
-            operator = composite.counting_operator(lam, "environment").matrix
             assert np.max(np.abs(operator - reference)) <= 1e-12
 
 
