@@ -80,11 +80,9 @@ from .open_system import (
     two_qubit_exchange_environment,
 )
 from .paths import (
-    PathBasisSequence,
     PathEnsemble,
     boundary_beta,
     counting_weighted_sum,
-    default_observable_sequence,
     enumerate_paths,
     kicked_product,
     path_sum,

@@ -47,7 +47,7 @@ def _default_out() -> str:
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument(
-        "--format", choices=("csv", "json", "both"), default="both", help="artifact formats"
+        "--format", choices=("csv", "json", "both"), help="artifact formats (default: output.formats)"
     )
     parser.add_argument("--lambda-max", type=float, default=None, help="counting-field grid extent")
     parser.add_argument("--lambda-points", type=int, default=None, help="counting-field grid points (odd)")
@@ -122,7 +122,7 @@ def _load_scenario(token: str, args) -> Scenario:
 def _out_dir(args, scenario: Scenario) -> Path:
     """The output directory, checked before any computation: its nearest
     existing ancestor (or itself) must be a directory."""
-    out_dir = Path(args.out or scenario.config.get("output", {}).get("directory") or _default_out())
+    out_dir = Path(args.out or scenario.config["output"]["directory"] or _default_out())
     existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
     if existing is not None and not existing.is_dir():
         raise ScenarioError(
@@ -131,14 +131,18 @@ def _out_dir(args, scenario: Scenario) -> Path:
     return out_dir
 
 
-def _formats(args) -> tuple[str, ...]:
+def _formats(args, scenario: Scenario) -> tuple[str, ...]:
+    """``--format``, else the scenario's ``output.formats``, as ``--out`` precedes ``output.directory``."""
+    if args.format is None:
+        return tuple(scenario.config["output"]["formats"])
     return ("csv", "json") if args.format == "both" else (args.format,)
 
 
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario, args)
     out_dir = _out_dir(args, scenario)
-    result = run_scenario(scenario, out_dir=out_dir, formats=_formats(args), tol_report=args.tol_report)
+    formats = _formats(args, scenario)
+    result = run_scenario(scenario, out_dir=out_dir, formats=formats, tol_report=args.tol_report)
     checks = result.report.get("checks", [])
     for line in result.headlines:
         print(line)
@@ -167,7 +171,7 @@ def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args.scenario, args)
     values = _sweep_values(args)
     out_dir = _out_dir(args, scenario)
-    result = sweep_scenario(scenario, args.parameter, values, out_dir=out_dir, formats=_formats(args))
+    result = sweep_scenario(scenario, args.parameter, values, out_dir=out_dir, formats=_formats(args, scenario))
     print(f"swept {args.parameter} over {len(values)} values")
     for f in result.files:
         print(f"wrote {f}")

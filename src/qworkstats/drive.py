@@ -35,6 +35,7 @@ from .linalg import (
     HermitianOperator,
     NumericalError,
     UnitaryOperator,
+    _eigh,
     dagger,
     eig_hermitian,
     max_abs,
@@ -186,14 +187,21 @@ class DiscretizedDrive:
     def dim(self) -> int:
         return self.hamiltonians.shape[1]
 
-    @property
-    def samples(self) -> np.ndarray:
-        """The stack ``H(t_k)`` itself, for readers that need the Hamiltonian
-        at each gridpoint; ``ValueError`` unless ``rule == "left"``, since a
-        Magnus-4 generator is not a value of ``H``."""
+    @cached_property
+    def gridpoint_hamiltonians(self) -> np.ndarray:
+        """The read-only ``(N + 1, d, d)`` stack ``H(t_0) ... H(t_{N-1}), H(T)``; ``ValueError``
+        unless ``rule == "left"``, since a Magnus-4 generator is not a value of ``H``."""
         if self.rule != "left":
             raise ValueError(f"needs the samples H(t_k) of a 'left' drive, not {self.rule} generators")
-        return self.hamiltonians
+        stack = np.concatenate([self.hamiltonians, self.h_end.matrix[None]])
+        stack.setflags(write=False)
+        return stack
+
+    @cached_property
+    def gridpoint_eigensystems(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(w, v)`` from one batched :func:`_eigh` of :attr:`gridpoint_hamiltonians`,
+        eigenvectors as LAPACK returns them; computed once per drive."""
+        return _eigh(self.gridpoint_hamiltonians)
 
     @cached_property
     def propagator(self) -> UnitaryOperator:
@@ -223,11 +231,12 @@ def discretize(protocol: DriveProtocol, n_steps: int, rule: str = "left") -> Dis
         raise ValueError("n_steps must be >= 1")
     dt = protocol.duration / n_steps
     times = np.arange(n_steps) * dt
-    if rule == "magnus4":
-        h1, h2 = (protocol.sample(times + node * dt) for node in _GAUSS_NODES)
-        hams = 0.5 * (h1 + h2) + (1j * np.sqrt(3.0) / 12.0 * dt) * (h1 @ h2 - h2 @ h1)
-    else:
-        hams = protocol.sample(times)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        if rule == "magnus4":
+            h1, h2 = (protocol.sample(times + node * dt) for node in _GAUSS_NODES)
+            hams = 0.5 * (h1 + h2) + (1j * np.sqrt(3.0) / 12.0 * dt) * (h1 @ h2 - h2 @ h1)
+        else:
+            hams = protocol.sample(times)
     if not np.isfinite(hams).all():
         raise NumericalError(f"{rule} step Hamiltonians overflow at {n_steps} steps")
     return DiscretizedDrive(
@@ -306,7 +315,7 @@ def evolution_operator(drive: DiscretizedDrive) -> UnitaryOperator:
     u = ordered_product(products)
     drift = max_abs(u.conj().T @ u - np.eye(d))
     if not np.isfinite(drift):
-        phase = drive.dt * np.abs(h).sum(axis=-2).max()
+        phase = drive.dt * float(np.abs(h).sum(axis=-2).max())
         raise NumericalError(f"step exponentials overflow at dt*||H||_1 = {phase:.3e}")
     # rounding accumulates over very long products; project back to the
     # unitary manifold (nearest unitary = polar factor) when it shows

@@ -112,7 +112,8 @@ def symmetric_grid(lambda_max: float, points: int) -> CountingGrid:
         raise ValueError("lambda_max must be positive")
     if points < 3 or points % 2 == 0:
         raise ValueError("points must be an odd number >= 3")
-    return CountingGrid(np.linspace(-lambda_max, lambda_max, points))
+    with np.errstate(over="ignore", invalid="ignore"):  # G on an overflowed grid is not finite
+        return CountingGrid(np.linspace(-lambda_max, lambda_max, points))
 
 
 def fd_stencil_grid(h: float, order: int = 2) -> CountingGrid:
@@ -252,10 +253,11 @@ def characteristic_function(terms: SpectralExpansion, grid: CountingGrid) -> Cha
     block = max(1, _G_BLOCK // m.size)
     for start in range(0, lambdas.size, block):
         lam = lambdas[start : start + block, None]
-        half = np.exp(-0.5j * lam * eps0)[:, None, :]
-        a, b = m * half, m.conj() * half
-        inner = np.sum((a @ rho) * b, axis=2)
-        values[start : start + block] = np.sum(np.exp(1j * lam * epst) * inner, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # CharacteristicSamples checks
+            half = np.exp(-0.5j * lam * eps0)[:, None, :]
+            a, b = m * half, m.conj() * half
+            inner = np.sum((a @ rho) * b, axis=2)
+            values[start : start + block] = np.sum(np.exp(1j * lam * epst) * inner, axis=1)
     return CharacteristicSamples(grid, values)
 
 

@@ -182,7 +182,8 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh`` of a (stack of) Hermitian matrices, symmetrized first;
     :class:`NumericalError` when the symmetrized matrix overflows or LAPACK fails."""
-    m = 0.5 * (h + dagger(h))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        m = 0.5 * (h + dagger(h))
     if not np.isfinite(m).all():
         raise NumericalError(f"Hermitian matrix is not finite when symmetrized: max|H| = {max_abs(h):.3e}")
     try:

@@ -187,7 +187,8 @@ def _kicks(first, steps, last, lams: np.ndarray) -> np.ndarray:
     d = w.shape[-1]
     freqs = (w[1:, :, None] - w[:-1, None, :]).reshape(-1, 1, d * d)
     terms = np.einsum("jbc,jab,jec->jbcae", dagger(v[1:]) @ v[:-1], v[1:], v[:-1].conj())
-    kicks = np.exp(0.5j * (lams[:, None] * freqs)) @ terms.reshape(-1, d * d, d * d)
+    with np.errstate(over="ignore", invalid="ignore"):  # G of these kicks is checked finite
+        kicks = np.exp(0.5j * (lams[:, None] * freqs)) @ terms.reshape(-1, d * d, d * d)
     return kicks.reshape(len(freqs), lams.size, d, d)
 
 
@@ -195,9 +196,9 @@ class DiscretizedComposite:
     """A composite model on a fixed step grid; one per open-system run.
 
     Built by :meth:`CompositeModel.discretize`. Holds the step propagators
-    ``E_k = exp(-i dt H^k)``, the eigensystems of the step Hamiltonians
-    ``H_S^k`` and of ``H_E`` and, through the drive, the boundary
-    eigensystems, and evaluates every open-system quantity from them. Kicks
+    ``E_k = exp(-i dt H^k)`` and the eigensystem of ``H_E``, reads those of
+    the step Hamiltonians ``H_S^k`` and the boundary eigensystems from the
+    drive, and evaluates every open-system quantity from them. Kicks
     are formed on their own factor and applied to ``(dim_s, dim_e)``-reshaped
     blocks, so no Kronecker product is formed per step or per counting field.
     Steps are batched in blocks of at most ``_STEP_BLOCK`` complex elements
@@ -211,15 +212,15 @@ class DiscretizedComposite:
         self.dim_s, self.dim_e, self.dim = model.dim_s, model.dim_e, model.dim
         eye = np.eye(self.dim)
         # H_S^0 ... H_S^{N-1}, then H_S(T)
-        self.hamiltonians = np.concatenate([drive.samples, drive.h_end.matrix[None]])
+        self.hamiltonians = drive.gridpoint_hamiltonians
         static = self._on_factor(model.h_env.matrix, eye, env=True)
         static = static + model.coupling_scale * model.coupling.matrix
         self.propagators = np.empty((drive.n_steps, self.dim, self.dim), dtype=complex)
         size = max(1, _STEP_BLOCK // self.dim**2)
         for a in range(0, drive.n_steps, size):
-            w, v = _eigh(self._on_factor(drive.samples[a : a + size], eye) + static)
+            w, v = _eigh(self._on_factor(drive.hamiltonians[a : a + size], eye) + static)
             self.propagators[a : a + size] = (v * np.exp(-1j * drive.dt * w)[:, None, :]) @ dagger(v)
-        self.step_eigensystems = _eigh(self.hamiltonians[:-1])
+        self.step_eigensystems = tuple(a[:-1] for a in drive.gridpoint_eigensystems)
         self.env_eigensystem = _eigh(model.h_env.matrix)
 
     def _on_factor(self, a: np.ndarray, m: np.ndarray, env: bool = False) -> np.ndarray:
@@ -368,13 +369,13 @@ def fast_decoherence_run(
     Relaxation is modeled as a hard re-thermalization map (the state is
     exactly Gibbs at all times), not a rate equation. In the quasi-static
     limit each heat increment approaches ``T`` times the entropy increment.
-    The states and entropies of all ``N + 1`` Hamiltonians ``H(0), H(t_1),
-    ..., H(t_{N-1}), H(T)`` come from one batched eigendecomposition and
-    :func:`gibbs_weights`.
+    The states and entropies of all ``N + 1`` gridpoint Hamiltonians ``H(0),
+    H(t_1), ..., H(t_{N-1}), H(T)`` come from the drive's
+    :attr:`~DiscretizedDrive.gridpoint_eigensystems` and :func:`gibbs_weights`.
     """
     drive = discretize(protocol, n_steps)
-    h = np.concatenate([drive.h_start.matrix[None], drive.samples[1:], drive.h_end.matrix[None]])
-    w, v = _eigh(h)
+    h = drive.gridpoint_hamiltonians
+    w, v = drive.gridpoint_eigensystems
     p = gibbs_weights(w, temperature)
     states = (v * p[:, None, :]) @ dagger(v)
     entropy = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
@@ -414,7 +415,8 @@ def oscillator_environment(frequency: float, levels: int) -> tuple[HermitianOper
     if not 2 <= levels <= 8:
         raise ValueError("oscillator truncation must be between 2 and 8 levels")
     n = np.arange(levels)
-    h_env = HermitianOperator(np.diag(frequency * n).astype(complex))
+    with np.errstate(over="ignore"):  # HermitianOperator rejects an overflow
+        h_env = HermitianOperator(np.diag(frequency * n).astype(complex))
     lower = np.diag(np.sqrt(np.arange(1, levels)), 1).astype(complex)
     h_se = tensor(_SIGMA_MINUS, lower.conj().T) + tensor(_SIGMA_PLUS, lower)
     return h_env, HermitianOperator(h_se)

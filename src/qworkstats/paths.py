@@ -33,16 +33,16 @@ from .fcs import _cmul
 from .linalg import (
     HermitianOperator,
     NumericalError,
+    UnitaryOperator,
+    _fix_phases,
     eig_hermitian,
     expm_unitary,
     mat,
 )
 
 __all__ = [
-    "PathBasisSequence",
     "PathEnsemble",
     "PATH_ENUMERATION_LIMIT",
-    "default_observable_sequence",
     "boundary_beta",
     "enumerate_paths",
     "path_sum",
@@ -51,28 +51,6 @@ __all__ = [
 ]
 
 PATH_ENUMERATION_LIMIT = 10**6
-
-
-@dataclass(frozen=True)
-class PathBasisSequence:
-    """Per-gridpoint eigenbases and eigenvalues of the observable sequence."""
-
-    bases: tuple[np.ndarray, ...]
-    values: tuple[np.ndarray, ...]
-
-    @classmethod
-    def from_observables(cls, observables: Sequence[HermitianOperator]) -> "PathBasisSequence":
-        bases = []
-        values = []
-        for a in observables:
-            w, v = eig_hermitian(a)
-            bases.append(v.matrix)
-            values.append(w)
-        return cls(tuple(bases), tuple(values))
-
-    @property
-    def n_gridpoints(self) -> int:
-        return len(self.bases)
 
 
 @dataclass(frozen=True)
@@ -99,16 +77,6 @@ class PathEnsemble:
         return np.stack(np.unravel_index(flat, (self.dim,) * self.n_gridpoints), axis=1)
 
 
-def default_observable_sequence(drive: DiscretizedDrive) -> np.ndarray:
-    """The drive Hamiltonian sampled at all ``N + 1`` gridpoints, as one
-    ``(N + 1, d, d)`` stack.
-
-    Gridpoints ``0..N-1`` take the step samples; gridpoint ``N`` takes the
-    boundary value at ``t = T``. Needs a ``"left"`` drive.
-    """
-    return np.concatenate([drive.samples, drive.h_end.matrix[None]])
-
-
 def boundary_beta(n_steps: int, dt: float) -> np.ndarray:
     """Discretized ``delta(T - t) - delta(t)`` weight profile.
 
@@ -124,6 +92,20 @@ def boundary_beta(n_steps: int, dt: float) -> np.ndarray:
     return beta
 
 
+def _gridpoint_profile(drive: DiscretizedDrive, observables, beta) -> tuple:
+    """``(observables, beta)``, one entry each per gridpoint of a ``"left"`` drive,
+    defaulting to its gridpoint Hamiltonians and :func:`boundary_beta`;
+    ``ValueError`` naming the count when either has another length."""
+    n = drive.n_steps
+    observables = drive.gridpoint_hamiltonians if observables is None else observables
+    if len(observables) != n + 1:
+        raise ValueError(f"need {n + 1} observables (one per gridpoint), got {len(observables)}")
+    beta = boundary_beta(n, drive.dt) if beta is None else np.asarray(beta, dtype=float)
+    if beta.size != n + 1:
+        raise ValueError(f"beta must have {n + 1} entries, got {beta.size}")
+    return observables, beta
+
+
 def enumerate_paths(
     drive: DiscretizedDrive,
     psi_initial,
@@ -135,42 +117,39 @@ def enumerate_paths(
 
     One entry per index tuple ``(i_0, ..., i_N)``; amplitudes sum to the
     exact matrix element. The drive must be a ``"left"`` drive, whose step
-    generators are the Hamiltonian's samples (``ValueError`` otherwise).
-    Raises :class:`NumericalError` when the path count would exceed
-    ``PATH_ENUMERATION_LIMIT``.
+    generators are the Hamiltonian's samples (``ValueError`` otherwise); its
+    step exponentials, and by default the bases, come from its gridpoint
+    eigensystems. Raises :class:`NumericalError` when the path count would
+    exceed ``PATH_ENUMERATION_LIMIT``.
     """
-    samples = drive.samples
-    n = drive.n_steps
-    if observables is None:
-        observables = default_observable_sequence(drive)
-    if len(observables) != n + 1:
-        raise ValueError(f"need {n + 1} observables (one per gridpoint), got {len(observables)}")
-    if beta is None:
-        beta = boundary_beta(n, drive.dt)
-    beta = np.asarray(beta, dtype=float)
-    if beta.size != n + 1:
-        raise ValueError(f"beta must have {n + 1} entries, got {beta.size}")
-    d = drive.dim
+    default = observables is None
+    observables, beta = _gridpoint_profile(drive, observables, beta)
+    n, d = drive.n_steps, drive.dim
     count = d ** (n + 1)
     if count > PATH_ENUMERATION_LIMIT:
         raise NumericalError(
             f"path enumeration would need {count} paths, above the limit {PATH_ENUMERATION_LIMIT}"
         )
-    basis = PathBasisSequence.from_observables(observables)
+    # Bases in eig_hermitian's phase convention and steps as expm_unitary forms them, checked
+    # as they check theirs; per matrix, since a batched phase fix rounds differently.
+    values, vectors = drive.gridpoint_eigensystems
+    bases = [UnitaryOperator(_fix_phases(v)).matrix for v in vectors]
+    steps = [
+        UnitaryOperator((b * np.exp(-1j * w * drive.dt)) @ b.conj().T).matrix for w, b in zip(values[:-1], bases)
+    ]
+    if not default:
+        values, bases = zip(*((w, v.matrix) for w, v in map(eig_hermitian, observables)))
     # Transfer matrices between consecutive eigenbases; boundary overlaps.
-    transfer = []
-    for k in range(n):
-        step = expm_unitary(samples[k], drive.dt).matrix
-        transfer.append(basis.bases[k + 1].conj().T @ step @ basis.bases[k])
-    start = basis.bases[0].conj().T @ np.asarray(psi_initial, dtype=complex).ravel()
-    end = basis.bases[n].conj().T @ np.asarray(psi_final, dtype=complex).ravel()
+    transfer = [bases[k + 1].conj().T @ steps[k] @ bases[k] for k in range(n)]
+    start = bases[0].conj().T @ np.asarray(psi_initial, dtype=complex).ravel()
+    end = bases[n].conj().T @ np.asarray(psi_final, dtype=complex).ravel()
     # Axis k of the running arrays is the index i_k, so appending one axis
     # per step keeps the paths in itertools.product order.
     amp = start
-    f = drive.dt * beta[0] * basis.values[0]
+    f = drive.dt * beta[0] * values[0]
     for k in range(n):
         amp = _cmul(amp[..., None], transfer[k].T)
-        f = f[..., None] + drive.dt * beta[k + 1] * basis.values[k + 1]
+        f = f[..., None] + drive.dt * beta[k + 1] * values[k + 1]
     amp = _cmul(amp, np.conj(end))
     return PathEnsemble(amp.ravel(), f.ravel(), d, n + 1)
 
@@ -202,16 +181,12 @@ def kicked_product(
     counting-weighted path sum up to O(dt) splitting error, exactly when all
     ``[H^k, A_k] = 0``. Needs a ``"left"`` drive, like :func:`enumerate_paths`.
     """
-    samples = drive.samples
-    n = drive.n_steps
-    if observables is None:
-        observables = default_observable_sequence(drive)
-    if beta is None:
-        beta = boundary_beta(n, drive.dt)
-    beta = np.asarray(beta, dtype=float)
+    observables, beta = _gridpoint_profile(drive, observables, beta)
+    n, h = drive.n_steps, drive.gridpoint_hamiltonians
     u = np.eye(drive.dim, dtype=complex)
     for k in range(n):
-        generator = samples[k] - lam * beta[k] * mat(observables[k])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            generator = h[k] - lam * beta[k] * mat(observables[k])
         if not np.isfinite(generator).all():
             raise NumericalError(f"combined generator of step {k} overflows at lam = {lam}")
         u = expm_unitary(HermitianOperator(generator), drive.dt).matrix @ u

@@ -410,7 +410,7 @@ def sweep_scenario(
     """
     rows = []
     for value in values:
-        row = run_scenario(scenario.with_override(parameter, value), out_dir=None).row
+        row = run_scenario(scenario.with_overrides({parameter: value}), out_dir=None).row
         rows.append({"value": value, **dict.fromkeys(HEADLINE_COLUMNS), **row})
     columns = ["value"] + sorted({k for row in rows for k in row if k != "value"})
     table = {

@@ -250,7 +250,7 @@ _STATE_SCHEMA = {
 
 _GRID_SCHEMA = {"max": _Field("float", 4.0, positive=True), "points": _Field("int", 41, low=3)}
 
-_OUTPUT_SCHEMA = {"directory": _Field("str", None), "formats": _Field("str_list", ["csv", "json"])}
+_OUTPUT_SCHEMA = {"directory": _Field("str", None), "formats": _Field("str_list", ["csv", "json"], ("csv", "json"))}
 
 _ENV_SCHEMA = {
     "preset": _Field("str", "qubit-exchange", ENVIRONMENT_PRESETS),
@@ -375,8 +375,8 @@ def _coerce(value, field: _Field, path: str):
     if t == "str_list":
         items = value if isinstance(value, list) else [value]
         for item in items:
-            if not isinstance(item, str):
-                raise ScenarioError(f"'{path}' must be a list of strings, got {item!r}")
+            if item not in field.choices:
+                raise ScenarioError(f"'{path}' must list only {', '.join(field.choices)}; got {item!r}")
         return list(items)
     raise AssertionError(f"unhandled field type {t}")
 
@@ -518,13 +518,7 @@ class Scenario:
 
     @classmethod
     def from_kind(cls, kind: str, overrides: Mapping | None = None) -> "Scenario":
-        cfg = resolve_scenario({"kind": kind})
-        for dotted, value in (overrides or {}).items():
-            cfg = set_by_path(cfg, dotted, value)
-        return cls(resolve_scenario(cfg))
-
-    def with_override(self, dotted: str, value) -> "Scenario":
-        return self.with_overrides({dotted: value})
+        return cls(resolve_scenario({"kind": kind})).with_overrides(overrides or {})
 
     def with_overrides(self, overrides: Mapping) -> "Scenario":
         """Apply several dotted overrides, validating once at the end.

@@ -266,7 +266,6 @@ class TestRun:
         err = capsys.readouterr().err
         assert "dt*||H||_1" in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize(
         "argv",
         [
@@ -710,3 +709,79 @@ def test_paths_check_discretizes_each_rung_once(monkeypatch):
     runner.run_scenario(scenario)
     base, doublings = scenario.config["drive"]["steps"], scenario.config["doublings"]
     assert steps == [base << rung for rung in range(doublings + 1)]
+
+
+def test_paths_check_diagonalizes_each_gridpoint_stack_once(monkeypatch):
+    # the enumerations and the kicked product of a rung read its drive's one
+    # batched eigendecomposition of the gridpoint Hamiltonians
+    from qworkstats import runner
+    from qworkstats.linalg import dagger
+    from qworkstats.scenario import Scenario, build_protocol
+
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: seen.append(m) or eigh(m))
+    scenario = Scenario.from_kind("paths-check")
+    runner.run_scenario(scenario)
+    protocol = build_protocol(scenario.config["drive"], scenario.seed)
+    base = scenario.config["drive"]["steps"]
+    for rung in range(scenario.config["doublings"] + 1):
+        h = runner.discretize(protocol, base << rung).gridpoint_hamiltonians
+        assert sum(m.shape == h.shape and np.array_equal(m, 0.5 * (h + dagger(h))) for m in seen) == 1
+    # 5 + 9 + 17 gridpoints, 4 combined steps of the kicked product, and
+    # H(0) and H(T) for each rung's two-kick form; 105 when each call diagonalized its own
+    assert sum(len(m.reshape(-1, 2, 2)) for m in seen) == 41
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closed", "--set", "lambda_grid.max=1e308", "--tol-report"],
+        ["open", "--set", "environment.coupling=1e308"],
+        ["open", "--set", "environment.preset=oscillator", "--set", "environment.frequency=1e308"],
+        ["paths-check", "--set", "counting_field=1e308"],
+        ["open", "--set", "lambda_grid.max=1e308"],
+        ["closed", "--set", "drive.params.splitting=1e308"],
+        ["closed", "--set", "drive.duration=1e308"],
+    ],
+    ids=[
+        "lambda-grid",
+        "coupling",
+        "oscillator-frequency",
+        "counting-field",
+        "open-lambda-grid",
+        "magnus4-overflow",
+        "step-phase-overflow",
+    ],
+)
+def test_extreme_input_exits_without_warnings(tmp_path, argv):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", *argv, "--out", str(tmp_path)]) in (EXIT_VALIDATION, EXIT_NUMERICAL)
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_output_formats_choose_the_files(tmp_path, verb):
+    # the scenario's output.formats applies unless --format is given
+    scenario = tmp_path / "closed.txt"
+    scenario.write_text("kind: closed\noutput:\n  formats: csv\n")
+    sweep = ["--parameter", "seed", "--values", "1,2"] if verb == "sweep" else []
+    assert main([verb, str(scenario), *sweep, "--out", str(tmp_path / "csv")]) == EXIT_OK
+    files = sorted(p.name for p in (tmp_path / "csv").iterdir())
+    if verb == "sweep":
+        assert files == ["sweep.csv"]
+    else:
+        assert files == sorted(artifact_names("characteristic", "quasi_distribution", "spectral_terms", formats=("csv",)))
+    assert main([verb, str(scenario), *sweep, "--format", "json", "--out", str(tmp_path / "json")]) == EXIT_OK
+    assert all(p.suffix == ".json" for p in (tmp_path / "json").iterdir())
+
+
+def test_unknown_output_format_rejected(tmp_path, capsys):
+    scenario = tmp_path / "closed.txt"
+    scenario.write_text("kind: closed\noutput:\n  formats: csv, xml\n")
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert "output.formats" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["validate", str(scenario)]) == EXIT_VALIDATION

@@ -22,7 +22,7 @@ from qworkstats import (
     random_ramp_protocol,
     reversed_protocol,
 )
-from qworkstats.linalg import NumericalError, max_abs
+from qworkstats.linalg import NumericalError, dagger, max_abs
 
 from conftest import PAULI_X, PAULI_Z
 
@@ -155,9 +155,16 @@ class TestDiscretizedDrive:
             stack_drive(**changes)
 
     def test_samples_need_left_rule(self):
-        assert stack_drive().samples is not None
-        with pytest.raises(ValueError, match="left"):
-            stack_drive(rule="magnus4").samples
+        drive = stack_drive()
+        stack = drive.gridpoint_hamiltonians
+        assert np.array_equal(stack, np.stack([PAULI_Z, PAULI_X, PAULI_Z + PAULI_X, PAULI_X]))
+        assert not stack.flags.writeable and drive.gridpoint_hamiltonians is stack
+        w, v = drive.gridpoint_eigensystems
+        assert w.shape == (4, 2) and v.shape == (4, 2, 2)
+        assert max_abs(v @ (w[..., None] * dagger(v)) - stack) <= 1e-14
+        for name in ("gridpoint_hamiltonians", "gridpoint_eigensystems"):
+            with pytest.raises(ValueError, match="left"):
+                getattr(stack_drive(rule="magnus4"), name)
 
 
 class TestEvolutionOperator:

@@ -5,10 +5,10 @@ import pytest
 
 from qworkstats import (
     HermitianOperator,
-    PathBasisSequence,
     boundary_beta,
     counting_weighted_sum,
     discretize,
+    eig_hermitian,
     enumerate_paths,
     evolution_operator,
     expm_unitary,
@@ -20,7 +20,6 @@ from qworkstats import (
     two_kick_propagator,
 )
 from qworkstats.linalg import NumericalError
-from qworkstats.paths import default_observable_sequence
 
 from conftest import PAULI_X, PAULI_Z
 
@@ -74,19 +73,45 @@ class TestEnumeration:
         with pytest.raises(NumericalError, match="limit"):
             enumerate_paths(drive, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
 
-    def test_observable_count_validated(self, rng):
+    @pytest.mark.parametrize("reader", [enumerate_paths, kicked_product])
+    @pytest.mark.parametrize(
+        "inputs, match",
+        [
+            ({"observables": [HermitianOperator(PAULI_Z)] * 3}, "need 4 observables"),
+            ({"observables": [HermitianOperator(PAULI_Z)] * 7}, "need 4 observables"),
+            ({"beta": np.ones(7)}, "beta must have 4 entries, got 7"),
+            ({"beta": np.ones(2)}, "beta must have 4 entries, got 2"),
+        ],
+        ids=["observables-short", "observables-long", "beta-long", "beta-short"],
+    )
+    def test_observable_count_validated(self, rng, reader, inputs, match):
         drive = ramp_drive(3)
-        psi0, psi1 = random_states(rng)
-        with pytest.raises(ValueError, match="observables"):
-            enumerate_paths(drive, psi0, psi1, observables=[drive.h_start] * 3)
+        args = {enumerate_paths: random_states(rng), kicked_product: (0.3,)}[reader]
+        with pytest.raises(ValueError, match=match):
+            reader(drive, *args, **inputs)
 
-    @pytest.mark.parametrize("reader", [enumerate_paths, kicked_product, default_observable_sequence])
+    @pytest.mark.parametrize(
+        "reader",
+        [enumerate_paths, kicked_product, lambda drive: drive.gridpoint_hamiltonians],
+        ids=["enumerate_paths", "kicked_product", "gridpoint_hamiltonians"],
+    )
     def test_magnus_drive_rejected(self, reader):
         # the path functional needs H(t_k) itself, which a Magnus-4 generator is not
         drive = discretize(linear_ramp_protocol(-0.5 * PAULI_Z, PAULI_X, 1.0), 3, rule="magnus4")
         args = {enumerate_paths: (np.ones(2), np.ones(2)), kicked_product: (0.3,)}.get(reader, ())
         with pytest.raises(ValueError, match="left"):
             reader(drive, *args)
+
+    @pytest.mark.parametrize("dim", (2, 3, 5))
+    def test_drive_eigensystems_match_per_matrix_calls(self, rng, dim):
+        # bases from the batched gridpoint eigensystems round exactly as
+        # eig_hermitian of each observable on its own
+        drive = discretize(random_ramp_protocol(dim, 1.0, rng), 3)
+        psi0, psi1 = random_states(rng, dim)
+        paths = enumerate_paths(drive, psi0, psi1)
+        given = enumerate_paths(drive, psi0, psi1, observables=list(drive.gridpoint_hamiltonians))
+        assert np.array_equal(paths.amplitude, given.amplitude)
+        assert np.array_equal(paths.functional, given.functional)
 
     def test_boundary_beta_needs_two_steps(self):
         with pytest.raises(ValueError, match="two steps"):
@@ -95,9 +120,7 @@ class TestEnumeration:
     def test_functional_values_are_energy_differences(self):
         drive = ramp_drive(4)
         records = enumerate_paths(drive, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-        obs = default_observable_sequence(drive)
-        from qworkstats import eig_hermitian
-
+        obs = drive.gridpoint_hamiltonians
         first = eig_hermitian(obs[0])[0]
         last = eig_hermitian(obs[3])[0]
         expected = {round(b - a, 10) for a in first for b in last}
@@ -108,14 +131,14 @@ def record_loop(drive, psi_initial, psi_final, observables, beta):
     """The per-path loop the array ensemble replaced, kept as its oracle:
     one ``(indices, amplitude, functional)`` triple per index tuple."""
     n = drive.n_steps
-    basis = PathBasisSequence.from_observables(observables)
+    values, bases = zip(*((w, v.matrix) for w, v in map(eig_hermitian, observables)))
     transfer = [
-        basis.bases[k + 1].conj().T @ expm_unitary(drive.hamiltonians[k], drive.dt).matrix @ basis.bases[k]
+        bases[k + 1].conj().T @ expm_unitary(drive.hamiltonians[k], drive.dt).matrix @ bases[k]
         for k in range(n)
     ]
-    start = basis.bases[0].conj().T @ psi_initial
-    end = basis.bases[n].conj().T @ psi_final
-    scaled_values = [drive.dt * beta[k] * basis.values[k] for k in range(n + 1)]
+    start = bases[0].conj().T @ psi_initial
+    end = bases[n].conj().T @ psi_final
+    scaled_values = [drive.dt * beta[k] * values[k] for k in range(n + 1)]
     records = []
     for indices in product(range(drive.dim), repeat=n + 1):
         amp = start[indices[0]]

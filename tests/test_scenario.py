@@ -137,7 +137,7 @@ class TestOverrides:
     def test_created_leaf_must_validate(self):
         s = Scenario.from_kind("closed")
         with pytest.raises(ScenarioError, match="unknown key"):
-            s.with_override("drive.nonsense", 1)
+            s.with_overrides({"drive.nonsense": 1})
 
     def test_protocol_switch_resets_params(self):
         s = Scenario.from_kind("open", {"drive.steps": 8})
@@ -145,6 +145,18 @@ class TestOverrides:
             {"drive.protocol": "constant", "drive.params.gap": 2.0}
         )
         assert switched.config["drive"]["params"] == {"gap": 2.0}
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"drive.protocol": "random"}, {"drive.protocol": "random", "drive.params.dim": 3}],
+        ids=["defaults", "with-params"],
+    )
+    def test_from_kind_overrides_like_with_overrides(self, overrides):
+        # one override path: a protocol change resets the parameter block either way
+        direct = Scenario.from_kind("closed", overrides)
+        chained = Scenario.from_kind("closed").with_overrides(overrides)
+        assert direct.config == chained.config
+        assert direct.config["drive"]["params"] == {"dim": overrides.get("drive.params.dim", 2), "scale": 1.0}
 
     def test_scalar_paths_enumeration(self):
         paths = scalar_parameter_paths(resolve_scenario({"kind": "cyclic-example"}))
