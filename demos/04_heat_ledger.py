@@ -11,7 +11,8 @@ characteristic function.
 import numpy as np
 
 from qworkstats import (
-    CompositeModel,
+    DiscretizedComposite,
+    discretize,
     eigenstate_density,
     gap_ramp_protocol,
     gibbs_state,
@@ -22,11 +23,12 @@ from qworkstats.fcs import fd_stencil_grid, moment_fd
 N = 96
 protocol = gap_ramp_protocol(0.8, 1.2, 6.0)
 h_env, h_se = qubit_exchange_environment(0.8)  # resonant with the initial gap
-model = CompositeModel(protocol, h_env, h_se, coupling_scale=0.05)
+drive = discretize(protocol, N)
+# step propagators, formed once for every quantity below
+composite = DiscretizedComposite(drive, h_env, h_se, coupling_scale=0.05)
 rho_s = eigenstate_density(protocol(0.0), 1)  # excited system
 rho_e = gibbs_state(h_env, 1.0)
 
-composite = model.discretize(N)  # step propagators, formed once for every quantity below
 ledger, increments = composite.trajectory(rho_s, rho_e)
 
 print("per-step heat (every 8th step):")
@@ -53,13 +55,13 @@ print(f"  first moment of the counting function = {fd_work:+.10f}")
 print(f"  |difference from ledger W| = {abs(fd_work - ledger.work):.2e}")
 
 print("\nsanity limits:")
-decoupled = CompositeModel(protocol, h_env, h_se, coupling_scale=0.0)
-led0, _ = decoupled.discretize(N).trajectory(rho_s, rho_e)
+decoupled = DiscretizedComposite(drive, h_env, h_se, coupling_scale=0.0)
+led0, _ = decoupled.trajectory(rho_s, rho_e)
 print(f"  g = 0: max |Q_k| = {np.max(np.abs(led0.heat_increments)):.2e} (no dissipation)")
 from qworkstats import constant_protocol, cyclic_qubit_hamiltonian
 
-static = CompositeModel(
-    constant_protocol(cyclic_qubit_hamiltonian(0.8), 6.0), h_env, h_se, coupling_scale=0.05
+static = DiscretizedComposite(
+    discretize(constant_protocol(cyclic_qubit_hamiltonian(0.8), 6.0), N), h_env, h_se, coupling_scale=0.05
 )
-led_c, _ = static.discretize(N).trajectory(rho_s, rho_e)
+led_c, _ = static.trajectory(rho_s, rho_e)
 print(f"  constant drive: W = {led_c.work:+.2e}, dU - Q = {led_c.internal_energy_change - led_c.heat:+.2e}")

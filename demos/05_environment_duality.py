@@ -13,9 +13,10 @@ better (second order).
 import numpy as np
 
 from qworkstats import (
-    CompositeModel,
+    DiscretizedComposite,
     constant_protocol,
     cyclic_qubit_hamiltonian,
+    discretize,
     eigenstate_density,
     gibbs_state,
     pure_state_density,
@@ -24,6 +25,7 @@ from qworkstats import (
 )
 
 protocol = constant_protocol(cyclic_qubit_hamiltonian(1.0), 3.0)
+drive = discretize(protocol, 48)  # one drive for every coupling below
 grid = symmetric_grid(3.0, 21)
 plus = pure_state_density(np.array([1.0, 1.0]) / np.sqrt(2.0))
 
@@ -32,8 +34,7 @@ print(f"{'coupling g':>12} {'max |Gbar - G|':>16} {'ratio':>8}")
 h_env, h_se = qubit_exchange_environment(1.8)
 previous = None
 for g in (0.1, 0.05, 0.025, 0.0125):
-    model = CompositeModel(protocol, h_env, h_se, coupling_scale=g)
-    dev = model.discretize(48).duality_deviation(plus, plus, grid)
+    dev = DiscretizedComposite(drive, h_env, h_se, coupling_scale=g).duality_deviation(plus, plus, grid)
     ratio = "" if previous is None else f"{previous / dev:8.3f}"
     print(f"{g:>12.4f} {dev:>16.6e} {ratio:>8}")
     previous = dev
@@ -45,8 +46,7 @@ rho_s = eigenstate_density(protocol(0.0), 1)
 rho_e = gibbs_state(h_env, 1.0)
 previous = None
 for g in (0.1, 0.05, 0.025):
-    model = CompositeModel(protocol, h_env, h_se, coupling_scale=g)
-    dev = model.discretize(48).duality_deviation(rho_s, rho_e, grid)
+    dev = DiscretizedComposite(drive, h_env, h_se, coupling_scale=g).duality_deviation(rho_s, rho_e, grid)
     ratio = "" if previous is None else f"{previous / dev:8.3f}"
     print(f"{g:>12.4f} {dev:>16.6e} {ratio:>8}")
     previous = dev
@@ -56,8 +56,8 @@ print("resonant exchange (gap 1.0), diagonal states:")
 h_env_res, h_se_res = qubit_exchange_environment(1.0)
 rho_e_res = gibbs_state(h_env_res, 1.0)
 for g in (0.1, 0.025):
-    model = CompositeModel(protocol, h_env_res, h_se_res, coupling_scale=g)
-    dev = model.discretize(48).duality_deviation(rho_s, rho_e_res, grid)
+    composite = DiscretizedComposite(drive, h_env_res, h_se_res, coupling_scale=g)
+    dev = composite.duality_deviation(rho_s, rho_e_res, grid)
     print(f"  g = {g:<6}: deviation {dev:.2e}")
 print("-> at exact resonance the exchange coupling conserves bare energy and the")
 print("   duality becomes exact for diagonal states, at any coupling strength")

@@ -9,13 +9,13 @@ degrades linearly with the step size.
 
 import numpy as np
 
-from qworkstats import fast_decoherence_run, gap_ramp_protocol
+from qworkstats import discretize, fast_decoherence_run, gap_ramp_protocol
 
 protocol = gap_ramp_protocol(1.0, 1.5, 1.0)
 temperature = 1.0
 
 print("qubit gap ramp 1.0 -> 1.5 at temperature T = 1, pinned to the thermal state\n")
-ledger = fast_decoherence_run(protocol, temperature, 512)
+ledger = fast_decoherence_run(discretize(protocol, 512), temperature)
 print("every 64th step:")
 print(f"{'k':>5} {'Q_k':>14} {'T dS_k':>14} {'relative gap':>14}")
 shown = ledger.k % 64 == 0
@@ -33,7 +33,7 @@ print(f"  W  = {ledger.work:+.8f}  (quasi-static work done by the ramp)")
 print("\nconvergence of max_k |Q_k - T dS_k| / |Q_k| as the grid refines:")
 print(f"{'steps':>8} {'max relative gap':>18}")
 for n in (32, 128, 512, 2048):
-    led = fast_decoherence_run(protocol, temperature, n)
+    led = fast_decoherence_run(discretize(protocol, n), temperature)
     q = led.heat_increments
     ds = led.entropy_increments
     rel = np.max(np.abs(q - temperature * ds) / np.maximum(np.abs(q), 1e-12))

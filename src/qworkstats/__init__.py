@@ -71,7 +71,6 @@ from .fcs import (
 )
 from .tmp import TmpDistribution, dephase, tmp_characteristic, tmp_distribution, tmp_moment
 from .open_system import (
-    CompositeModel,
     DiscretizedComposite,
     HeatLedger,
     fast_decoherence_run,

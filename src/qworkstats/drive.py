@@ -81,7 +81,8 @@ class DriveProtocol:
     ``hamiltonians_at`` must be a deterministic function mapping an ``(N,)``
     array of times to the ``(N, d, d)`` stack of Hamiltonians at those times,
     with ``d`` fixed; both endpoints must be well-defined since they serve as
-    the measurement-kick Hamiltonians.
+    the measurement-kick Hamiltonians, and finite (:class:`NumericalError`
+    otherwise).
     """
 
     duration: float
@@ -91,7 +92,10 @@ class DriveProtocol:
     def __post_init__(self):
         if not self.duration > 0:
             raise ValueError("drive duration must be positive")
-        self.sample([0.0, self.duration])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            ends = self.sample([0.0, self.duration])
+        if not np.isfinite(ends).all():
+            raise NumericalError(f"H(0) or H(T) overflows on the drive window [0, {self.duration}]")
 
     @cached_property
     def dim(self) -> int:

@@ -332,13 +332,18 @@ def spectral_decomposition(rho0: DensityOperator, drive: DiscretizedDrive) -> Sp
 
 
 def moment(terms: SpectralExpansion, n: int) -> float:
-    """n-th moment ``sum_t w_t u_t^n`` over the folded spectral terms."""
+    """n-th moment ``sum_t w_t u_t^n`` over the folded spectral terms;
+    :class:`NumericalError` when it overflows."""
     if n < 1:
         raise ValueError("moment order must be >= 1")
     power = terms.support
-    for _ in range(n - 1):  # repeated products; ``**`` calls libm pow for n > 2
-        power = power * terms.support
-    return float(np.sum(terms.weight * power))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        for _ in range(n - 1):  # repeated products; ``**`` calls libm pow for n > 2
+            power = power * terms.support
+        value = float(np.sum(terms.weight * power))
+    if not math.isfinite(value):
+        raise NumericalError(f"moment {n} overflows: max|u| = {np.abs(terms.support).max():.3e}")
+    return value
 
 
 def _central_weights(n: int, m: int) -> np.ndarray:

@@ -34,7 +34,7 @@ the block-kick ``G`` at ``+lam``); :meth:`DiscretizedComposite.duality_deviation
 measures the residual, which shrinks linearly with ``g``.
 
 All of these are methods of one :class:`DiscretizedComposite`, built once per
-run by :meth:`CompositeModel.discretize`; it holds the step propagators and
+run from the run's discretized drive; it holds the step propagators and
 eigensystems they share and works on capped blocks of steps, not step by step.
 """
 
@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .drive import DiscretizedDrive, DriveProtocol, discretize, ordered_product
+from .drive import DiscretizedDrive, ordered_product
 from .fcs import CharacteristicSamples, CountingGrid
 from .linalg import (
     HERMITICITY_TOL,
@@ -63,7 +63,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "CompositeModel",
     "DiscretizedComposite",
     "HeatLedger",
     "fast_decoherence_run",
@@ -74,44 +73,6 @@ __all__ = [
 
 _SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # raises index 0 -> 1
 _SIGMA_MINUS = _SIGMA_PLUS.T.copy()
-
-
-@dataclass(frozen=True)
-class CompositeModel:
-    """System drive plus a static environment and coupling.
-
-    ``coupling`` acts on the composite space with the ``system (x)
-    environment`` index convention; ``coupling_scale`` multiplies it, so weak
-    coupling sweeps vary a single number.
-    """
-
-    drive: DriveProtocol
-    h_env: HermitianOperator
-    coupling: HermitianOperator
-    coupling_scale: float = 1.0
-
-    def __post_init__(self):
-        expected = self.drive.dim * self.h_env.dim
-        if self.coupling.dim != expected:
-            raise ValueError(
-                f"coupling dim {self.coupling.dim} != system*environment = {expected}"
-            )
-
-    @property
-    def dim_s(self) -> int:
-        return self.drive.dim
-
-    @property
-    def dim_e(self) -> int:
-        return self.h_env.dim
-
-    @property
-    def dim(self) -> int:
-        return self.dim_s * self.dim_e
-
-    def discretize(self, n_steps: int) -> DiscretizedComposite:
-        """The model on ``n_steps`` left-endpoint steps of its drive."""
-        return DiscretizedComposite(self, discretize(self.drive, n_steps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,35 +154,40 @@ def _kicks(first, steps, last, lams: np.ndarray) -> np.ndarray:
 
 
 class DiscretizedComposite:
-    """A composite model on a fixed step grid; one per open-system run.
+    """The open-system engine of one run: a drive on its step grid, a static environment, their coupling.
 
-    Built by :meth:`CompositeModel.discretize`. Holds the step propagators
-    ``E_k = exp(-i dt H^k)`` and the eigensystem of ``H_E``, reads those of
-    the step Hamiltonians ``H_S^k`` and the boundary eigensystems from the
-    drive, and evaluates every open-system quantity from them. Kicks
-    are formed on their own factor and applied to ``(dim_s, dim_e)``-reshaped
-    blocks, so no Kronecker product is formed per step or per counting field.
-    Steps are batched in blocks of at most ``_STEP_BLOCK`` complex elements
-    (or one step): one eigendecomposition per block, and one pairwise
-    :func:`ordered_product` per block of kicked steps. Only the state
+    ``coupling`` acts on the composite space with the ``system (x)
+    environment`` index convention; ``coupling_scale`` multiplies it, so weak
+    coupling sweeps vary a single number. ``drive`` must be a ``"left"`` drive
+    (``ValueError`` otherwise): its step generators are the samples ``H_S^k``.
+    Holds the step propagators ``E_k = exp(-i dt H^k)`` and the eigensystem of
+    ``H_E``, reads those of the step Hamiltonians ``H_S^k`` and the boundary
+    eigensystems from the drive, and evaluates every open-system quantity from
+    them. Kicks are formed on their own factor and applied to ``(dim_s,
+    dim_e)``-reshaped blocks, so no Kronecker product is formed per step or per
+    counting field. Steps are batched in blocks of at most ``_STEP_BLOCK``
+    complex elements (or one step): one eigendecomposition per block, and one
+    pairwise :func:`ordered_product` per block of kicked steps. Only the state
     evolution of :meth:`trajectory` runs step by step.
     """
 
-    def __init__(self, model: CompositeModel, drive: DiscretizedDrive):
-        self.model, self.drive = model, drive
-        self.dim_s, self.dim_e, self.dim = model.dim_s, model.dim_e, model.dim
+    def __init__(
+        self, drive: DiscretizedDrive, h_env: HermitianOperator, coupling: HermitianOperator, coupling_scale: float = 1.0
+    ):
+        self.dim_s, self.dim_e = drive.dim, h_env.dim
+        self.dim = self.dim_s * self.dim_e
+        if coupling.dim != self.dim:
+            raise ValueError(f"coupling dim {coupling.dim} != system*environment = {self.dim}")
+        self.drive, self.h_env, self.coupling, self.coupling_scale = drive, h_env, coupling, coupling_scale
         eye = np.eye(self.dim)
-        # H_S^0 ... H_S^{N-1}, then H_S(T)
-        self.hamiltonians = drive.gridpoint_hamiltonians
-        static = self._on_factor(model.h_env.matrix, eye, env=True)
-        static = static + model.coupling_scale * model.coupling.matrix
+        static = self._on_factor(h_env.matrix, eye, env=True) + coupling_scale * coupling.matrix
+        steps = drive.gridpoint_hamiltonians[:-1]  # H_S^0 ... H_S^{N-1}
         self.propagators = np.empty((drive.n_steps, self.dim, self.dim), dtype=complex)
         size = max(1, _STEP_BLOCK // self.dim**2)
         for a in range(0, drive.n_steps, size):
-            w, v = _eigh(self._on_factor(drive.hamiltonians[a : a + size], eye) + static)
+            w, v = _eigh(self._on_factor(steps[a : a + size], eye) + static)
             self.propagators[a : a + size] = (v * np.exp(-1j * drive.dt * w)[:, None, :]) @ dagger(v)
-        self.step_eigensystems = tuple(a[:-1] for a in drive.gridpoint_eigensystems)
-        self.env_eigensystem = _eigh(model.h_env.matrix)
+        self.env_eigensystem = _eigh(h_env.matrix)
 
     def _on_factor(self, a: np.ndarray, m: np.ndarray, env: bool = False) -> np.ndarray:
         """``(a (x) 1) m``, or ``(1 (x) a) m`` with ``env``, on reshaped blocks.
@@ -241,7 +207,7 @@ class DiscretizedComposite:
         a, b = mat(rho_s), mat(rho_e)
         if a.shape[0] != self.dim_s or b.shape[0] != self.dim_e:
             raise ValueError(
-                f"state dims ({a.shape[0]}, {b.shape[0]}) != model dims ({self.dim_s}, {self.dim_e})"
+                f"state dims ({a.shape[0]}, {b.shape[0]}) != factor dims ({self.dim_s}, {self.dim_e})"
             )
         return self._on_factor(a, self._on_factor(b, np.eye(self.dim), env=True))
 
@@ -263,18 +229,17 @@ class DiscretizedComposite:
         ``"heat"``: the block product ``B_{N-1} ... B_0``. ``"work"``: boundary
         kicks on ``H_S(0)`` and ``H_S(T)`` around it. Both are ``k_N E_{N-1} ...
         E_0 k_0``, the kicks ``k_j`` merging those of neighbouring blocks.
-        ``"environment"``: kicks on ``H_E`` around the plain product; it
-        requires a constant system Hamiltonian over the window.
+        ``"environment"``: kicks on ``H_E`` around the plain product, the same
+        chain with identity system kicks; it requires a constant system
+        Hamiltonian over the window.
         """
         lams = np.asarray(lams, dtype=float)
         if counting == "environment":
             h0 = self.drive.h_start.matrix
-            if max_abs(self.hamiltonians - h0) > 1e-12 * max(1.0, max_abs(h0)):
+            if max_abs(self.drive.gridpoint_hamiltonians - h0) > 1e-12 * max(1.0, max_abs(h0)):
                 raise ValueError("environment counting requires a constant system Hamiltonian")
-            product = np.eye(self.dim, dtype=complex)
-            size = max(1, _STEP_BLOCK // self.dim**2)
-            for a in range(0, self.drive.n_steps, size):
-                product = ordered_product(self.propagators[a : a + size]) @ product
+            identity = np.broadcast_to(np.eye(self.dim_s), (self.drive.n_steps + 1, 1, self.dim_s, self.dim_s))
+            product = self._chain(identity, self.propagators)[0]
             none = np.zeros((1, self.dim_e)), np.eye(self.dim_e)[None]  # H = 0: identity kicks
             k0, k1 = _kicks(self.env_eigensystem, none, self.env_eigensystem, lams)
             return self._on_factor(k1, product @ self._on_factor(k0, np.eye(self.dim), env=True), env=True)
@@ -285,7 +250,8 @@ class DiscretizedComposite:
             first = last = np.zeros(self.dim_s), np.eye(self.dim_s)  # H = 0: identity kicks
         else:
             raise ValueError(f"unknown counting mode {counting!r}")
-        return self._chain(_kicks(first, self.step_eigensystems, last, lams), self.propagators)
+        steps = tuple(a[:-1] for a in self.drive.gridpoint_eigensystems)
+        return self._chain(_kicks(first, steps, last, lams), self.propagators)
 
     def characteristic_function(
         self,
@@ -350,7 +316,7 @@ class DiscretizedComposite:
             states[k] = partial_trace_env(rho, self.dim_s, self.dim_e)
             if refresh_every is not None and k % refresh_every == 0:
                 rho = self._product_state(states[k], rho_e)
-        h = self.hamiltonians
+        h = self.drive.gridpoint_hamiltonians
         heat = np.trace(h[:-1] @ (states[1:] - states[:-1]), axis1=1, axis2=2).real
         increments = sum(np.trace((h[1:] - h[:-1]) @ states[1:], axis1=1, axis2=2).real.tolist())
         p = np.clip(_reduced_state_spectra(states), 0.0, None)
@@ -360,11 +326,9 @@ class DiscretizedComposite:
         return HeatLedger(np.arange(n), self.drive.times, heat, np.diff(entropy), du), increments
 
 
-def fast_decoherence_run(
-    protocol: DriveProtocol, temperature: float, n_steps: int
-) -> HeatLedger:
+def fast_decoherence_run(drive: DiscretizedDrive, temperature: float) -> HeatLedger:
     """Ledger in the fast-decoherence limit: the state is pinned to the
-    instantaneous thermal state after every step.
+    instantaneous thermal state after every step of ``drive``.
 
     Relaxation is modeled as a hard re-thermalization map (the state is
     exactly Gibbs at all times), not a rate equation. In the quasi-static
@@ -373,7 +337,6 @@ def fast_decoherence_run(
     H(t_1), ..., H(t_{N-1}), H(T)`` come from the drive's
     :attr:`~DiscretizedDrive.gridpoint_eigensystems` and :func:`gibbs_weights`.
     """
-    drive = discretize(protocol, n_steps)
     h = drive.gridpoint_hamiltonians
     w, v = drive.gridpoint_eigensystems
     p = gibbs_weights(w, temperature)
@@ -381,7 +344,7 @@ def fast_decoherence_run(
     entropy = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
     energy = np.einsum("kij,kji->k", h, states).real
     heat = np.einsum("kij,kji->k", h[1:], states[1:] - states[:-1]).real
-    k = np.arange(1, n_steps + 1)
+    k = np.arange(1, drive.n_steps + 1)
     return HeatLedger(k, k * drive.dt, heat, np.diff(entropy), float(energy[-1] - energy[0]))
 
 

@@ -23,6 +23,7 @@ at 10^6 paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,10 +83,13 @@ def boundary_beta(n_steps: int, dt: float) -> np.ndarray:
 
     Each delta carries ``1/dt`` on one gridpoint: the initial one, and the
     left endpoint of the last step (the final gridpoint carries no evolution
-    interval). Needs at least two steps so the two deltas do not collide.
+    interval). Needs at least two steps so the two deltas do not collide;
+    :class:`NumericalError` when ``1/dt`` overflows.
     """
     if n_steps < 2:
         raise ValueError("boundary profile needs at least two steps")
+    if not math.isfinite(1.0 / dt):
+        raise NumericalError(f"boundary weight 1/dt overflows at dt = {dt:.3e}")
     beta = np.zeros(n_steps + 1)
     beta[0] = -1.0 / dt
     beta[n_steps - 1] = +1.0 / dt

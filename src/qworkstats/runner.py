@@ -271,10 +271,9 @@ def _run_open(scenario: Scenario) -> _KindRun:
 
 def _run_fast_decoherence(scenario: Scenario) -> _KindRun:
     cfg = scenario.config
-    protocol = build_protocol(cfg["drive"], cfg["seed"])
     temperature = cfg["temperature"]
     n_steps = cfg["drive"]["steps"]
-    ledger = open_system.fast_decoherence_run(protocol, temperature, n_steps)
+    ledger = open_system.fast_decoherence_run(build_discretized_drive(scenario), temperature)
     q = ledger.heat_increments
     ds = ledger.entropy_increments
     mismatch = float((np.abs(q - temperature * ds) / np.maximum(np.abs(q), 1e-12)).max())

@@ -63,7 +63,6 @@ from .linalg import (
     pure_state_density,
 )
 from .open_system import (
-    CompositeModel,
     DiscretizedComposite,
     oscillator_environment,
     qubit_exchange_environment,
@@ -559,11 +558,11 @@ def build_discretized_drive(scenario: Scenario) -> DiscretizedDrive:
     return discretize(protocol, steps)
 
 
-def build_initial_state(state_cfg: Mapping, h_start) -> DensityOperator:
-    """The state ``state_cfg`` in the eigenbasis of ``h_start``: ``H(0)`` or its eigensystem
-    ``(values, vectors)``, such as half of :attr:`DiscretizedDrive.boundary_eigensystems`."""
+def build_initial_state(state_cfg: Mapping, eigensystem: tuple) -> DensityOperator:
+    """The state ``state_cfg`` in the eigenbasis ``(values, vectors)`` of ``H(0)``,
+    such as half of :attr:`DiscretizedDrive.boundary_eigensystems`."""
     kind = state_cfg["kind"]
-    values, vectors = h_start if isinstance(h_start, tuple) else eig_hermitian(h_start)
+    values, vectors = eigensystem
     v = mat(vectors)
     d = v.shape[0]
     if kind == "eigenstate":
@@ -599,10 +598,9 @@ def build_composite(scenario: Scenario) -> tuple[DiscretizedComposite, DensityOp
     eigensystems, which the work counting reads again: ``H(0)`` is diagonalized once.
     """
     cfg = scenario.config
-    protocol = build_protocol(cfg["drive"], cfg["seed"])
-    if protocol.dim != 2:
+    drive = build_discretized_drive(scenario)
+    if drive.dim != 2:
         raise ScenarioError("environment presets require a qubit system drive")
-    drive = discretize(protocol, cfg["drive"]["steps"])
     env = cfg["environment"]
     eps0, v0 = drive.boundary_eigensystems[:2]
     args = {**env, "gap": float(eps0[-1] - eps0[0]) if env["gap"] == "resonant" else env["gap"]}
@@ -612,7 +610,6 @@ def build_composite(scenario: Scenario) -> tuple[DiscretizedComposite, DensityOp
     except ValueError as exc:
         names = ", ".join(f"'environment.{name}'" for name in fields)
         raise ScenarioError(f"{names} cannot build the {env['preset']} environment: {exc}") from exc
-    model = CompositeModel(protocol, h_env, h_se, coupling_scale=env["coupling"])
     rho_s = build_initial_state(cfg["initial_state"], (eps0, v0))
     if env["state"] == "coherent":
         # equal superposition of the environment energy eigenstates
@@ -621,7 +618,7 @@ def build_composite(scenario: Scenario) -> tuple[DiscretizedComposite, DensityOp
         rho_e = pure_state_density(vectors.matrix @ amp)
     else:
         rho_e = gibbs_state(h_env, env["temperature"])
-    return DiscretizedComposite(model, drive), rho_s, rho_e
+    return DiscretizedComposite(drive, h_env, h_se, env["coupling"]), rho_s, rho_e
 
 
 def build_grid(scenario: Scenario) -> CountingGrid:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qworkstats import (
-    CompositeModel,
+    DiscretizedComposite,
     DiscretizedDrive,
     HermitianOperator,
     constant_protocol,
@@ -38,23 +38,23 @@ def make_static_drive(h, duration=1.0, generator=None):
     return DiscretizedDrive(np.zeros(1), gen.matrix[None], duration, ham, ham)
 
 
-def composite_hamiltonian(model, h_s):
+def composite_hamiltonian(composite, h_s):
     """``H^k = H_S^k (x) 1 + 1 (x) H_E + g H_SE`` from explicit Kronecker
     products; ``h_s`` may be an ``(N, d_s, d_s)`` stack of steps."""
     return (
-        np.kron(mat(h_s), np.eye(model.dim_e))
-        + np.kron(np.eye(model.dim_s), model.h_env.matrix)
-        + model.coupling_scale * model.coupling.matrix
+        np.kron(mat(h_s), np.eye(composite.dim_e))
+        + np.kron(np.eye(composite.dim_s), composite.h_env.matrix)
+        + composite.coupling_scale * composite.coupling.matrix
     )
 
 
-def step_slice(model, n_steps, k):
-    """Step ``k`` of ``model`` on ``n_steps`` steps as a one-step composite:
-    its heat counting operators are the measurement blocks
+def step_slice(composite, k):
+    """Step ``k`` of ``composite`` as a one-step composite: its heat counting
+    operators are the measurement blocks
     ``B_k(lam) = exp(-i lam/2 H_S^k) E_k exp(+i lam/2 H_S^k)``."""
-    drive = discretize(model.drive, n_steps)
-    protocol = constant_protocol(drive.hamiltonians[k], drive.dt)
-    return CompositeModel(protocol, model.h_env, model.coupling, model.coupling_scale).discretize(1)
+    drive = composite.drive
+    step = discretize(constant_protocol(drive.hamiltonians[k], drive.dt), 1)
+    return DiscretizedComposite(step, composite.h_env, composite.coupling, composite.coupling_scale)
 
 
 def assert_unitary(u):

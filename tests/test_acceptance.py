@@ -8,8 +8,8 @@ scale; the whole module stays well under a minute.
 import numpy as np
 
 from qworkstats import (
-    CompositeModel,
     DensityOperator,
+    DiscretizedComposite,
     characteristic_function,
     constant_protocol,
     cyclic_qubit_drive,
@@ -167,10 +167,9 @@ def test_criterion_3_normalization_and_hermiticity():
     batteries.append(characteristic_function(terms, grid))
     h_env, h_se = qubit_exchange_environment(1.0)
     protocol = constant_protocol(cyclic_qubit_hamiltonian(1.0), 2.0)
-    model = CompositeModel(protocol, h_env, h_se, coupling_scale=0.1)
+    composite = DiscretizedComposite(discretize(protocol, 24), h_env, h_se, coupling_scale=0.1)
     rho_s = eigenstate_density(protocol(0.0), 1)
     rho_e = gibbs_state(h_env, 1.0)
-    composite = model.discretize(24)
     for counting in ("work", "heat", "environment"):
         batteries.append(composite.characteristic_function(rho_s, rho_e, grid, counting=counting))
     worst_norm = max(abs(s.value_at(0.0) - 1.0) for s in batteries)
@@ -241,19 +240,19 @@ def test_criterion_6_open_ledger():
     ramp = gap_ramp_protocol(0.8, 1.2, 6.0)
     checks = []
     for g in (0.0, 0.05, 0.2):
-        model = CompositeModel(ramp, h_env, h_se, coupling_scale=g)
+        composite = DiscretizedComposite(discretize(ramp, 96), h_env, h_se, coupling_scale=g)
         rho_s = eigenstate_density(ramp(0.0), 1)
         rho_e = gibbs_state(h_env, 1.0)
-        ledger, increments = model.discretize(96).trajectory(rho_s, rho_e)
+        ledger, increments = composite.trajectory(rho_s, rho_e)
         checks.append(abs(ledger.work - (ledger.internal_energy_change - ledger.heat)))
         checks.append(abs(increments - ledger.work))
         if g == 0.0:
             unitary_limit = float(np.max(np.abs(ledger.heat_increments)))
     constant = constant_protocol(cyclic_qubit_hamiltonian(1.0), 3.0)
-    model = CompositeModel(constant, h_env, h_se, coupling_scale=0.2)
+    composite = DiscretizedComposite(discretize(constant, 48), h_env, h_se, coupling_scale=0.2)
     rho_s = eigenstate_density(constant(0.0), 1)
     rho_e = gibbs_state(h_env, 0.5)
-    ledger, _ = model.discretize(48).trajectory(rho_s, rho_e)
+    ledger, _ = composite.trajectory(rho_s, rho_e)
     constant_work = abs(ledger.work)
     checks.append(abs(ledger.work - (ledger.internal_energy_change - ledger.heat)))
     worst = max(checks)
@@ -276,8 +275,8 @@ def test_criterion_7_environment_duality():
     grid = symmetric_grid(3.0, 21)
     devs = []
     for g in (0.1, 0.05, 0.025):
-        model = CompositeModel(protocol, h_env, h_se, coupling_scale=g)
-        devs.append(model.discretize(48).duality_deviation(plus, plus, grid))
+        composite = DiscretizedComposite(discretize(protocol, 48), h_env, h_se, coupling_scale=g)
+        devs.append(composite.duality_deviation(plus, plus, grid))
     ratios = [devs[i] / devs[i + 1] for i in range(2)]
     passed = all(1.5 <= r <= 2.5 for r in ratios) and devs[0] > devs[1] > devs[2]
     report(
@@ -296,7 +295,7 @@ def test_criterion_8_fast_decoherence_entropy_relation():
     temperature = 1.0
     errors = {}
     for n in (512, 128, 32):
-        ledger = fast_decoherence_run(protocol, temperature, n)
+        ledger = fast_decoherence_run(discretize(protocol, n), temperature)
         q = ledger.heat_increments
         ds = ledger.entropy_increments
         errors[n] = float(np.max(np.abs(q - temperature * ds) / np.maximum(np.abs(q), 1e-12)))

@@ -743,6 +743,9 @@ def test_paths_check_diagonalizes_each_gridpoint_stack_once(monkeypatch):
         ["open", "--set", "lambda_grid.max=1e308"],
         ["closed", "--set", "drive.params.splitting=1e308"],
         ["closed", "--set", "drive.duration=1e308"],
+        ["open", "--set", "drive.params.gap_start=1e308"],
+        ["cyclic-example", "--set", "cyclic.gap=1e308"],
+        ["paths-check", "--set", "drive.duration=1e-308"],
     ],
     ids=[
         "lambda-grid",
@@ -752,6 +755,9 @@ def test_paths_check_diagonalizes_each_gridpoint_stack_once(monkeypatch):
         "open-lambda-grid",
         "magnus4-overflow",
         "step-phase-overflow",
+        "protocol-endpoint-overflow",
+        "moment-overflow",
+        "boundary-weight-overflow",
     ],
 )
 def test_extreme_input_exits_without_warnings(tmp_path, argv):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qworkstats import (
-    CompositeModel,
     DensityOperator,
     DiscretizedComposite,
     HermitianOperator,
@@ -34,15 +33,15 @@ from qworkstats.linalg import NumericalError, mat, max_abs
 from conftest import PAULI_X, PAULI_Z, assert_unitary, composite_hamiltonian, step_slice
 
 
-def exchange_model(coupling, env_gap=1.0, protocol=None):
-    protocol = protocol or gap_ramp_protocol(0.8, 1.2, 6.0)
+def exchange_composite(coupling, n_steps, env_gap=1.0, protocol=None):
+    drive = discretize(protocol or gap_ramp_protocol(0.8, 1.2, 6.0), n_steps)
     h_env, h_se = qubit_exchange_environment(env_gap)
-    return CompositeModel(protocol, h_env, h_se, coupling_scale=coupling)
+    return DiscretizedComposite(drive, h_env, h_se, coupling_scale=coupling)
 
 
-def thermal_pair(model, temperature=1.0, excited=True):
-    rho_s = eigenstate_density(model.drive(0.0), 1 if excited else 0)
-    rho_e = gibbs_state(model.h_env, temperature)
+def thermal_pair(composite, temperature=1.0, excited=True):
+    rho_s = eigenstate_density(composite.drive.h_start, 1 if excited else 0)
+    rho_e = gibbs_state(composite.h_env, temperature)
     return rho_s, rho_e
 
 
@@ -52,118 +51,127 @@ PLUS = pure_state_density(np.array([1.0, 1.0]) / np.sqrt(2.0))
 class TestMeasurementBlock:
     # the step-k block is heat counting on the one-step slice of step k
     def test_zero_counting_field_is_step_propagator(self):
-        model = exchange_model(0.3)
-        n, k = 8, 2
-        composite = model.discretize(n)
+        composite, k = exchange_composite(0.3, 8), 2
         drive = composite.drive
-        step = expm_unitary(composite_hamiltonian(model, drive.hamiltonians[k]), drive.dt).matrix
+        step = expm_unitary(composite_hamiltonian(composite, drive.hamiltonians[k]), drive.dt).matrix
         assert max_abs(composite.propagators[k] - step) <= 1e-12
-        block = step_slice(model, n, k).counting_operators(np.array([0.0]), "heat")
+        block = step_slice(composite, k).counting_operators(np.array([0.0]), "heat")
         assert max_abs(block - step) <= 1e-12
 
     def test_decoupled_kicks_commute_away(self):
-        model = exchange_model(0.0)
-        n, k = 6, 4
-        drive = discretize(model.drive, n)
-        step = expm_unitary(composite_hamiltonian(model, drive.hamiltonians[k]), drive.dt).matrix
-        blocks = step_slice(model, n, k).counting_operators(np.array([0.4, -1.3]), "heat")
+        composite, k = exchange_composite(0.0, 6), 4
+        drive = composite.drive
+        step = expm_unitary(composite_hamiltonian(composite, drive.hamiltonians[k]), drive.dt).matrix
+        blocks = step_slice(composite, k).counting_operators(np.array([0.4, -1.3]), "heat")
         assert_unitary(blocks)
         assert max_abs(blocks - step) <= 1e-12
 
     def test_derivative_is_half_commutator(self, rng):
         # finite-difference oracle for -i dB/dlam at 0; analytically (1/2)[E, A]
-        model = CompositeModel(
-            linear_ramp_protocol(PAULI_Z, PAULI_X, 1.0),
+        composite = DiscretizedComposite(
+            discretize(linear_ramp_protocol(PAULI_Z, PAULI_X, 1.0), 8),
             random_hermitian(2, rng),
             random_hermitian(4, rng),
             coupling_scale=0.7,
         )
-        n, k, h = 8, 3, 1e-5
-        drive = discretize(model.drive, n)
-        plus, minus = step_slice(model, n, k).counting_operators(np.array([h, -h]), "heat")
+        k, h = 3, 1e-5
+        drive = composite.drive
+        plus, minus = step_slice(composite, k).counting_operators(np.array([h, -h]), "heat")
         fd = -1j * (plus - minus) / (2 * h)
-        e = expm_unitary(composite_hamiltonian(model, drive.hamiltonians[k]), drive.dt).matrix
+        e = expm_unitary(composite_hamiltonian(composite, drive.hamiltonians[k]), drive.dt).matrix
         a = tensor(drive.hamiltonians[k], np.eye(2))
         assert max_abs(fd - 0.5 * (e @ a - a @ e)) <= 1e-7
 
 
 class TestCountingOperators:
     def test_full_operator_at_zero_is_plain_product(self):
-        model = exchange_model(0.4)
-        n = 6
-        drive = discretize(model.drive, n)
+        composite = exchange_composite(0.4, 6)
+        drive = composite.drive
         u = np.eye(4, dtype=complex)
         for h_s in drive.hamiltonians:
-            u = expm_unitary(composite_hamiltonian(model, h_s), drive.dt).matrix @ u
-        work = model.discretize(n).counting_operators(np.array([0.0]), "work")
+            u = expm_unitary(composite_hamiltonian(composite, h_s), drive.dt).matrix @ u
+        work = composite.counting_operators(np.array([0.0]), "work")
         assert_unitary(work)
         assert max_abs(work[0] - u) <= 1e-12
 
     def test_single_block_constant_system_collapses(self):
         # boundary kicks cancel the block kicks exactly for a constant drive
-        model = exchange_model(0.5, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 0.7))
-        u = model.discretize(1).counting_operators(np.array([0.9, -0.4]), "work")
-        step = expm_unitary(composite_hamiltonian(model, model.drive(0.0)), 0.7).matrix
+        composite = exchange_composite(0.5, 1, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 0.7))
+        u = composite.counting_operators(np.array([0.9, -0.4]), "work")
+        step = expm_unitary(composite_hamiltonian(composite, composite.drive.h_start), 0.7).matrix
         assert_unitary(u)
         assert max_abs(u - step) <= 1e-12
 
     def test_decoupled_reduction_to_closed_system(self):
-        model = exchange_model(0.0)
-        n = 24
+        composite = exchange_composite(0.0, 24)
         grid = symmetric_grid(3.0, 15)
-        rho_s, rho_e = thermal_pair(model)
-        g_open = model.discretize(n).characteristic_function(rho_s, rho_e, grid)
-        g_closed = characteristic_function(spectral_decomposition(rho_s, discretize(model.drive, n)), grid)
+        rho_s, rho_e = thermal_pair(composite)
+        g_open = composite.characteristic_function(rho_s, rho_e, grid)
+        g_closed = characteristic_function(spectral_decomposition(rho_s, composite.drive), grid)
         assert np.max(np.abs(g_open.values - g_closed.values)) <= 1e-10
 
     def test_environment_counting_requires_constant_system(self):
-        model = exchange_model(0.1)
         with pytest.raises(ValueError, match="constant"):
-            model.discretize(8).counting_operators(np.array([0.3]), "environment")
+            exchange_composite(0.1, 8).counting_operators(np.array([0.3]), "environment")
 
     def test_environment_counting_trivial_when_decoupled(self):
-        model = exchange_model(0.0, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 2.0))
+        composite = exchange_composite(0.0, 16, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 2.0))
         grid = symmetric_grid(2.0, 11)
-        rho_s, rho_e = thermal_pair(model)
-        g_env = model.discretize(16).characteristic_function(rho_s, rho_e, grid, counting="environment")
+        rho_s, rho_e = thermal_pair(composite)
+        g_env = composite.characteristic_function(rho_s, rho_e, grid, counting="environment")
         assert np.max(np.abs(g_env.values - 1.0)) <= 1e-12
 
+    def test_environment_counting_matches_kronecker_product(self):
+        # oracle exp(+i lam/2 H_E) E_{N-1} ... E_0 exp(-i lam/2 H_E) from explicit
+        # Kronecker products; the 8-level oscillator (D = 16) spans three step blocks
+        from qworkstats.open_system import _STEP_BLOCK
+
+        h_env, h_se = oscillator_environment(1.3, 8)
+        drive = discretize(constant_protocol(cyclic_qubit_hamiltonian(1.0), 3.0), 96)
+        composite = DiscretizedComposite(drive, h_env, h_se, coupling_scale=0.3)
+        assert drive.n_steps > 2 * (_STEP_BLOCK // composite.dim**2)
+        product = np.eye(composite.dim, dtype=complex)
+        for h_s in drive.hamiltonians:
+            product = expm_unitary(composite_hamiltonian(composite, h_s), drive.dt).matrix @ product
+        lams = np.array([0.0, 0.7, -1.3])
+        for lam, operator in zip(lams, composite.counting_operators(lams, "environment")):
+            kick = tensor(np.eye(2), expm_unitary(h_env, 0.5 * lam).matrix)  # exp(-i lam/2 H_E)
+            assert max_abs(operator - kick.conj().T @ product @ kick) <= 1e-12
+
     def test_unknown_counting_mode(self):
-        model = exchange_model(0.1, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 1.0))
-        rho_s, rho_e = thermal_pair(model)
+        composite = exchange_composite(0.1, 4, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 1.0))
+        rho_s, rho_e = thermal_pair(composite)
         with pytest.raises(ValueError, match="counting"):
-            model.discretize(4).characteristic_function(
+            composite.characteristic_function(
                 rho_s, rho_e, symmetric_grid(1.0, 3), counting="bogus"
             )
 
 
 class TestHeatLedger:
     def test_decoupled_steps_dissipate_nothing(self):
-        model = exchange_model(0.0)
-        rho_s, rho_e = thermal_pair(model)
-        ledger = model.discretize(32).trajectory(rho_s, rho_e)[0]
+        composite = exchange_composite(0.0, 32)
+        rho_s, rho_e = thermal_pair(composite)
+        ledger = composite.trajectory(rho_s, rho_e)[0]
         assert np.max(np.abs(ledger.heat_increments)) <= 1e-12
         assert ledger.work == pytest.approx(ledger.internal_energy_change, abs=1e-12)
 
     def test_constant_hamiltonian_all_change_is_heat(self):
-        model = exchange_model(0.2, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 3.0))
-        rho_s, rho_e = thermal_pair(model, temperature=0.5)
-        ledger = model.discretize(48).trajectory(rho_s, rho_e)[0]
+        composite = exchange_composite(0.2, 48, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 3.0))
+        rho_s, rho_e = thermal_pair(composite, temperature=0.5)
+        ledger = composite.trajectory(rho_s, rho_e)[0]
         assert abs(ledger.work) <= 1e-10
         assert ledger.heat == pytest.approx(ledger.internal_energy_change, abs=1e-10)
         assert abs(ledger.heat) > 1e-3  # something actually flows
 
     def test_ledger_identity(self):
-        model = exchange_model(0.05)
-        rho_s, rho_e = thermal_pair(model)
-        ledger = model.discretize(96).trajectory(rho_s, rho_e)[0]
+        composite = exchange_composite(0.05, 96)
+        rho_s, rho_e = thermal_pair(composite)
+        ledger = composite.trajectory(rho_s, rho_e)[0]
         assert ledger.work == pytest.approx(ledger.internal_energy_change - ledger.heat, abs=1e-12)
 
     def test_work_matches_fd_moment_of_counting_function(self):
-        model = exchange_model(0.05)
-        rho_s, rho_e = thermal_pair(model)
-        n = 96
-        composite = model.discretize(n)
+        composite = exchange_composite(0.05, 96)
+        rho_s, rho_e = thermal_pair(composite)
         ledger, _ = composite.trajectory(rho_s, rho_e)
         h = 1e-3
         samples = composite.characteristic_function(
@@ -172,10 +180,8 @@ class TestHeatLedger:
         assert moment_fd(samples, 1, h=h) == pytest.approx(ledger.work, abs=1e-7)
 
     def test_heat_cgf_first_moment_is_minus_heat(self):
-        model = exchange_model(0.2, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 3.0))
-        rho_s, rho_e = thermal_pair(model, temperature=0.5)
-        n = 48
-        composite = model.discretize(n)
+        composite = exchange_composite(0.2, 48, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 3.0))
+        rho_s, rho_e = thermal_pair(composite, temperature=0.5)
         ledger, _ = composite.trajectory(rho_s, rho_e)
         h = 1e-3
         samples = composite.characteristic_function(
@@ -184,16 +190,16 @@ class TestHeatLedger:
         assert moment_fd(samples, 1, h=h) == pytest.approx(-ledger.heat, abs=1e-7)
 
     def test_work_counting_function_trivial_for_constant_system(self):
-        model = exchange_model(0.2, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 3.0))
-        rho_s, rho_e = thermal_pair(model)
-        samples = model.discretize(24).characteristic_function(rho_s, rho_e, symmetric_grid(3.0, 13))
+        composite = exchange_composite(0.2, 24, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 3.0))
+        rho_s, rho_e = thermal_pair(composite)
+        samples = composite.characteristic_function(rho_s, rho_e, symmetric_grid(3.0, 13))
         assert np.max(np.abs(samples.values - 1.0)) <= 1e-12
 
     def test_refresh_keeps_identity_and_changes_flow(self):
-        model = exchange_model(0.3)
-        rho_s, rho_e = thermal_pair(model)
-        plain, _ = model.discretize(64).trajectory(rho_s, rho_e)
-        refreshed, _ = model.discretize(64).trajectory(rho_s, rho_e, refresh_every=1)
+        composite = exchange_composite(0.3, 64)
+        rho_s, rho_e = thermal_pair(composite)
+        plain, _ = composite.trajectory(rho_s, rho_e)
+        refreshed, _ = composite.trajectory(rho_s, rho_e, refresh_every=1)
         assert refreshed.work == pytest.approx(
             refreshed.internal_energy_change - refreshed.heat, abs=1e-12
         )
@@ -202,9 +208,8 @@ class TestHeatLedger:
     def test_entropy_changes_match_per_state_entropy(self):
         # reference: evolve the product state and take each reduced state's
         # entropy on its own
-        model = exchange_model(0.3)
-        rho_s, rho_e = thermal_pair(model)
-        composite = model.discretize(24)
+        composite = exchange_composite(0.3, 24)
+        rho_s, rho_e = thermal_pair(composite)
         ledger, _ = composite.trajectory(rho_s, rho_e)
         rho = tensor(rho_s.matrix, rho_e.matrix)
         entropies = [von_neumann_entropy(rho_s)]
@@ -217,18 +222,17 @@ class TestHeatLedger:
     def test_unphysical_reduced_state_is_numerical_error(self, monkeypatch):
         import qworkstats.open_system as open_module
 
-        model = exchange_model(0.1)
-        rho_s, rho_e = thermal_pair(model)
-        composite = model.discretize(8)
+        composite = exchange_composite(0.1, 8)
+        rho_s, rho_e = thermal_pair(composite)
         monkeypatch.setattr(open_module, "partial_trace_env", lambda *a: np.diag([1.5, -0.5]).astype(complex))
         with pytest.raises(NumericalError, match="reduced state 1 .*smallest eigenvalue -5"):
             composite.trajectory(rho_s, rho_e)
 
     def test_refresh_every_validated(self):
-        model = exchange_model(0.1)
-        rho_s, rho_e = thermal_pair(model)
+        composite = exchange_composite(0.1, 8)
+        rho_s, rho_e = thermal_pair(composite)
         with pytest.raises(ValueError, match="refresh_every"):
-            model.discretize(8).trajectory(rho_s, rho_e, refresh_every=0)
+            composite.trajectory(rho_s, rho_e, refresh_every=0)
 
     def test_unitary_step_on_entangled_state_dissipates_nothing(self, rng):
         # a decoupled step contributes exactly zero heat even when the prior
@@ -247,22 +251,20 @@ class TestHeatLedger:
 
 class TestIncrementForm:
     def test_constant_drive_zero_work(self):
-        model = exchange_model(0.3, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 2.0))
-        rho_s, rho_e = thermal_pair(model)
-        assert model.discretize(32).trajectory(rho_s, rho_e)[1] == 0.0
+        composite = exchange_composite(0.3, 32, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 2.0))
+        rho_s, rho_e = thermal_pair(composite)
+        assert composite.trajectory(rho_s, rho_e)[1] == 0.0
 
     def test_decoupled_ramp_gives_energy_balance(self):
-        model = exchange_model(0.0)
-        rho_s, rho_e = thermal_pair(model)
-        n = 64
-        ledger, increments = model.discretize(n).trajectory(rho_s, rho_e)
+        composite = exchange_composite(0.0, 64)
+        rho_s, rho_e = thermal_pair(composite)
+        ledger, increments = composite.trajectory(rho_s, rho_e)
         assert increments == pytest.approx(ledger.internal_energy_change, abs=1e-10)
 
     def test_regrouping_identity(self):
-        model = exchange_model(0.07)
-        rho_s, rho_e = thermal_pair(model)
         for n in (16, 96):
-            ledger, increments = model.discretize(n).trajectory(rho_s, rho_e)
+            composite = exchange_composite(0.07, n)
+            ledger, increments = composite.trajectory(*thermal_pair(composite))
             assert increments == pytest.approx(ledger.work, abs=1e-12)
 
 
@@ -270,15 +272,16 @@ class TestEnvironmentDuality:
     def test_system_energy_counting_equals_mirrored_heat_counting(self):
         # exact identity for constant system Hamiltonians, any coupling:
         # boundary kicks at +lam equal block kicks at -lam
-        model = exchange_model(0.4, env_gap=1.7, protocol=constant_protocol(cyclic_qubit_hamiltonian(1.0), 2.0))
-        n = 24
-        operators = model.discretize(n).counting_operators(np.array([0.0, -0.5, -1.1]), "heat")
+        protocol = constant_protocol(cyclic_qubit_hamiltonian(1.0), 2.0)
+        composite = exchange_composite(0.4, 24, env_gap=1.7, protocol=protocol)
+        operators = composite.counting_operators(np.array([0.0, -0.5, -1.1]), "heat")
         assert_unitary(operators)
+        h0 = composite.drive.h_start
         for lam, operator in zip((0.5, 1.1), operators[1:]):
             boundary = (
-                tensor(expm_unitary(model.drive(0.0), -0.5 * lam).matrix, np.eye(2))
+                tensor(expm_unitary(h0, -0.5 * lam).matrix, np.eye(2))
                 @ operators[0]
-                @ tensor(expm_unitary(model.drive(0.0), 0.5 * lam).matrix, np.eye(2))
+                @ tensor(expm_unitary(h0, 0.5 * lam).matrix, np.eye(2))
             )
             assert max_abs(boundary - operator) <= 1e-12
 
@@ -287,8 +290,7 @@ class TestEnvironmentDuality:
         grid = symmetric_grid(3.0, 21)
         devs = []
         for g in (0.1, 0.05, 0.025):
-            model = exchange_model(g, env_gap=1.8, protocol=protocol)
-            devs.append(model.discretize(48).duality_deviation(PLUS, PLUS, grid))
+            devs.append(exchange_composite(g, 48, env_gap=1.8, protocol=protocol).duality_deviation(PLUS, PLUS, grid))
         assert devs[0] > devs[1] > devs[2]
         for a, b in zip(devs, devs[1:]):
             assert 1.5 <= a / b <= 2.5
@@ -300,22 +302,21 @@ class TestEnvironmentDuality:
         grid = symmetric_grid(3.0, 21)
         devs = []
         for g in (0.1, 0.05):
-            model = exchange_model(g, env_gap=1.8, protocol=protocol)
-            rho_s, rho_e = thermal_pair(model)
-            devs.append(model.discretize(48).duality_deviation(rho_s, rho_e, grid))
+            composite = exchange_composite(g, 48, env_gap=1.8, protocol=protocol)
+            devs.append(composite.duality_deviation(*thermal_pair(composite), grid))
         assert 3.0 <= devs[0] / devs[1] <= 5.0
 
 
 class TestFastDecoherence:
     def test_constant_hamiltonian_flat_ledger(self):
-        ledger = fast_decoherence_run(constant_protocol(cyclic_qubit_hamiltonian(1.0), 1.0), 1.0, 32)
+        ledger = fast_decoherence_run(discretize(constant_protocol(cyclic_qubit_hamiltonian(1.0), 1.0), 32), 1.0)
         assert np.max(np.abs(ledger.heat_increments)) <= 1e-14
         assert np.max(np.abs(ledger.entropy_increments)) <= 1e-14
 
     def test_quasi_static_entropy_heat_relation(self):
         protocol = gap_ramp_protocol(1.0, 1.5, 1.0)
         temperature = 1.0
-        ledger = fast_decoherence_run(protocol, temperature, 512)
+        ledger = fast_decoherence_run(discretize(protocol, 512), temperature)
         q = ledger.heat_increments
         ds = ledger.entropy_increments
         rel = np.abs(q - temperature * ds) / np.maximum(np.abs(q), 1e-12)
@@ -326,7 +327,7 @@ class TestFastDecoherence:
         temperature = 1.0
         errors = []
         for n in (512, 128, 32):
-            ledger = fast_decoherence_run(protocol, temperature, n)
+            ledger = fast_decoherence_run(discretize(protocol, n), temperature)
             q = ledger.heat_increments
             ds = ledger.entropy_increments
             errors.append(float(np.max(np.abs(q - temperature * ds) / np.maximum(np.abs(q), 1e-12))))
@@ -334,12 +335,12 @@ class TestFastDecoherence:
 
     def test_heat_tracks_total_entropy(self):
         protocol = gap_ramp_protocol(1.0, 1.5, 1.0)
-        ledger = fast_decoherence_run(protocol, 0.8, 512)
+        ledger = fast_decoherence_run(discretize(protocol, 512), 0.8)
         assert ledger.heat == pytest.approx(0.8 * ledger.entropy_increments.sum(), rel=1e-3)
 
     def test_temperature_validated(self):
         with pytest.raises(ValueError, match="temperature"):
-            fast_decoherence_run(gap_ramp_protocol(1.0, 1.5, 1.0), -1.0, 8)
+            fast_decoherence_run(discretize(gap_ramp_protocol(1.0, 1.5, 1.0), 8), -1.0)
 
     @pytest.mark.parametrize("dim,temperature", [(2, 1.0), (3, 0.7), (5, 0.05)])
     def test_batched_ledger_matches_per_state_loop(self, dim, temperature):
@@ -347,8 +348,8 @@ class TestFastDecoherence:
         # eigendecomposition replaced, kept as its reference
         protocol = random_ramp_protocol(dim, 1.0, np.random.default_rng(40 + dim), scale=3.0)
         n = 64
-        ledger = fast_decoherence_run(protocol, temperature, n)
         drive = discretize(protocol, n)
+        ledger = fast_decoherence_run(drive, temperature)
         hams = [drive.h_start.matrix, *drive.hamiltonians[1:], drive.h_end.matrix]
         states = [gibbs_state(h, temperature).matrix for h in hams]
         entropies = [von_neumann_entropy(rho) for rho in states]
@@ -364,17 +365,17 @@ class TestFastDecoherence:
         assert abs(ledger.internal_energy_change - du) <= tol
 
     def test_large_gap_does_not_overflow(self):
-        ledger = fast_decoherence_run(gap_ramp_protocol(2000.0, 2100.0, 1.0), 1.0, 16)
+        ledger = fast_decoherence_run(discretize(gap_ramp_protocol(2000.0, 2100.0, 1.0), 16), 1.0)
         assert np.all(np.isfinite(ledger.heat_increments))
         assert np.max(np.abs(ledger.entropy_increments)) <= 1e-12
 
 
 class TestStepRule:
     def test_composite_needs_left_samples(self):
-        model = exchange_model(0.1)
-        drive = discretize(model.drive, 8, rule="magnus4")
+        h_env, h_se = qubit_exchange_environment(1.0)
+        drive = discretize(gap_ramp_protocol(0.8, 1.2, 6.0), 8, rule="magnus4")
         with pytest.raises(ValueError, match="left"):
-            DiscretizedComposite(model, drive)
+            DiscretizedComposite(drive, h_env, h_se, coupling_scale=0.1)
 
 
 class TestEnvironmentPresets:
@@ -399,17 +400,17 @@ class TestEnvironmentPresets:
     def test_oscillator_model_ledger_identity(self):
         protocol = gap_ramp_protocol(0.9, 1.1, 4.0)
         h_env, h_se = oscillator_environment(1.0, 4)
-        model = CompositeModel(protocol, h_env, h_se, coupling_scale=0.05)
+        composite = DiscretizedComposite(discretize(protocol, 48), h_env, h_se, coupling_scale=0.05)
         rho_s = eigenstate_density(protocol(0.0), 1)
         rho_e = gibbs_state(h_env, 1.0)
-        ledger, increments = model.discretize(48).trajectory(rho_s, rho_e)
+        ledger, increments = composite.trajectory(rho_s, rho_e)
         assert ledger.work == pytest.approx(ledger.internal_energy_change - ledger.heat, abs=1e-12)
         assert increments == pytest.approx(ledger.work, abs=1e-12)
 
     def test_coupling_dimension_validated(self):
         with pytest.raises(ValueError, match="coupling dim"):
-            CompositeModel(
-                gap_ramp_protocol(1.0, 1.2, 1.0),
+            DiscretizedComposite(
+                discretize(gap_ramp_protocol(1.0, 1.2, 1.0), 4),
                 HermitianOperator(np.eye(2)),
                 HermitianOperator(np.eye(2)),
             )
@@ -424,7 +425,7 @@ class TestOpenRun:
         calls = []
         original = DiscretizedComposite.__init__
         monkeypatch.setattr(
-            DiscretizedComposite, "__init__", lambda c, m, d: calls.append(d.n_steps) or original(c, m, d)
+            DiscretizedComposite, "__init__", lambda c, d, *args: calls.append(d.n_steps) or original(c, d, *args)
         )
         overrides = {"drive.protocol": "constant", "duality": True} if duality else {}
         scenario = Scenario.from_kind("open").with_overrides({"drive.steps": 16, **overrides})

@@ -7,7 +7,7 @@ here: the triple-loop expansion of ``G``, the two-kick trace formula for
 that it checks the invariants: unit weight sum, ``G(-lam) = conj G(lam)``,
 mixture equals TMP, and the first moment equals the energy balance.
 
-Each open case draws a random composite model (drive, ``H_E``, ``H_SE``) and
+Each open case draws a random composite (drive, ``H_E``, ``H_SE``) and
 states, and checks the measurement blocks against their Kronecker-product
 form, the normalization and symmetry of ``G``, the ledger identity, the
 increment form, and the decoupled limit against the closed two-kick
@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from qworkstats import (
-    CompositeModel,
+    DiscretizedComposite,
     DiscretizedDrive,
     DriveProtocol,
     HermitianOperator,
@@ -319,22 +319,28 @@ OPEN_CASES = [(d_s, d_e, seed) for d_s, d_e in OPEN_DIMS for seed in (0, 1)]
 OPEN_IDS = [f"s{d_s}-e{d_e}-s{seed}" for d_s, d_e, seed in OPEN_CASES]
 
 
-def open_case(d_s, d_e, seed, coupling_scale=0.3):
+def open_case(d_s, d_e, seed, n_steps, coupling_scale=0.3, constant=False):
+    """A random composite on ``n_steps`` steps and random initial states, the same
+    for every ``n_steps``; ``constant`` holds the drive at its ``H(0)``."""
     rng = np.random.default_rng(9000 + 31 * d_s + 7 * d_e + seed)
-    model = CompositeModel(
-        random_ramp_protocol(d_s, 1.5, rng),
+    protocol = random_ramp_protocol(d_s, 1.5, rng)
+    if constant:
+        protocol = constant_protocol(protocol(0.0), 1.5)
+    composite = DiscretizedComposite(
+        discretize(protocol, n_steps),
         random_hermitian(d_e, rng),
         random_hermitian(d_s * d_e, rng),
         coupling_scale=coupling_scale,
     )
-    return model, random_density(d_s, rng), random_density(d_e, rng)
+    return composite, random_density(d_s, rng), random_density(d_e, rng)
 
 
-def kron_block(model, drive, k, lam):
+def kron_block(composite, k, lam):
     """``exp(-i lam/2 H_S^k (x) 1) E_k exp(+i lam/2 H_S^k (x) 1)`` with explicit Kronecker products."""
+    drive = composite.drive
     h_s = drive.hamiltonians[k]
-    eye_e = np.eye(model.dim_e)
-    step = expm_unitary(composite_hamiltonian(model, h_s), drive.dt).matrix
+    eye_e = np.eye(composite.dim_e)
+    step = expm_unitary(composite_hamiltonian(composite, h_s), drive.dt).matrix
     return (
         tensor(expm_unitary(h_s, 0.5 * lam).matrix, eye_e)
         @ step
@@ -344,20 +350,18 @@ def kron_block(model, drive, k, lam):
 
 @pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
 def test_open_blocks_match_kron_reference(d_s, d_e, seed):
-    model, _, _ = open_case(d_s, d_e, seed)
-    drive = discretize(model.drive, 6)
+    composite, _, _ = open_case(d_s, d_e, seed, 6)
     lams = (-1.3, 0.0, 0.7)
     for k in (0, 3, 5):
-        blocks = step_slice(model, 6, k).counting_operators(np.array(lams), "heat")
+        blocks = step_slice(composite, k).counting_operators(np.array(lams), "heat")
         assert_unitary(blocks)
         for lam, block in zip(lams, blocks):
-            assert np.max(np.abs(block - kron_block(model, drive, k, lam))) <= 1e-12
+            assert np.max(np.abs(block - kron_block(composite, k, lam))) <= 1e-12
 
 
 @pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
 def test_open_characteristic_function_invariants(d_s, d_e, seed):
-    model, rho_s, rho_e = open_case(d_s, d_e, seed)
-    composite = model.discretize(8)
+    composite, rho_s, rho_e = open_case(d_s, d_e, seed, 8)
     grid = symmetric_grid(2.5, 11)
     for counting in ("work", "heat"):
         g = composite.characteristic_function(rho_s, rho_e, grid, counting=counting).values
@@ -367,8 +371,7 @@ def test_open_characteristic_function_invariants(d_s, d_e, seed):
 
 @pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
 def test_open_ledger_and_increment_form(d_s, d_e, seed):
-    model, rho_s, rho_e = open_case(d_s, d_e, seed)
-    composite = model.discretize(12)
+    composite, rho_s, rho_e = open_case(d_s, d_e, seed, 12)
     for refresh_every in (None, 3):
         ledger, increments = composite.trajectory(rho_s, rho_e, refresh_every=refresh_every)
         assert abs(ledger.work - (ledger.internal_energy_change - ledger.heat)) <= 1e-12
@@ -377,9 +380,8 @@ def test_open_ledger_and_increment_form(d_s, d_e, seed):
 
 @pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
 def test_open_decoupled_work_counting_is_closed_two_kick(d_s, d_e, seed):
-    model, _, _ = open_case(d_s, d_e, seed, coupling_scale=0.0)
-    composite = model.discretize(8)
-    free_env = expm_unitary(model.h_env, composite.drive.duration).matrix
+    composite, _, _ = open_case(d_s, d_e, seed, 8, coupling_scale=0.0)
+    free_env = expm_unitary(composite.h_env, composite.drive.duration).matrix
     lams = (-0.9, 0.0, 1.6)
     works = composite.counting_operators(np.array(lams), "work")
     assert_unitary(works)
@@ -395,10 +397,11 @@ def multi_block_steps(dim):
     return 2 * size + size // 2 + 1
 
 
-def kron_steps(model, drive):
+def kron_steps(composite):
     """Every step propagator ``exp(-i dt H^k)``, from the Kronecker form of
     ``H^k`` and a batched eigendecomposition."""
-    w, v = np.linalg.eigh(composite_hamiltonian(model, drive.hamiltonians))
+    drive = composite.drive
+    w, v = np.linalg.eigh(composite_hamiltonian(composite, drive.hamiltonians))
     return (v * np.exp(-1j * drive.dt * w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
 
 
@@ -414,11 +417,10 @@ def partial_trace(rho, d_s, d_e):
 
 @pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
 def test_open_counting_operators_match_kron_product(d_s, d_e, seed):
-    model, _, _ = open_case(d_s, d_e, seed)
     for n in (1, 2, 7, multi_block_steps(d_s * d_e)):
-        composite = model.discretize(n)
+        composite, _, _ = open_case(d_s, d_e, seed, n)
         drive = composite.drive
-        steps = kron_steps(model, drive)
+        steps = kron_steps(composite)
         lams = (-1.3, 0.7)
         heat_ops, work_ops = (composite.counting_operators(np.array(lams), c) for c in ("heat", "work"))
         assert_unitary(heat_ops)
@@ -437,14 +439,10 @@ def test_open_counting_operators_match_kron_product(d_s, d_e, seed):
 
 @pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
 def test_open_environment_counting_matches_kron_product(d_s, d_e, seed):
-    model, _, _ = open_case(d_s, d_e, seed)
-    model = CompositeModel(
-        constant_protocol(model.drive(0.0), 1.5), model.h_env, model.coupling, model.coupling_scale
-    )
     eye_s = np.eye(d_s)
     for n in (1, 2, 7, multi_block_steps(d_s * d_e)):
-        composite = model.discretize(n)
-        step = expm_unitary(composite_hamiltonian(model, model.drive(0.0)), composite.drive.dt).matrix
+        composite, _, _ = open_case(d_s, d_e, seed, n, constant=True)
+        step = expm_unitary(composite_hamiltonian(composite, composite.drive.h_start), composite.drive.dt).matrix
         plain = np.eye(d_s * d_e, dtype=complex)
         for _ in range(n):
             plain = step @ plain
@@ -453,20 +451,18 @@ def test_open_environment_counting_matches_kron_product(d_s, d_e, seed):
         assert_unitary(operators)
         for lam, operator in zip(lams, operators):
             reference = (
-                tensor(eye_s, expm_unitary(model.h_env, -0.5 * lam).matrix)
+                tensor(eye_s, expm_unitary(composite.h_env, -0.5 * lam).matrix)
                 @ plain
-                @ tensor(eye_s, expm_unitary(model.h_env, 0.5 * lam).matrix)
+                @ tensor(eye_s, expm_unitary(composite.h_env, 0.5 * lam).matrix)
             )
             assert np.max(np.abs(operator - reference)) <= 1e-12
 
 
 @pytest.mark.parametrize("d_s,d_e,seed", OPEN_CASES, ids=OPEN_IDS)
 def test_open_heat_increments_match_kron_evolution(d_s, d_e, seed):
-    model, rho_s, rho_e = open_case(d_s, d_e, seed)
-    n = multi_block_steps(d_s * d_e)
-    composite = model.discretize(n)
+    composite, rho_s, rho_e = open_case(d_s, d_e, seed, multi_block_steps(d_s * d_e))
     drive = composite.drive
-    steps = kron_steps(model, drive)
+    steps = kron_steps(composite)
     for refresh_every in (None, 3):
         rho = tensor(rho_s, rho_e)
         reduced, heat = rho_s.matrix, []

@@ -194,7 +194,7 @@ class TestBuilders:
             }
         )
         drive = build_discretized_drive(Scenario(cfg))
-        rho = build_initial_state(cfg["initial_state"], drive.h_start)
+        rho = build_initial_state(cfg["initial_state"], drive.boundary_eigensystems[:2])
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_initial_state_amplitude_length_checked(self):
@@ -207,7 +207,7 @@ class TestBuilders:
         )
         drive = build_discretized_drive(Scenario(cfg))
         with pytest.raises(ScenarioError, match="amplitudes"):
-            build_initial_state(cfg["initial_state"], drive.h_start)
+            build_initial_state(cfg["initial_state"], drive.boundary_eigensystems[:2])
 
     def test_mixture_state_diagonal_in_eigenbasis(self):
         cfg = resolve_scenario(
@@ -218,7 +218,7 @@ class TestBuilders:
             }
         )
         drive = build_discretized_drive(Scenario(cfg))
-        rho = build_initial_state(cfg["initial_state"], drive.h_start)
+        rho = build_initial_state(cfg["initial_state"], drive.boundary_eigensystems[:2])
         _, vectors = eig_hermitian(drive.h_start)
         in_basis = vectors.matrix.conj().T @ rho.matrix @ vectors.matrix
         assert abs(in_basis[0, 1]) <= 1e-12
@@ -228,7 +228,7 @@ class TestBuilders:
         scenario = Scenario.from_kind("open", {"drive.steps": 8})
         composite, rho_s, rho_e = build_composite(scenario)
         assert composite.drive.n_steps == 8
-        values, _ = eig_hermitian(composite.model.h_env)
+        values, _ = eig_hermitian(composite.h_env)
         # resonant default matches the initial system gap (1.0 for the ramp)
         assert values[-1] - values[0] == pytest.approx(1.0, abs=1e-12)
         assert isinstance(rho_e, DensityOperator)

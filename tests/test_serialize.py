@@ -116,7 +116,7 @@ def test_quasi_and_tmp_round_trip(tmp_path):
 
 
 def test_ledger_round_trip(tmp_path):
-    ledger = fast_decoherence_run(gap_ramp_protocol(1.0, 1.5, 1.0), 1.0, 16)
+    ledger = fast_decoherence_run(discretize(gap_ramp_protocol(1.0, 1.5, 1.0), 16), 1.0)
     files = write_ledger(tmp_path, "ledger", ledger, CONFIG, ("csv", "json"))
     _, columns, rows = parse_csv(files[0])
     assert columns == ["k", "t_k", "Q_k", "dS_k", "cumQ"]
