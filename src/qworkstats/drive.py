@@ -18,7 +18,8 @@ window into ``N`` equal steps with one generator ``H^k`` each, and
 The protocol values at the exact boundaries ``t = 0`` and ``t = T`` are kept
 on the discretized drive separately from the step generators: they are the
 Hamiltonians the detector kicks couple to, immediately before and after the
-drive window.
+drive window. Every eigensystem a drive keeps is diagonalized once, in the phase
+convention of :func:`~qworkstats.linalg.eig_hermitian`.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ class DriveProtocol:
 
     duration: float
     hamiltonians_at: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
     def __post_init__(self):
         if not self.duration > 0:
@@ -140,48 +140,47 @@ def _check_hermitian_steps(h: np.ndarray) -> None:
 class DiscretizedDrive:
     """``N`` equal steps of a drive plus its boundary kick Hamiltonians.
 
-    ``times`` holds the ``(N,)`` left endpoints ``t_k = k dt`` and
-    ``hamiltonians`` the ``(N, d, d)`` stack of step generators ``H^k``: the
-    samples ``H(t_k)`` under ``rule="left"``, the Magnus-4 generators under
-    ``rule="magnus4"``. Both are kept as read-only views. ``h_start``/``h_end``
-    are the protocol values at ``t = 0`` and ``t = T``; ``h_start`` coincides
-    with the first left sample for protocol-derived drives but is stored
-    explicitly so synthetic drives can carry boundary Hamiltonians that differ
-    from the step generator. Construction checks the whole stack at once:
-    ``t_k = k dt``, finite entries, and each ``H^k`` Hermitian to
+    ``hamiltonians`` is the ``(N, d, d)`` stack of step generators ``H^k``,
+    kept as a read-only view: the samples ``H(t_k)`` at the left endpoints
+    ``t_k = k dt`` under ``rule="left"``, the Magnus-4 generators under
+    ``rule="magnus4"``. ``h_start``/``h_end`` are the protocol values at ``t =
+    0`` and ``t = T``; ``h_start`` is the first left sample for protocol-derived
+    drives but is stored explicitly so synthetic drives can carry boundary
+    Hamiltonians that differ from the step generator. Construction checks the
+    whole stack at once: finite entries, and each ``H^k`` Hermitian to
     ``HERMITICITY_TOL * max(1, max|H^k|)``.
     """
 
-    times: np.ndarray
     hamiltonians: np.ndarray
     dt: float
     h_start: HermitianOperator
     h_end: HermitianOperator
-    label: str = ""
     rule: str = "left"
 
     def __post_init__(self):
-        for name, dtype in (("times", float), ("hamiltonians", complex)):
-            view = np.asarray(getattr(self, name), dtype=dtype).view()
-            view.setflags(write=False)
-            object.__setattr__(self, name, view)
-        t, h = self.times, self.hamiltonians
+        h = np.asarray(self.hamiltonians, dtype=complex).view()
+        h.setflags(write=False)
+        object.__setattr__(self, "hamiltonians", h)
         if self.rule not in STEP_RULES:
             raise ValueError(f"unknown step rule {self.rule!r}; expected one of {', '.join(STEP_RULES)}")
-        if h.ndim != 3 or h.shape[1] != h.shape[2] or 0 in h.shape or t.shape != h.shape[:1]:
-            raise ValueError(f"need an (N, d, d) stack of N >= 1 steps and N times, got {h.shape}, {t.shape}")
+        if h.ndim != 3 or h.shape[1] != h.shape[2] or 0 in h.shape:
+            raise ValueError(f"need an (N, d, d) stack of N >= 1 steps, got shape {h.shape}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.h_start.dim != self.dim or self.h_end.dim != self.dim:
             raise ValueError("boundary Hamiltonians do not match step dimension")
-        off = np.flatnonzero(np.abs(t - np.arange(t.size) * self.dt) > 1e-12 * np.maximum(1.0, np.abs(t)))
-        if off.size:
-            raise ValueError(f"step {off[0]} time {t[off[0]]} is not k*dt")
         _check_hermitian_steps(h)
 
     @property
     def n_steps(self) -> int:
-        return self.times.size
+        return len(self.hamiltonians)
+
+    @property
+    def times(self) -> np.ndarray:
+        """The read-only ``(N,)`` left endpoints ``t_k = k dt``."""
+        t = np.arange(self.n_steps) * self.dt
+        t.setflags(write=False)
+        return t
 
     @property
     def duration(self) -> float:
@@ -193,19 +192,28 @@ class DiscretizedDrive:
 
     @cached_property
     def gridpoint_hamiltonians(self) -> np.ndarray:
-        """The read-only ``(N + 1, d, d)`` stack ``H(t_0) ... H(t_{N-1}), H(T)``; ``ValueError``
-        unless ``rule == "left"``, since a Magnus-4 generator is not a value of ``H``."""
+        """The read-only ``(N + 1, d, d)`` stack ``H(0) = H(t_0), H(t_1) ... H(t_{N-1}), H(T)``.
+
+        ``ValueError`` unless the steps are the samples of ``H``: ``rule ==
+        "left"`` (a Magnus-4 generator is not a value of ``H``) and ``h_start``
+        equal to the first step bit for bit (a synthetic drive's is not).
+        """
         if self.rule != "left":
             raise ValueError(f"needs the samples H(t_k) of a 'left' drive, not {self.rule} generators")
+        if not np.array_equal(self.h_start.matrix, self.hamiltonians[0]):
+            raise ValueError("needs the samples H(t_k) of a drive whose first step is H(0) = h_start")
         stack = np.concatenate([self.hamiltonians, self.h_end.matrix[None]])
         stack.setflags(write=False)
         return stack
 
     @cached_property
     def gridpoint_eigensystems(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(w, v)`` from one batched :func:`_eigh` of :attr:`gridpoint_hamiltonians`,
-        eigenvectors as LAPACK returns them; computed once per drive."""
-        return _eigh(self.gridpoint_hamiltonians)
+        """``(w, v)`` of :attr:`gridpoint_hamiltonians`, computed once per drive: rows 0 and
+        ``N`` are :attr:`boundary_eigensystems`, the interior rows one batched :func:`_eigh`
+        in the phase convention of :func:`~qworkstats.linalg.eig_hermitian`."""
+        w, v = _eigh(self.gridpoint_hamiltonians[1:-1])
+        eps0, v0, epst, vt = self.boundary_eigensystems
+        return np.concatenate([eps0[None], w, epst[None]]), np.concatenate([v0[None], v, vt[None]])
 
     @cached_property
     def propagator(self) -> UnitaryOperator:
@@ -243,15 +251,7 @@ def discretize(protocol: DriveProtocol, n_steps: int, rule: str = "left") -> Dis
             hams = protocol.sample(times)
     if not np.isfinite(hams).all():
         raise NumericalError(f"{rule} step Hamiltonians overflow at {n_steps} steps")
-    return DiscretizedDrive(
-        times=times,
-        hamiltonians=hams,
-        dt=dt,
-        h_start=protocol(0.0),
-        h_end=protocol(protocol.duration),
-        label=protocol.label,
-        rule=rule,
-    )
+    return DiscretizedDrive(hams, dt, protocol(0.0), protocol(protocol.duration), rule)
 
 
 def ordered_product(factors: np.ndarray) -> np.ndarray:
@@ -369,12 +369,12 @@ def discretize_to_tolerance(
 # protocol library
 
 
-def constant_protocol(h, duration: float, label: str = "constant") -> DriveProtocol:
+def constant_protocol(h, duration: float) -> DriveProtocol:
     ham = HermitianOperator(h).matrix
-    return DriveProtocol(duration, lambda t: np.broadcast_to(ham, (t.size, *ham.shape)), label)
+    return DriveProtocol(duration, lambda t: np.broadcast_to(ham, (t.size, *ham.shape)))
 
 
-def linear_ramp_protocol(h_initial, h_final, duration: float, label: str = "linear-ramp") -> DriveProtocol:
+def linear_ramp_protocol(h_initial, h_final, duration: float) -> DriveProtocol:
     """Linear interpolation ``H(t) = (1 - t/T) H0 + (t/T) H1``."""
     # real views: scaling a complex array by real weights as float * complex
     # would run NumPy's much slower mixed-type broadcast loop
@@ -389,7 +389,7 @@ def linear_ramp_protocol(h_initial, h_final, duration: float, label: str = "line
         out += s * h1
         return out.view(complex)
 
-    return DriveProtocol(duration, at, label)
+    return DriveProtocol(duration, at)
 
 
 def rabi_protocol(
@@ -397,7 +397,6 @@ def rabi_protocol(
     amplitude: float = 0.5,
     frequency: float = 1.0,
     duration: float = 1.0,
-    label: str = "rabi",
 ) -> DriveProtocol:
     """Rotating qubit drive ``H(t) = s*sz + a*(cos(ft) sx + sin(ft) sy)``."""
 
@@ -405,15 +404,10 @@ def rabi_protocol(
         ft = (frequency * t)[:, None, None]
         return splitting * SIGMA_Z + amplitude * (np.cos(ft) * SIGMA_X + np.sin(ft) * SIGMA_Y)
 
-    return DriveProtocol(duration, at, label)
+    return DriveProtocol(duration, at)
 
 
-def gap_ramp_protocol(
-    gap_initial: float,
-    gap_final: float,
-    duration: float,
-    label: str = "gap-ramp",
-) -> DriveProtocol:
+def gap_ramp_protocol(gap_initial: float, gap_final: float, duration: float) -> DriveProtocol:
     """Qubit with a linearly ramped gap, ``H(t) = -gap(t)/2 * sz``.
 
     The minus sign keeps the ground state at basis index 0 so that ascending
@@ -424,12 +418,10 @@ def gap_ramp_protocol(
         gap = gap_initial + (gap_final - gap_initial) * t / duration
         return (-0.5 * gap)[:, None, None] * SIGMA_Z
 
-    return DriveProtocol(duration, at, label)
+    return DriveProtocol(duration, at)
 
 
-def piecewise_constant_protocol(
-    segments: Sequence, duration: float, label: str = "piecewise"
-) -> DriveProtocol:
+def piecewise_constant_protocol(segments: Sequence, duration: float) -> DriveProtocol:
     """Equal-length constant segments; ``H(T)`` is the last segment's value."""
     if not len(segments):
         raise ValueError("piecewise protocol needs at least one segment")
@@ -439,16 +431,12 @@ def piecewise_constant_protocol(
     def at(t: np.ndarray) -> np.ndarray:
         return hams[np.minimum((t / seg).astype(int), len(hams) - 1)]
 
-    return DriveProtocol(duration, at, label)
+    return DriveProtocol(duration, at)
 
 
 def reversed_protocol(protocol: DriveProtocol) -> DriveProtocol:
     """The drive run backwards in time, ``H_rev(t) = H(T - t)``."""
-    return DriveProtocol(
-        protocol.duration,
-        lambda t: protocol.sample(protocol.duration - t),
-        label=f"{protocol.label}-reversed" if protocol.label else "reversed",
-    )
+    return DriveProtocol(protocol.duration, lambda t: protocol.sample(protocol.duration - t))
 
 
 def random_ramp_protocol(
@@ -459,7 +447,7 @@ def random_ramp_protocol(
 
     h0 = random_hermitian(dim, rng, scale)
     h1 = random_hermitian(dim, rng, scale)
-    return linear_ramp_protocol(h0, h1, duration, label="random-ramp")
+    return linear_ramp_protocol(h0, h1, duration)
 
 
 # ---------------------------------------------------------------------------
@@ -503,19 +491,13 @@ def cyclic_qubit_drive(alpha: float, xi: float, gap: float, duration: float = 1.
 
     The interior generator is ``-(xi/T) (cos(2a) sz + sin(2a) sx)``, whose
     single exponential reproduces the period unitary with no discretization
-    error; the boundary kick Hamiltonians are the static ``-gap/2 sz``.
+    error; the boundary kick Hamiltonians are the static ``-gap/2 sz``. Its
+    step is not a value of ``H``, so it has no gridpoint Hamiltonians.
     """
     axis = np.cos(2 * alpha) * SIGMA_Z + np.sin(2 * alpha) * SIGMA_X
     generator = HermitianOperator(-(xi / duration) * axis)
     h0 = cyclic_qubit_hamiltonian(gap)
-    return DiscretizedDrive(
-        times=np.zeros(1),
-        hamiltonians=generator.matrix[None],
-        dt=duration,
-        h_start=h0,
-        h_end=h0,
-        label="cyclic-qubit",
-    )
+    return DiscretizedDrive(generator.matrix[None], duration, h0, h0)
 
 
 def cyclic_qubit_protocol(alpha: float, xi: float, gap: float) -> DriveProtocol:
@@ -532,6 +514,4 @@ def cyclic_qubit_protocol(alpha: float, xi: float, gap: float) -> DriveProtocol:
     h0 = cyclic_qubit_hamiltonian(gap)
     axis = np.cos(2 * alpha) * SIGMA_Z + np.sin(2 * alpha) * SIGMA_X
     h_mid = HermitianOperator(-(2.0 * xi / duration) * axis)
-    return piecewise_constant_protocol(
-        [h0, h_mid, h_mid, h0], duration, label="cyclic-qubit-periodic"
-    )
+    return piecewise_constant_protocol([h0, h_mid, h_mid, h0], duration)

@@ -165,31 +165,35 @@ class DensityOperator(_Operator):
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real positive.
+    """Rotate each column of a matrix, or of every matrix of a ``(..., d, d)`` stack,
+    so its largest-magnitude component is real positive; zero columns stay zero.
 
     Ties on magnitude resolve to the lowest index, which makes the convention
-    deterministic and reproducible across runs.
+    deterministic and reproducible across runs. ``hypot`` rounds the pivot's magnitude
+    as the scalar ``abs`` does: a stack of eigenvectors gets the bits of its matrices.
     """
-    v = np.array(vectors, copy=True)
-    for col in range(v.shape[1]):
-        idx = int(np.argmax(np.abs(v[:, col])))
-        pivot = v[idx, col]
-        if abs(pivot) > 0:
-            v[:, col] *= np.conj(pivot) / abs(pivot)
+    v = np.array(vectors, dtype=complex, copy=True)
+    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    size = np.hypot(pivot.real, pivot.imag)
+    nonzero = size > 0
+    np.multiply(v, np.conj(pivot) / np.where(nonzero, size, 1.0), out=v, where=nonzero)
     return v
 
 
-def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of a (stack of) Hermitian matrices, symmetrized first;
+def _eigh(h: np.ndarray, phases: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a (stack of) Hermitian matrices, symmetrized first, with the
+    eigenvectors in the :func:`_fix_phases` convention unless ``phases`` is false (for a
+    caller whose result they cancel from, ``V f(w) V^dag``);
     :class:`NumericalError` when the symmetrized matrix overflows or LAPACK fails."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
         m = 0.5 * (h + dagger(h))
     if not np.isfinite(m).all():
         raise NumericalError(f"Hermitian matrix is not finite when symmetrized: max|H| = {max_abs(h):.3e}")
     try:
-        return np.linalg.eigh(m)
+        values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"Hermitian eigendecomposition failed: {exc}") from exc
+    return values, _fix_phases(vectors) if phases else vectors
 
 
 def eig_hermitian(h) -> tuple[np.ndarray, UnitaryOperator]:
@@ -206,7 +210,7 @@ def eig_hermitian(h) -> tuple[np.ndarray, UnitaryOperator]:
         to converge.
     """
     values, vectors = _eigh(mat(h))
-    return values.real, UnitaryOperator(_fix_phases(vectors))
+    return values.real, UnitaryOperator(vectors)
 
 
 def expm_unitary(h, t: float) -> UnitaryOperator:
@@ -262,7 +266,8 @@ def gibbs_weights(values: np.ndarray, temperature: float) -> np.ndarray:
     axis at ``T > 0``, each shifted by its minimum so large gaps cannot overflow."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    p = np.exp(-(values - values.min(axis=-1, keepdims=True)) / float(temperature))
+    with np.errstate(over="ignore"):  # a gap/T of inf gives exp(-inf) = 0, the exact T -> 0 limit
+        p = np.exp(-(values - values.min(axis=-1, keepdims=True)) / float(temperature))
     p /= p.sum(axis=-1, keepdims=True)
     return p
 

@@ -55,6 +55,7 @@ from .linalg import (
     NumericalError,
     _eigh,
     dagger,
+    eig_hermitian,
     gibbs_weights,
     max_abs,
     mat,
@@ -156,19 +157,19 @@ def _kicks(first, steps, last, lams: np.ndarray) -> np.ndarray:
 class DiscretizedComposite:
     """The open-system engine of one run: a drive on its step grid, a static environment, their coupling.
 
-    ``coupling`` acts on the composite space with the ``system (x)
-    environment`` index convention; ``coupling_scale`` multiplies it, so weak
-    coupling sweeps vary a single number. ``drive`` must be a ``"left"`` drive
-    (``ValueError`` otherwise): its step generators are the samples ``H_S^k``.
-    Holds the step propagators ``E_k = exp(-i dt H^k)`` and the eigensystem of
-    ``H_E``, reads those of the step Hamiltonians ``H_S^k`` and the boundary
-    eigensystems from the drive, and evaluates every open-system quantity from
-    them. Kicks are formed on their own factor and applied to ``(dim_s,
-    dim_e)``-reshaped blocks, so no Kronecker product is formed per step or per
-    counting field. Steps are batched in blocks of at most ``_STEP_BLOCK``
-    complex elements (or one step): one eigendecomposition per block, and one
-    pairwise :func:`ordered_product` per block of kicked steps. Only the state
-    evolution of :meth:`trajectory` runs step by step.
+    ``coupling`` acts on the composite space with the ``system (x) environment``
+    index convention; ``coupling_scale`` multiplies it, so weak coupling sweeps
+    vary a single number. ``drive`` must have gridpoint Hamiltonians
+    (``ValueError`` otherwise): its steps are the samples ``H_S^k``. Holds the
+    step propagators ``E_k = exp(-i dt H^k)`` and the eigensystem of ``H_E``
+    from :func:`eig_hermitian`, reads those of the ``H_S^k`` and the boundary
+    eigensystems from the drive, all in one phase convention, and evaluates
+    every open-system quantity from them. Kicks are formed on their own factor
+    and applied to ``(dim_s, dim_e)``-reshaped blocks, so no Kronecker product
+    is formed per step or per counting field. Steps are batched in blocks of at
+    most ``_STEP_BLOCK`` complex elements (or one step): one eigendecomposition
+    per block, and one pairwise :func:`ordered_product` per block of kicked
+    steps. Only the state evolution of :meth:`trajectory` runs step by step.
     """
 
     def __init__(
@@ -185,9 +186,10 @@ class DiscretizedComposite:
         self.propagators = np.empty((drive.n_steps, self.dim, self.dim), dtype=complex)
         size = max(1, _STEP_BLOCK // self.dim**2)
         for a in range(0, drive.n_steps, size):
-            w, v = _eigh(self._on_factor(steps[a : a + size], eye) + static)
+            w, v = _eigh(self._on_factor(steps[a : a + size], eye) + static, phases=False)
             self.propagators[a : a + size] = (v * np.exp(-1j * drive.dt * w)[:, None, :]) @ dagger(v)
-        self.env_eigensystem = _eigh(h_env.matrix)
+        values, vectors = eig_hermitian(h_env)
+        self.env_eigensystem = values, vectors.matrix
 
     def _on_factor(self, a: np.ndarray, m: np.ndarray, env: bool = False) -> np.ndarray:
         """``(a (x) 1) m``, or ``(1 (x) a) m`` with ``env``, on reshaped blocks.

@@ -35,7 +35,6 @@ from .linalg import (
     HermitianOperator,
     NumericalError,
     UnitaryOperator,
-    _fix_phases,
     eig_hermitian,
     expm_unitary,
     mat,
@@ -134,10 +133,10 @@ def enumerate_paths(
         raise NumericalError(
             f"path enumeration would need {count} paths, above the limit {PATH_ENUMERATION_LIMIT}"
         )
-    # Bases in eig_hermitian's phase convention and steps as expm_unitary forms them, checked
-    # as they check theirs; per matrix, since a batched phase fix rounds differently.
+    # The drive's bases, in eig_hermitian's phase convention, and steps as expm_unitary
+    # forms them, each checked unitary as those check theirs.
     values, vectors = drive.gridpoint_eigensystems
-    bases = [UnitaryOperator(_fix_phases(v)).matrix for v in vectors]
+    bases = [UnitaryOperator(v).matrix for v in vectors]
     steps = [
         UnitaryOperator((b * np.exp(-1j * w * drive.dt)) @ b.conj().T).matrix for w, b in zip(values[:-1], bases)
     ]

@@ -54,14 +54,7 @@ from .drive import (
     random_ramp_protocol,
 )
 from .fcs import CountingGrid, symmetric_grid
-from .linalg import (
-    DensityOperator,
-    eig_hermitian,
-    gibbs_state,
-    gibbs_weights,
-    mat,
-    pure_state_density,
-)
+from .linalg import DensityOperator, gibbs_weights, mat, pure_state_density
 from .open_system import (
     DiscretizedComposite,
     oscillator_environment,
@@ -198,9 +191,7 @@ _PROTOCOLS = {
     ),
     "linear": (
         {"gap": _Field("float", 1.0), "transverse": _Field("float", 1.0)},
-        lambda p, t, seed: linear_ramp_protocol(
-            -0.5 * p["gap"] * SIGMA_Z, p["transverse"] * SIGMA_X, t, label="linear"
-        ),
+        lambda p, t, seed: linear_ramp_protocol(-0.5 * p["gap"] * SIGMA_Z, p["transverse"] * SIGMA_X, t),
     ),
     "rabi": (
         {
@@ -223,6 +214,10 @@ _PRESETS = {
     "two-qubit-exchange": (("gap",), two_qubit_exchange_environment),
     "oscillator": (("frequency", "levels"), oscillator_environment),
 }
+
+# Bytes the largest ``(N, d, d)`` complex step stack of a run may take: 128 MiB,
+# a d = 64 drive at 2,048 steps. A larger request is a validation error.
+STEP_STACK_BYTES = 1 << 27
 
 DRIVE_PROTOCOLS = tuple(_PROTOCOLS)
 
@@ -436,6 +431,8 @@ def _check_semantics(cfg: dict) -> None:
                 raise ScenarioError("'initial_state.populations' must have a finite, positive sum")
         if state["kind"] == "gibbs" and state["temperature"] <= 0:
             raise ScenarioError("'initial_state.temperature' must be positive")
+    if cfg["kind"] == "open" and cfg["drive"]["params"].get("dim", 2) != 2:
+        raise ScenarioError("environment presets require a qubit system drive: 'drive.params.dim' must be 2")
     if cfg.get("duality") and cfg["drive"]["protocol"] != "constant":
         raise ScenarioError("'duality' requires 'drive.protocol: constant'")
     if "cyclic" in cfg and cfg["cyclic"]["steps"] % 4:
@@ -452,6 +449,25 @@ def _check_semantics(cfg: dict) -> None:
                 f"{steps} x 2^{cfg['doublings']} steps (dimension {dim}); "
                 "lower 'drive.steps' or 'doublings'"
             )
+    _check_step_budget(cfg)
+
+
+def _check_step_budget(cfg: dict) -> None:
+    """The largest step stack, ``N d^2`` complex numbers of 16 bytes, within :data:`STEP_STACK_BYTES`
+    before anything is allocated; ``d`` is ``drive.params.dim`` for a ``random`` drive, 2 for
+    the other drives, and ``2 dim_E`` for the composite of an ``open`` run's qubit drive."""
+    if cfg["kind"] == "cyclic-example":
+        field, steps, dim = "cyclic.steps", cfg["cyclic"]["steps"] if cfg["cyclic"]["physical"] else 0, 2
+    else:
+        field, steps, dim = "drive.steps", cfg["drive"]["steps"], cfg["drive"]["params"].get("dim", 2)
+    if cfg["kind"] == "open":
+        env = cfg["environment"]
+        dim = 2 * {"qubit-exchange": 2, "two-qubit-exchange": 4}.get(env["preset"], env["levels"])
+    if steps != "auto" and steps * dim * dim * 16 > STEP_STACK_BYTES:
+        mib = steps * dim * dim * 16 / 2**20
+        raise ScenarioError(
+            f"'{field}' = {steps} needs {mib:.4g} MiB of steps at dimension {dim}, above {STEP_STACK_BYTES >> 20} MiB"
+        )
 
 
 def set_by_path(config: dict, dotted: str, value) -> dict:
@@ -559,8 +575,8 @@ def build_discretized_drive(scenario: Scenario) -> DiscretizedDrive:
 
 
 def build_initial_state(state_cfg: Mapping, eigensystem: tuple) -> DensityOperator:
-    """The state ``state_cfg`` in the eigenbasis ``(values, vectors)`` of ``H(0)``,
-    such as half of :attr:`DiscretizedDrive.boundary_eigensystems`."""
+    """The state ``state_cfg`` in the eigenbasis ``(values, vectors)`` of a Hamiltonian, such
+    as ``H(0)`` from half of :attr:`DiscretizedDrive.boundary_eigensystems`."""
     kind = state_cfg["kind"]
     values, vectors = eigensystem
     v = mat(vectors)
@@ -595,12 +611,11 @@ def build_composite(scenario: Scenario) -> tuple[DiscretizedComposite, DensityOp
     """The engine of an open scenario plus its initial system and environment states.
 
     The resonant gap and the system state come from the drive's boundary
-    eigensystems, which the work counting reads again: ``H(0)`` is diagonalized once.
+    eigensystems, which the work counting reads again, and the environment state
+    from the engine's eigensystem of ``H_E``: each is diagonalized once.
     """
     cfg = scenario.config
     drive = build_discretized_drive(scenario)
-    if drive.dim != 2:
-        raise ScenarioError("environment presets require a qubit system drive")
     env = cfg["environment"]
     eps0, v0 = drive.boundary_eigensystems[:2]
     args = {**env, "gap": float(eps0[-1] - eps0[0]) if env["gap"] == "resonant" else env["gap"]}
@@ -611,14 +626,11 @@ def build_composite(scenario: Scenario) -> tuple[DiscretizedComposite, DensityOp
         names = ", ".join(f"'environment.{name}'" for name in fields)
         raise ScenarioError(f"{names} cannot build the {env['preset']} environment: {exc}") from exc
     rho_s = build_initial_state(cfg["initial_state"], (eps0, v0))
-    if env["state"] == "coherent":
-        # equal superposition of the environment energy eigenstates
-        _, vectors = eig_hermitian(h_env)
-        amp = np.ones(h_env.dim) / np.sqrt(h_env.dim)
-        rho_e = pure_state_density(vectors.matrix @ amp)
-    else:
-        rho_e = gibbs_state(h_env, env["temperature"])
-    return DiscretizedComposite(drive, h_env, h_se, env["coupling"]), rho_s, rho_e
+    composite = DiscretizedComposite(drive, h_env, h_se, env["coupling"])
+    state = {"kind": "gibbs", "temperature": env["temperature"]}
+    if env["state"] == "coherent":  # equal superposition of the environment energy eigenstates
+        state = {"kind": "superposition", "amplitudes": [1 / np.sqrt(h_env.dim)] * h_env.dim, "phases": None}
+    return composite, rho_s, build_initial_state(state, composite.env_eigensystem)
 
 
 def build_grid(scenario: Scenario) -> CountingGrid:

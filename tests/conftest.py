@@ -35,7 +35,7 @@ def make_static_drive(h, duration=1.0, generator=None):
     gen = ham if generator is None else (
         generator if isinstance(generator, HermitianOperator) else HermitianOperator(generator)
     )
-    return DiscretizedDrive(np.zeros(1), gen.matrix[None], duration, ham, ham)
+    return DiscretizedDrive(gen.matrix[None], duration, ham, ham)
 
 
 def composite_hamiltonian(composite, h_s):

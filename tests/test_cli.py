@@ -520,6 +520,8 @@ FIELD_BOUNDS = [
     ("open", "environment.levels", "1", "2", []),
     ("open", "environment.levels", "9", "8", []),
     ("open", "environment.refresh_every", "0", "1", []),
+    # the environment presets couple to a qubit; checked before the drive is built
+    ("open", "drive.params.dim", "3", "2", ["drive.protocol=random"]),
     ("fast-decoherence", "drive.steps", "auto", "1", []),
     ("fast-decoherence", "temperature", "0.0", "1e-9", []),
     ("cyclic-example", "cyclic.gap", "0.0", "1e-9", []),
@@ -530,6 +532,13 @@ FIELD_BOUNDS = [
     ("paths-check", "drive.steps", "1", "2", []),
     ("paths-check", "drive.steps", "auto", "2", []),
     ("paths-check", "doublings", "0", "1", []),
+    # the step stack budget, 2^27 bytes: N d^2 16 B with d = 2 for a qubit drive
+    # and 2 dim_E for the open composite (dim_E = 2, and 4 for the default oscillator)
+    ("closed", "drive.steps", str(2**21 + 1), str(2**21), []),
+    ("tmp-compare", "drive.steps", "9223372036854775808", str(2**21), []),
+    ("fast-decoherence", "drive.steps", "10000000000000", str(2**21), []),
+    ("open", "drive.steps", str(2**19 + 1), str(2**19), []),
+    ("open", "drive.steps", str(2**17 + 1), str(2**17), ["environment.preset=oscillator"]),
 ]
 
 
@@ -726,11 +735,12 @@ def test_paths_check_diagonalizes_each_gridpoint_stack_once(monkeypatch):
     protocol = build_protocol(scenario.config["drive"], scenario.seed)
     base = scenario.config["drive"]["steps"]
     for rung in range(scenario.config["doublings"] + 1):
-        h = runner.discretize(protocol, base << rung).gridpoint_hamiltonians
+        h = runner.discretize(protocol, base << rung).gridpoint_hamiltonians[1:-1]
         assert sum(m.shape == h.shape and np.array_equal(m, 0.5 * (h + dagger(h))) for m in seen) == 1
-    # 5 + 9 + 17 gridpoints, 4 combined steps of the kicked product, and
-    # H(0) and H(T) for each rung's two-kick form; 105 when each call diagonalized its own
-    assert sum(len(m.reshape(-1, 2, 2)) for m in seen) == 41
+    # 3 + 7 + 15 interior gridpoints, H(0) and H(T) of each rung, which its two-kick
+    # form reads too, and 4 combined steps of the kicked product; 105 when each call
+    # diagonalized its own, 41 when the gridpoint stack diagonalized H(0) and H(T) again
+    assert sum(len(m.reshape(-1, 2, 2)) for m in seen) == 35
 
 
 @pytest.mark.parametrize(
@@ -746,6 +756,9 @@ def test_paths_check_diagonalizes_each_gridpoint_stack_once(monkeypatch):
         ["open", "--set", "drive.params.gap_start=1e308"],
         ["cyclic-example", "--set", "cyclic.gap=1e308"],
         ["paths-check", "--set", "drive.duration=1e-308"],
+        ["closed", "--set", "drive.steps=9223372036854775808"],
+        ["open", "--set", "drive.steps=10000000000000"],
+        ["cyclic-example", "--set", "cyclic.physical=true", "--set", "cyclic.steps=10000000000000"],
     ],
     ids=[
         "lambda-grid",
@@ -758,6 +771,9 @@ def test_paths_check_diagonalizes_each_gridpoint_stack_once(monkeypatch):
         "protocol-endpoint-overflow",
         "moment-overflow",
         "boundary-weight-overflow",
+        "steps-2^63",
+        "steps-1e13",
+        "cyclic-steps-1e13",
     ],
 )
 def test_extreme_input_exits_without_warnings(tmp_path, argv):
@@ -766,6 +782,25 @@ def test_extreme_input_exits_without_warnings(tmp_path, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["run", *argv, "--out", str(tmp_path)]) in (EXIT_VALIDATION, EXIT_NUMERICAL)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closed", "--set", "initial_state.kind=gibbs", "--set", "initial_state.temperature=1e-308"],
+        ["open", "--set", "environment.temperature=1e-308", "--set", "environment.gap=3"],
+        ["open", "--set", "environment.preset=oscillator", "--set", "environment.temperature=1e-308"],
+        ["fast-decoherence", "--set", "temperature=1e-308", "--set", "drive.params.gap_start=3"],
+    ],
+    ids=["closed-gibbs", "open", "open-oscillator", "fast-decoherence"],
+)
+def test_zero_temperature_limit_runs_without_warnings(tmp_path, argv):
+    # gaps over T overflow to inf in the Gibbs exponent; exp(-inf) = 0 is the exact limit
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", *argv, "--tol-report", "--out", str(tmp_path)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qworkstats import (
+    DiscretizedComposite,
     DiscretizedDrive,
     DriveProtocol,
     HermitianOperator,
@@ -13,22 +14,42 @@ from qworkstats import (
     cyclic_qubit_unitary,
     discretize,
     discretize_to_tolerance,
+    eig_hermitian,
     evolution_operator,
     expm_unitary,
     gap_ramp_protocol,
     linear_ramp_protocol,
     piecewise_constant_protocol,
+    qubit_exchange_environment,
     rabi_protocol,
     random_ramp_protocol,
     reversed_protocol,
 )
 from qworkstats.linalg import NumericalError, dagger, max_abs
+from qworkstats.scenario import DRIVE_PROTOCOLS, Scenario, build_protocol
 
 from conftest import PAULI_X, PAULI_Z
 
 
 def rabi_fixture():
     return rabi_protocol(splitting=1.0, amplitude=0.5, frequency=1.0, duration=1.0)
+
+
+# every protocol of the library, then every protocol a scenario builds
+PROTOCOLS = [
+    constant_protocol(PAULI_Z, 2.0),
+    linear_ramp_protocol(PAULI_Z, PAULI_X, 1.0),
+    rabi_protocol(duration=1.3),
+    gap_ramp_protocol(0.8, 1.4, 2.0),
+    piecewise_constant_protocol([PAULI_Z, PAULI_X, PAULI_Z + PAULI_X], 1.5),
+    reversed_protocol(rabi_protocol(duration=0.7)),
+    random_ramp_protocol(3, 1.0, np.random.default_rng(3)),
+    cyclic_qubit_protocol(0.8, 0.5, 1.0),
+]
+PROTOCOL_IDS = ["constant", "linear", "rabi", "gap", "piecewise", "reversed", "random", "cyclic"]
+SCENARIO_PROTOCOLS = [
+    build_protocol(Scenario.from_kind("closed", {"drive.protocol": p}).config["drive"]) for p in DRIVE_PROTOCOLS
+]
 
 
 class TestDiscretize:
@@ -66,20 +87,7 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="window"):
             protocol.sample([0.0, 0.5, -0.1])
 
-    @pytest.mark.parametrize(
-        "protocol",
-        [
-            constant_protocol(PAULI_Z, 2.0),
-            linear_ramp_protocol(PAULI_Z, PAULI_X, 1.0),
-            rabi_protocol(duration=1.3),
-            gap_ramp_protocol(0.8, 1.4, 2.0),
-            piecewise_constant_protocol([PAULI_Z, PAULI_X, PAULI_Z + PAULI_X], 1.5),
-            reversed_protocol(rabi_protocol(duration=0.7)),
-            random_ramp_protocol(3, 1.0, np.random.default_rng(3)),
-            cyclic_qubit_protocol(0.8, 0.5, 1.0),
-        ],
-        ids=["constant", "linear", "rabi", "gap", "piecewise", "reversed", "random", "cyclic"],
-    )
+    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=PROTOCOL_IDS)
     def test_sampled_stack_equals_scalar_calls(self, protocol):
         times = np.linspace(0.0, protocol.duration, 13)
         stack = protocol.sample(times)
@@ -113,7 +121,6 @@ class TestDiscretize:
 
 def stack_drive(**changes):
     fields = dict(
-        times=np.arange(3) * 0.5,
         hamiltonians=np.stack([PAULI_Z, PAULI_X, PAULI_Z + PAULI_X]),
         dt=0.5,
         h_start=HermitianOperator(PAULI_Z),
@@ -140,15 +147,13 @@ class TestDiscretizedDrive:
         [
             ({"hamiltonians": np.stack([PAULI_Z, PAULI_X, [[0, 1], [0, 0]]])}, "not Hermitian"),
             ({"hamiltonians": np.stack([PAULI_Z, PAULI_X, np.full((2, 2), np.nan)])}, "non-finite"),
-            ({"times": np.array([0.0, 0.5, 1.1])}, "step 2 time"),
-            ({"times": np.arange(2) * 0.5}, "stack"),
-            ({"hamiltonians": np.zeros((0, 2, 2)), "times": np.zeros(0)}, "stack"),
+            ({"hamiltonians": np.zeros((0, 2, 2))}, "stack"),
             ({"hamiltonians": np.zeros((3, 2, 3))}, "stack"),
             ({"h_end": HermitianOperator(np.eye(3))}, "boundary"),
             ({"dt": 0.0}, "dt"),
             ({"rule": "midpoint"}, "step rule"),
         ],
-        ids=["hermitian", "finite", "times", "time-count", "empty", "square", "boundary", "dt", "rule"],
+        ids=["hermitian", "finite", "empty", "square", "boundary", "dt", "rule"],
     )
     def test_stack_checks(self, changes, match):
         with pytest.raises(ValueError, match=match):
@@ -165,6 +170,39 @@ class TestDiscretizedDrive:
         for name in ("gridpoint_hamiltonians", "gridpoint_eigensystems"):
             with pytest.raises(ValueError, match="left"):
                 getattr(stack_drive(rule="magnus4"), name)
+
+    @pytest.mark.parametrize(
+        "protocol", PROTOCOLS + SCENARIO_PROTOCOLS, ids=PROTOCOL_IDS + [f"scenario-{p}" for p in DRIVE_PROTOCOLS]
+    )
+    def test_discretized_protocols_have_gridpoints(self, protocol):
+        # H(0) is the first left sample bit for bit, so the gridpoint guard passes
+        drive = discretize(protocol, 7)
+        stack = drive.gridpoint_hamiltonians
+        assert np.array_equal(stack[0], drive.h_start.matrix) and np.array_equal(stack[-1], drive.h_end.matrix)
+
+    def test_synthetic_drive_has_no_gridpoints(self):
+        # the cyclic drive's one step is a generator, not H(0): no gridpoint stack, no open engine
+        drive = cyclic_qubit_drive(0.8, 0.5, gap=1.0)
+        for name in ("gridpoint_hamiltonians", "gridpoint_eigensystems"):
+            with pytest.raises(ValueError, match="first step"):
+                getattr(drive, name)
+        with pytest.raises(ValueError, match="first step"):
+            DiscretizedComposite(drive, *qubit_exchange_environment(1.0))
+
+    @pytest.mark.parametrize(
+        "protocol", [rabi_fixture(), random_ramp_protocol(5, 1.0, np.random.default_rng(8))], ids=["rabi", "random-5"]
+    )
+    def test_gridpoint_eigensystems_are_eig_hermitian_bit_for_bit(self, protocol):
+        # rows 0 and N are the boundary eigensystems; each interior row is what
+        # eig_hermitian gives for its Hamiltonian alone, phases included
+        drive = discretize(protocol, 6)
+        w, v = drive.gridpoint_eigensystems
+        eps0, v0, epst, vt = drive.boundary_eigensystems
+        assert np.array_equal(w[0], eps0) and np.array_equal(v[0], v0)
+        assert np.array_equal(w[-1], epst) and np.array_equal(v[-1], vt)
+        for h, values, vectors in zip(drive.gridpoint_hamiltonians[1:-1], w[1:-1], v[1:-1]):
+            own_values, own_vectors = eig_hermitian(h)
+            assert np.array_equal(own_values, values) and np.array_equal(own_vectors.matrix, vectors)
 
 
 class TestEvolutionOperator:

@@ -400,7 +400,6 @@ class TestQuasiDistribution:
         rho = random_density(2, rng)
         shift = 0.73
         shifted = DiscretizedDrive(
-            times=drive.times,
             hamiltonians=drive.hamiltonians + shift * np.eye(2),
             dt=drive.dt,
             h_start=HermitianOperator(drive.h_start.matrix + shift * np.eye(2)),
@@ -438,7 +437,6 @@ class TestCoherentClassicalSplit:
         v = vectors.matrix
         levels = np.array([values[0], values[0] + 1e-6, values[2]])
         drive = DiscretizedDrive(
-            times=drive.times,
             hamiltonians=drive.hamiltonians,
             dt=drive.dt,
             h_start=HermitianOperator((v * levels) @ v.conj().T),

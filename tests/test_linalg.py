@@ -17,7 +17,7 @@ from qworkstats import (
     tensor,
     von_neumann_entropy,
 )
-from qworkstats.linalg import max_abs
+from qworkstats.linalg import _fix_phases, gibbs_weights, max_abs
 
 from conftest import PAULI_X, PAULI_Z
 
@@ -63,6 +63,16 @@ class TestConstructors:
             h.matrix[0, 0] = 5.0
 
 
+def column_loop_phases(vectors):
+    """The phase convention one column at a time: the reference for ``_fix_phases``."""
+    v = np.array(vectors, copy=True)
+    for col in range(v.shape[1]):
+        pivot = v[int(np.argmax(np.abs(v[:, col]))), col]
+        if abs(pivot) > 0:
+            v[:, col] *= np.conj(pivot) / abs(pivot)
+    return v
+
+
 class TestEig:
     def test_pauli_z(self):
         values, vectors = eig_hermitian(HermitianOperator(PAULI_Z))
@@ -93,6 +103,25 @@ class TestEig:
             pivot = col[np.argmax(np.abs(col))]
             assert abs(pivot.imag) <= 1e-12
             assert pivot.real > 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    def test_phase_fix_of_a_stack_is_the_fix_of_each_matrix(self, rng, dim):
+        # eigenvectors as LAPACK returns them of random and degenerate (identity and
+        # two-fold) matrices, one with a zero column and one all zero: one batched
+        # pass gives every bit of the matrices' own passes and of the column loop
+        a = rng.normal(size=(6, dim, dim)) + 1j * rng.normal(size=(6, dim, dim))
+        h = a + np.conj(np.swapaxes(a, -1, -2))
+        h[1] = np.eye(dim)
+        h[2] = np.kron(np.eye((dim + 1) // 2), np.ones((2, 2)))[:dim, :dim]
+        vectors = np.linalg.eigh(h)[1]
+        vectors[3, :, 0] = 0.0
+        vectors[4] = 0.0
+        fixed = _fix_phases(vectors)
+        for v, f in zip(vectors, fixed):
+            assert _fix_phases(v).tobytes() == column_loop_phases(v).tobytes() == f.tobytes()
+        assert np.array_equal(fixed[4], vectors[4])
+        pivots = np.take_along_axis(fixed, np.argmax(np.abs(fixed), axis=-2)[..., None, :], axis=-2)
+        assert np.all(np.abs(pivots.imag) <= 1e-15) and np.all(pivots.real >= 0.0)
 
     def test_deterministic(self, rng):
         h = random_hermitian(5, rng)
@@ -192,6 +221,15 @@ class TestStates:
         rho = gibbs_state(HermitianOperator(-0.5 * gap * PAULI_Z), temperature)
         z = np.exp(gap / (2 * temperature)) + np.exp(-gap / (2 * temperature))
         assert abs(rho.matrix[0, 0].real - np.exp(gap / (2 * temperature)) / z) <= 1e-12
+
+    def test_gibbs_weights_zero_temperature_limit(self):
+        # a gap over T overflows to inf; exp(-inf) = 0 is the exact limit, without a warning
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = gibbs_weights(np.array([[3.0, 0.0, 1.0], [-2.0, -2.0, 5.0]]), 1e-308)
+        assert np.array_equal(p, [[0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])
 
     def test_gibbs_requires_positive_temperature(self):
         with pytest.raises(ValueError, match="temperature"):

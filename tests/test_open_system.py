@@ -28,7 +28,7 @@ from qworkstats import (
     von_neumann_entropy,
 )
 from qworkstats.fcs import fd_stencil_grid, moment_fd
-from qworkstats.linalg import NumericalError, mat, max_abs
+from qworkstats.linalg import NumericalError, max_abs
 
 from conftest import PAULI_X, PAULI_Z, assert_unitary, composite_hamiltonian, step_slice
 
@@ -434,22 +434,25 @@ class TestOpenRun:
         assert calls == [16]
 
     def test_open_run_diagonalizes_initial_hamiltonian_once(self, monkeypatch):
-        # the resonant gap, the system state and the work kicks share one eigensystem of H(0)
-        import qworkstats.drive as drive_module
-        import qworkstats.linalg as linalg_module
-        import qworkstats.scenario as scenario_module
+        # the resonant gap, the system state, the work kicks and the gridpoint
+        # eigensystems share one eigensystem each of H(0) and H(T); the environment
+        # state and the environment counting share one of H_E
         from qworkstats import Scenario
         from qworkstats.runner import run_scenario
+        from qworkstats.scenario import build_composite
 
         # a Rabi H(0) is not diagonal, so it differs from the resonant H_E
         scenario = Scenario.from_kind("open").with_overrides({"drive.protocol": "rabi", "drive.steps": 16})
-        h0 = scenario_module.build_protocol(scenario.config["drive"])(0.0).matrix
-        calls = []
-        original = linalg_module.eig_hermitian
-        for module in (drive_module, linalg_module, scenario_module):
-            monkeypatch.setattr(module, "eig_hermitian", lambda h: calls.append(mat(h)) or original(h))
+        composite = build_composite(scenario)[0]
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: seen.append(m) or eigh(m))
         run_scenario(scenario, tol_report=True)
-        assert sum(m.shape == h0.shape and np.array_equal(m, h0) for m in calls) == 1
+        qubits = [h for m in seen if m.shape[-2:] == (2, 2) for h in m.reshape(-1, 2, 2)]
+        for h in (composite.drive.h_start, composite.drive.h_end, composite.h_env):
+            assert sum(np.array_equal(m, h.matrix) for m in qubits) == 1
+        # N step propagators, the N - 1 interior gridpoints, H(0), H(T) and H_E
+        assert sum(len(m.reshape(-1, *m.shape[-2:])) for m in seen) == 2 * 16 + 2
 
     @pytest.mark.parametrize("coupling", [1e6, 1e10])
     @pytest.mark.parametrize(

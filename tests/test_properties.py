@@ -85,7 +85,7 @@ def degenerate_case(dim, seed):
 
     steps = np.stack([random_hermitian(dim, rng).matrix for _ in range(4)])
     boundary = degenerate_hamiltonian(), degenerate_hamiltonian()
-    drive = DiscretizedDrive(np.arange(4) * 0.25, steps, 0.25, *boundary)
+    drive = DiscretizedDrive(steps, 0.25, *boundary)
     return drive, random_density(dim, rng)
 
 
@@ -494,7 +494,7 @@ def curved_protocol(dim, seed):
         t = t[:, None, None]
         return a + t * b + np.sin(3.0 * t) * c
 
-    return DriveProtocol(1.0, at, "random-curved")
+    return DriveProtocol(1.0, at)
 
 
 def doubling_ratios(protocol, rule, counts):
@@ -550,7 +550,7 @@ def random_step_drive(dim, n, phase, seed):
     h = 0.5 * (g + g.conj().transpose(0, 2, 1))
     dt = phase / np.abs(np.linalg.eigvalsh(h)).max()
     edge = HermitianOperator(h[0])
-    return DiscretizedDrive(times=np.arange(n) * dt, hamiltonians=h, dt=dt, h_start=edge, h_end=edge)
+    return DiscretizedDrive(hamiltonians=h, dt=dt, h_start=edge, h_end=edge)
 
 
 def eigh_propagator(drive):

@@ -111,6 +111,23 @@ class TestResolve:
         with pytest.raises(ScenarioError, match="multiple of 4"):
             resolve_scenario({"kind": "cyclic-example", "cyclic": {"steps": 6}})
 
+    def test_step_stack_budget(self):
+        # N d^2 16 bytes within 128 MiB: a d = 64 drive fits 2,048 steps
+        random = {"drive.protocol": "random", "drive.params.dim": 64}
+        Scenario.from_kind("closed", {**random, "drive.steps": 2048})
+        with pytest.raises(ScenarioError, match="'drive.steps' = 2049 .* dimension 64"):
+            Scenario.from_kind("closed", {**random, "drive.steps": 2049})
+        # the open composite of a two-qubit environment has D = 8
+        two_qubit = {"environment.preset": "two-qubit-exchange", "drive.steps": 2**17}
+        Scenario.from_kind("open", two_qubit)
+        with pytest.raises(ScenarioError, match="dimension 8"):
+            Scenario.from_kind("open", {**two_qubit, "drive.steps": 2**17 + 1})
+        # the synthetic cyclic drive takes one step whatever 'cyclic.steps' says
+        huge = {"cyclic.steps": 4 * 10**12}
+        Scenario.from_kind("cyclic-example", huge)
+        with pytest.raises(ScenarioError, match="'cyclic.steps'"):
+            Scenario.from_kind("cyclic-example", {**huge, "cyclic.physical": True})
+
     def test_resolution_idempotent(self):
         cfg = resolve_scenario({"kind": "open", "drive": {"steps": 16}})
         assert resolve_scenario(cfg) == cfg

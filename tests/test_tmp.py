@@ -164,7 +164,7 @@ class TestCharacteristic:
             return HermitianOperator((v * levels) @ v.conj().T, tol=1e-10)
 
         steps = np.stack([random_hermitian(dim, rng).matrix for _ in range(4)])
-        drive = DiscretizedDrive(np.arange(4) * 0.25, steps, 0.25, degenerate_hamiltonian(), degenerate_hamiltonian())
+        drive = DiscretizedDrive(steps, 0.25, degenerate_hamiltonian(), degenerate_hamiltonian())
         outcomes = tmp_distribution(spectral_decomposition(random_density(dim, rng), drive))
         assert outcomes.energy0.size == outcomes.energyt.size == dim // 2
         grid = symmetric_grid(5.0, 2001)
