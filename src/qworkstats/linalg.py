@@ -235,18 +235,17 @@ def tensor(a, b) -> np.ndarray:
 
 
 def partial_trace_env(m, dim_s: int, dim_e: int) -> np.ndarray:
-    """Trace out the environment factor of a composite-space matrix.
+    """Trace out the environment factor of a composite-space matrix, or of
+    each matrix of an ``(..., D, D)`` stack.
 
-    ``m`` must be ``(dim_s * dim_e)`` square with the same index convention as
-    :func:`tensor`. The full trace is preserved exactly up to rounding.
+    The matrices must be ``(dim_s * dim_e)`` square with the same index
+    convention as :func:`tensor`. The full trace is preserved exactly up to rounding.
     """
     a = mat(m)
     d = dim_s * dim_e
-    if a.shape != (d, d):
-        raise ValueError(
-            f"matrix shape {a.shape} does not match dim_s*dim_e = {dim_s}*{dim_e}"
-        )
-    return np.einsum("iaja->ij", a.reshape(dim_s, dim_e, dim_s, dim_e))
+    if a.shape[-2:] != (d, d):
+        raise ValueError(f"matrix shape {a.shape} does not match dim_s*dim_e = {dim_s}*{dim_e}")
+    return np.einsum("...iaja->...ij", a.reshape(*a.shape[:-2], dim_s, dim_e, dim_s, dim_e))
 
 
 def von_neumann_entropy(rho) -> float:

@@ -103,9 +103,9 @@ class HeatLedger:
         return self.internal_energy_change - self.heat
 
 
-# Complex elements per batched temporary of the step axis (128 KiB); a block
-# of steps holds at most this many, or one step.
-_STEP_BLOCK = 1 << 13
+# Complex elements per batched temporary of the step axis (128 KiB; a block of
+# steps holds at most this many, or one step) and per chunk of work kicks (1 MiB).
+_STEP_BLOCK, _KICK_BLOCK = 1 << 13, 1 << 16
 
 
 def _reduced_state_spectra(states: np.ndarray) -> np.ndarray:
@@ -136,16 +136,15 @@ def _reduced_state_spectra(states: np.ndarray) -> np.ndarray:
     return spectra
 
 
-def _kicks(first, steps, last, lams: np.ndarray) -> np.ndarray:
+def _kicks(w: np.ndarray, v: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """``exp(+i lam/2 s_{j+1}) exp(-i lam/2 s_j)`` for the ``J`` Hamiltonians
-    ``s_j`` with eigensystems ``first``, the stacked ``steps`` and ``last``,
-    each for every ``lam``: shape ``(J - 1, L, d, d)``.
+    ``s_j`` with eigensystems ``(w[j], v[j])``, each for every ``lam``: shape
+    ``(J - 1, L, d, d)``.
 
     Each kick is ``sum_bc exp(i lam/2 (w_{j+1,b} - w_{j,c})) T_bc
     v_{j+1,b} v_{j,c}^dag`` with ``T = v_{j+1}^dag v_j``: one batched product
     of the grid's phases with lambda-independent terms.
     """
-    w, v = (np.concatenate([a[None], b, c[None]]) for a, b, c in zip(first, steps, last))
     d = w.shape[-1]
     freqs = (w[1:, :, None] - w[:-1, None, :]).reshape(-1, 1, d * d)
     terms = np.einsum("jbc,jab,jec->jbcae", dagger(v[1:]) @ v[:-1], v[1:], v[:-1].conj())
@@ -169,7 +168,7 @@ class DiscretizedComposite:
     is formed per step or per counting field. Steps are batched in blocks of at
     most ``_STEP_BLOCK`` complex elements (or one step): one eigendecomposition
     per block, and one pairwise :func:`ordered_product` per block of kicked
-    steps. Only the state evolution of :meth:`trajectory` runs step by step.
+    steps. One work chain serves every counting family.
     """
 
     def __init__(
@@ -213,84 +212,98 @@ class DiscretizedComposite:
             )
         return self._on_factor(a, self._on_factor(b, np.eye(self.dim), env=True))
 
-    def _chain(self, kicks: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """``k_n F_{n-1} ... k_1 F_0 k_0`` for an ``(n + 1, L, d_s, d_s)`` stack of
-        system kicks ``k_j`` and ``n`` factors: shape ``(L, D, D)``. Each block of
-        steps folds ``k_{j+1} F_j`` in one product (a step's L kicks on the rows), then reduces."""
-        u = self._on_factor(kicks[0], np.eye(self.dim, dtype=complex))
-        size = max(1, _STEP_BLOCK // (kicks.shape[1] * self.dim**2))
-        for a in range(0, len(factors), size):
-            k = kicks[a + 1 : a + size + 1]
-            block = self._on_factor(k.reshape(len(k), -1, self.dim_s), factors[a : a + size])
-            u = ordered_product(block.reshape(len(k), -1, self.dim, self.dim)) @ u
+    def _chain(self, lams: np.ndarray) -> np.ndarray:
+        """Work counting operators ``k_N E_{N-1} ... k_1 E_0`` for every ``lam``, shape
+        ``(L, D, D)``: ``k_j`` kicks from ``H_S^{j-1}`` to ``H_S^j`` (``H_S^N = H(T)``),
+        and the kick from ``H(0)`` to ``H_S^0 = H(0)`` is the identity. Kicks are formed
+        per chunk of ``_KICK_BLOCK`` elements; each block of steps folds ``k_{j+1} E_j``
+        in one product (a step's L kicks on the rows), then reduces."""
+        w, v = self.drive.gridpoint_eigensystems
+        u = np.eye(self.dim, dtype=complex)
+        size = max(1, _STEP_BLOCK // (lams.size * self.dim**2))
+        chunk = size * max(1, _KICK_BLOCK // (size * lams.size * self.dim_s**2))
+        for c in range(0, self.drive.n_steps, chunk):
+            kicks = _kicks(w[c : c + chunk + 1], v[c : c + chunk + 1], lams)
+            for a in range(0, len(kicks), size):
+                k = kicks[a : a + size]
+                block = self._on_factor(k.reshape(len(k), -1, self.dim_s), self.propagators[c + a : c + a + size])
+                u = ordered_product(block.reshape(len(k), -1, self.dim, self.dim)) @ u
         return u
 
-    def counting_operators(self, lams: np.ndarray, counting: str) -> np.ndarray:
-        """Counting operators ``K(lam)`` of one family for every ``lam``: shape ``(L, D, D)``.
+    def _sandwich(self, k: np.ndarray, lams: np.ndarray, first, last, env: bool = False) -> np.ndarray:
+        """``exp(+i lam/2 s_1) k exp(-i lam/2 s_0)`` on the system (or ``env``) factor
+        for the eigensystems ``first`` of ``s_0`` and ``last`` of ``s_1``."""
+        (w0, v0), (w1, v1) = first, last
+        k0, k1 = _kicks(np.stack([w0, 0.0 * w0, w1]), np.stack([v0, np.eye(w0.size), v1]), lams)
+        return self._on_factor(k1, k @ self._on_factor(k0, np.eye(self.dim), env=env), env=env)
 
-        ``"heat"``: the block product ``B_{N-1} ... B_0``. ``"work"``: boundary
-        kicks on ``H_S(0)`` and ``H_S(T)`` around it. Both are ``k_N E_{N-1} ...
-        E_0 k_0``, the kicks ``k_j`` merging those of neighbouring blocks.
-        ``"environment"``: kicks on ``H_E`` around the plain product, the same
-        chain with identity system kicks; it requires a constant system
-        Hamiltonian over the window.
-        """
-        lams = np.asarray(lams, dtype=float)
-        if counting == "environment":
+    def _families(self, lams: np.ndarray, counting) -> dict[str, np.ndarray]:
+        """Counting operators of each family in ``counting`` for every ``lam`` from one
+        work chain: ``K_heat = exp(-i lam/2 H(T)) K_work exp(+i lam/2 H(0))`` on the
+        system factor, ``K_env = exp(+i lam/2 H_E) K_work(0) exp(-i lam/2 H_E)`` on the
+        environment factor (the chain gains ``lam = 0`` if needed, or runs at it alone)."""
+        if unknown := set(counting) - {"work", "heat", "environment"}:
+            raise ValueError(f"unknown counting mode {min(unknown)!r}")
+        chained = lams if set(counting) - {"environment"} else lams[:0]
+        if "environment" in counting:
             h0 = self.drive.h_start.matrix
             if max_abs(self.drive.gridpoint_hamiltonians - h0) > 1e-12 * max(1.0, max_abs(h0)):
                 raise ValueError("environment counting requires a constant system Hamiltonian")
-            identity = np.broadcast_to(np.eye(self.dim_s), (self.drive.n_steps + 1, 1, self.dim_s, self.dim_s))
-            product = self._chain(identity, self.propagators)[0]
-            none = np.zeros((1, self.dim_e)), np.eye(self.dim_e)[None]  # H = 0: identity kicks
-            k0, k1 = _kicks(self.env_eigensystem, none, self.env_eigensystem, lams)
-            return self._on_factor(k1, product @ self._on_factor(k0, np.eye(self.dim), env=True), env=True)
-        if counting == "work":
-            eps0, v0, epst, vt = self.drive.boundary_eigensystems
-            first, last = (eps0, v0), (epst, vt)
-        elif counting == "heat":
-            first = last = np.zeros(self.dim_s), np.eye(self.dim_s)  # H = 0: identity kicks
-        else:
-            raise ValueError(f"unknown counting mode {counting!r}")
-        steps = tuple(a[:-1] for a in self.drive.gridpoint_eigensystems)
-        return self._chain(_kicks(first, steps, last, lams), self.propagators)
+            chained = chained if (chained == 0.0).any() else np.append(chained, 0.0)
+        k, env = self._chain(chained), self.env_eigensystem
+        eps0, v0, epst, vt = self.drive.boundary_eigensystems
+        derive = {
+            "work": lambda: k[: lams.size],
+            "heat": lambda: self._sandwich(k[: lams.size], -lams, (eps0, v0), (epst, vt)),
+            "environment": lambda: self._sandwich(k[np.argmax(chained == 0.0)], lams, env, env, env=True),
+        }
+        return {family: derive[family]() for family in counting}
+
+    def counting_operators(self, lams: np.ndarray, counting: str) -> np.ndarray:
+        """Counting operators ``K(lam)`` of one family for every ``lam``: shape ``(L, D, D)``.
+        ``"work"``: boundary kicks on ``H_S(0)`` and ``H_S(T)`` around the block product
+        ``B_{N-1} ... B_0``; ``"heat"``: the block product; ``"environment"``: kicks on
+        ``H_E`` around the plain product, for a constant system Hamiltonian only."""
+        return self._families(np.asarray(lams, dtype=float), (counting,))[counting]
+
+    def characteristic_functions(
+        self, rho_s: DensityOperator, rho_e: DensityOperator, grid: CountingGrid, counting=("work",), stencil=None
+    ) -> tuple[dict[str, CharacteristicSamples], CharacteristicSamples | None]:
+        """:meth:`characteristic_function` of each family in ``counting`` on ``grid``, by
+        name, and the work ``G`` on ``stencil`` (or ``None``), from one work chain over
+        the grid followed by the stencil points it lacks."""
+        lams, rho = grid.lambdas, self._product_state(rho_s, rho_e)
+        points = () if stencil is None else stencil.lambdas
+        lams = np.concatenate([lams, [x for x in points if np.abs(lams - x).min() > 1e-9 * max(1.0, abs(x))]])
+        ops = self._families(lams, counting if stencil is None else (*counting, "work"))
+
+        def samples(g, k):  # K(-lam) is the operator at the mirrored index of the symmetric grid g
+            k_rho = k @ rho
+            return CharacteristicSamples(g, np.einsum("lij,lij->l", k_rho, np.conjugate(k, out=k)[::-1]))
+
+        # the stencil rows are copied out before the grid's samples conjugate the work stack in place
+        fd = None if stencil is None else ops["work"][[np.abs(lams - x).argmin() for x in points]]
+        on_grid = {family: samples(grid, ops[family][: grid.size]) for family in counting}
+        return on_grid, None if fd is None else samples(stencil, fd)
 
     def characteristic_function(
-        self,
-        rho_s: DensityOperator,
-        rho_e: DensityOperator,
-        grid: CountingGrid,
-        counting: str = "work",
+        self, rho_s: DensityOperator, rho_e: DensityOperator, grid: CountingGrid, counting: str = "work"
     ) -> CharacteristicSamples:
-        """``G(lam) = Tr_{S+E}[K(lam) (rho_S (x) rho_E) K(-lam)^dag]`` on ``grid``.
-
-        ``counting`` selects the operator family of :meth:`counting_operators`;
-        ``"work"`` has first moment W, ``"heat"`` first moment -Q. Counting
-        grids are symmetric, so ``K(-lam)`` is the operator at the mirrored
-        grid index.
-        """
-        k = self.counting_operators(grid.lambdas, counting)
-        k_rho = k @ self._product_state(rho_s, rho_e)
-        np.conjugate(k, out=k)
-        return CharacteristicSamples(grid, np.einsum("lij,lij->l", k_rho, k[::-1]))
+        """``G(lam) = Tr_{S+E}[K(lam) (rho_S (x) rho_E) K(-lam)^dag]`` on ``grid`` for the
+        family ``counting`` of :meth:`counting_operators`: ``"work"`` has first moment W,
+        ``"heat"`` first moment -Q."""
+        return self.characteristic_functions(rho_s, rho_e, grid, (counting,))[0][counting]
 
     def duality_deviation(self, rho_s: DensityOperator, rho_e: DensityOperator, grid: CountingGrid) -> float:
         """``max_lam |Gbar(lam) - G(-lam)|`` between environment- and system-side counting.
-
-        ``G(-lam)`` in the boundary-kick sign convention equals the block-kick
-        heat CGF at ``+lam`` (an exact identity for constant system
-        Hamiltonians), so the deviation is evaluated pointwise on the same
-        grid. It vanishes linearly as the coupling is switched off.
-        """
-        g_env = self.characteristic_function(rho_s, rho_e, grid, counting="environment")
-        g_sys = self.characteristic_function(rho_s, rho_e, grid, counting="heat")
-        return float(np.max(np.abs(g_env.values - g_sys.values)))
+        ``G(-lam)`` in the boundary-kick sign convention equals the block-kick heat
+        CGF at ``+lam`` (exactly, for constant system Hamiltonians), so both are read
+        on ``grid``. It vanishes linearly as the coupling is switched off."""
+        g = self.characteristic_functions(rho_s, rho_e, grid, ("environment", "heat"))[0]
+        return float(np.max(np.abs(g["environment"].values - g["heat"].values)))
 
     def trajectory(
-        self,
-        rho_s: DensityOperator,
-        rho_e: DensityOperator,
-        refresh_every: int | None = None,
+        self, rho_s: DensityOperator, rho_e: DensityOperator, refresh_every: int | None = None
     ) -> tuple[HeatLedger, float]:
         """Evolve the composite state at ``lam = 0`` once; return the heat
         ledger and the Hamiltonian-increment work of the same reduced states.
@@ -299,25 +312,31 @@ class DiscretizedComposite:
         the increment form is ``W = sum_k Tr_S[(H_S^{k+1} - H_S^k) rho_{S,k}]``
         with the final increment taken to the boundary Hamiltonian at
         ``t = T``. The two agree by pure algebra (Abel summation of the same
-        telescoping sum) and are computed separately as a cross-check.
+        telescoping sum) and are computed separately as a cross-check. A block's
+        states come from its prefix products ``U = E_k ... E_a`` (a work-efficient
+        log-depth scan), one batched ``U rho_a U^dag`` and one partial trace.
 
         ``refresh_every = m`` resets the environment to ``rho_e`` after every m
-        blocks (a collision-style refresh, discarding system-environment
-        correlations) so long evolutions do not saturate a small environment.
-        Off by default; when enabled the counting-operator cross-checks no
-        longer apply since the refresh is not unitary on the composite space.
+        steps (a collision-style refresh that drops system-environment
+        correlations; no block crosses one), so long runs do not saturate a small
+        environment. Off by default; it is not unitary on the composite space, so
+        the counting-operator cross-checks no longer apply.
         """
         if refresh_every is not None and refresh_every < 1:
             raise ValueError("refresh_every must be a positive integer")
-        rho = self._product_state(rho_s, rho_e)
-        n = self.drive.n_steps
+        rho, n = self._product_state(rho_s, rho_e), self.drive.n_steps
+        size, m = max(1, _STEP_BLOCK // self.dim**2), refresh_every or n
         states = np.empty((n + 1, self.dim_s, self.dim_s), dtype=complex)
         states[0] = rho_s.matrix
-        for k, e in enumerate(self.propagators, start=1):
-            rho = e @ rho @ e.conj().T
-            states[k] = partial_trace_env(rho, self.dim_s, self.dim_e)
-            if refresh_every is not None and k % refresh_every == 0:
-                rho = self._product_state(states[k], rho_e)
+        for a in [r + i for r in range(0, n, m) for i in range(0, min(m, n - r), size)]:
+            b = min(a + size, (a // m + 1) * m, n)
+            u, levels = self.propagators[a:b].copy(), [1 << k for k in range((b - a).bit_length() - 1)]
+            for first, s in [(2 * s - 1, s) for s in levels] + [(3 * s - 1, s) for s in levels[::-1]]:
+                t = u[first :: 2 * s]  # up-sweep, then down-sweep: u[k] = E_{a+k} ... E_a
+                t[:] = t @ u[first - s :: 2 * s][: len(t)]
+            rhos = (u @ rho) @ np.conjugate(u, out=u).swapaxes(1, 2)  # U rho U^dag without a copy of U^dag
+            states[a + 1 : b + 1] = partial_trace_env(rhos, self.dim_s, self.dim_e)
+            rho = self._product_state(states[b], rho_e) if refresh_every and b % m == 0 else rhos[-1]
         h = self.drive.gridpoint_hamiltonians
         heat = np.trace(h[:-1] @ (states[1:] - states[:-1]), axis1=1, axis2=2).real
         increments = sum(np.trace((h[1:] - h[:-1]) @ states[1:], axis1=1, axis2=2).real.tolist())

@@ -12,7 +12,7 @@ from qworkstats import (
     pure_state_density,
     random_ramp_protocol,
 )
-from qworkstats.linalg import UNITARITY_TOL, dagger, mat, max_abs
+from qworkstats.linalg import UNITARITY_TOL, dagger, mat, max_abs, partial_trace_env, tensor
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -55,6 +55,20 @@ def step_slice(composite, k):
     drive = composite.drive
     step = discretize(constant_protocol(drive.hamiltonians[k], drive.dt), 1)
     return DiscretizedComposite(step, composite.h_env, composite.coupling, composite.coupling_scale)
+
+
+def stepwise_reduced_states(composite, rho_s, rho_e, refresh_every=None):
+    """Oracle of ``DiscretizedComposite.trajectory``: the reduced states
+    ``rho_{S,0} ... rho_{S,N}`` from one ``E_k rho E_k^dag`` per step, the
+    environment reset to ``rho_e`` after every ``refresh_every`` steps."""
+    rho = tensor(rho_s, rho_e)
+    states = [mat(rho_s)]
+    for k, e in enumerate(composite.propagators, start=1):
+        rho = e @ rho @ e.conj().T
+        states.append(partial_trace_env(rho, composite.dim_s, composite.dim_e))
+        if refresh_every is not None and k % refresh_every == 0:
+            rho = tensor(states[-1], rho_e)
+    return np.array(states)
 
 
 def assert_unitary(u):

@@ -196,9 +196,18 @@ class TestTensorAndPartialTrace:
         rhs = 0.3 * partial_trace_env(a, 2, 3) + 1.7 * partial_trace_env(b, 2, 3)
         assert max_abs(lhs - rhs) <= 1e-12
 
+    def test_partial_trace_of_a_stack_traces_each_matrix(self, rng):
+        m = rng.normal(size=(3, 4, 6, 6)) + 1j * rng.normal(size=(3, 4, 6, 6))
+        traced = partial_trace_env(m, 2, 3)
+        assert traced.shape == (3, 4, 2, 2)
+        for index in np.ndindex(3, 4):
+            assert np.array_equal(traced[index], partial_trace_env(m[index], 2, 3))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dim_s"):
             partial_trace_env(np.eye(6), 2, 2)
+        with pytest.raises(ValueError, match="dim_s"):
+            partial_trace_env(np.zeros((5, 6, 6)), 2, 2)
 
 
 class TestStates:

@@ -30,7 +30,7 @@ from qworkstats import (
 from qworkstats.fcs import fd_stencil_grid, moment_fd
 from qworkstats.linalg import NumericalError, max_abs
 
-from conftest import PAULI_X, PAULI_Z, assert_unitary, composite_hamiltonian, step_slice
+from conftest import PAULI_X, PAULI_Z, assert_unitary, composite_hamiltonian, step_slice, stepwise_reduced_states
 
 
 def exchange_composite(coupling, n_steps, env_gap=1.0, protocol=None):
@@ -211,11 +211,8 @@ class TestHeatLedger:
         composite = exchange_composite(0.3, 24)
         rho_s, rho_e = thermal_pair(composite)
         ledger, _ = composite.trajectory(rho_s, rho_e)
-        rho = tensor(rho_s.matrix, rho_e.matrix)
-        entropies = [von_neumann_entropy(rho_s)]
-        for e in composite.propagators:
-            rho = e @ rho @ e.conj().T
-            entropies.append(von_neumann_entropy(DensityOperator(partial_trace_env(rho, 2, 2), psd_tol=1e-8)))
+        states = stepwise_reduced_states(composite, rho_s, rho_e)
+        entropies = [von_neumann_entropy(DensityOperator(s, psd_tol=1e-8)) for s in states]
         assert np.max(np.abs(ledger.entropy_increments - np.diff(entropies))) <= 1e-14
         assert np.max(np.abs(ledger.entropy_increments)) > 1e-3
 
@@ -227,6 +224,29 @@ class TestHeatLedger:
         monkeypatch.setattr(open_module, "partial_trace_env", lambda *a: np.diag([1.5, -0.5]).astype(complex))
         with pytest.raises(NumericalError, match="reduced state 1 .*smallest eigenvalue -5"):
             composite.trajectory(rho_s, rho_e)
+
+    @pytest.mark.parametrize("refresh_every", [None, 1, 3, 40])
+    def test_blocked_ledger_matches_stepwise_oracle(self, refresh_every):
+        # N = 97 is no multiple of the 32-step blocks of the 8-level oscillator
+        # (D = 16), and a refresh every 40 steps falls inside the second and third
+        from qworkstats.open_system import _STEP_BLOCK
+
+        h_env, h_se = oscillator_environment(1.1, 8)
+        drive = discretize(gap_ramp_protocol(0.8, 1.2, 6.0), 97)
+        composite = DiscretizedComposite(drive, h_env, h_se, coupling_scale=0.3)
+        assert _STEP_BLOCK // composite.dim**2 == 32
+        rho_s, rho_e = thermal_pair(composite)
+        ledger, increments = composite.trajectory(rho_s, rho_e, refresh_every=refresh_every)
+        states = stepwise_reduced_states(composite, rho_s, rho_e, refresh_every)
+        h = drive.gridpoint_hamiltonians
+        entropy = [von_neumann_entropy(DensityOperator(s, psd_tol=1e-8)) for s in states]
+        heat = [np.trace(h[k] @ (states[k + 1] - states[k])).real for k in range(97)]
+        assert np.max(np.abs(ledger.heat_increments - heat)) <= 1e-13
+        assert np.max(np.abs(ledger.entropy_increments - np.diff(entropy))) <= 1e-13
+        du = np.trace(h[-1] @ states[-1]).real - np.trace(h[0] @ states[0]).real
+        assert abs(ledger.internal_energy_change - du) <= 1e-13
+        assert abs(increments - sum(np.trace((h[1:] - h[:-1]) @ states[1:], axis1=1, axis2=2).real)) <= 1e-13
+        assert abs(ledger.heat) > 1e-3
 
     def test_refresh_every_validated(self):
         composite = exchange_composite(0.1, 8)
@@ -433,6 +453,27 @@ class TestOpenRun:
         assert ("duality_deviation" in report["results"]) == duality
         assert calls == [16]
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"drive.protocol": "constant", "duality": True}, {"environment.refresh_every": 3}],
+        ids=["work", "duality", "refresh"],
+    )
+    def test_open_run_walks_one_counting_chain(self, monkeypatch, overrides):
+        # the grid, the stencil and (with duality) the heat and environment
+        # families all read one work chain over the grid and the 4 stencil points it lacks
+        from qworkstats import Scenario
+        from qworkstats.runner import run_scenario
+
+        calls = []
+        original = DiscretizedComposite._chain
+        monkeypatch.setattr(
+            DiscretizedComposite, "_chain", lambda c, lams: calls.append(lams.size) or original(c, lams)
+        )
+        scenario = Scenario.from_kind("open").with_overrides({"drive.steps": 16, **overrides})
+        report = run_scenario(scenario, tol_report=True).report
+        assert ("duality_deviation" in report["results"]) == ("duality" in overrides)
+        assert calls == [41 + 4]
+
     def test_open_run_diagonalizes_initial_hamiltonian_once(self, monkeypatch):
         # the resonant gap, the system state, the work kicks and the gridpoint
         # eigensystems share one eigensystem each of H(0) and H(T); the environment
@@ -479,6 +520,30 @@ class TestOpenRun:
         checks = {c["name"]: c for c in run_scenario(scenario, tol_report=True).report["checks"]}
         assert checks["increment_regrouping"]["pass"]
         assert checks["ledger_identity"]["pass"]
+
+    @pytest.mark.parametrize(
+        "environment",
+        [{}, {"environment.preset": "oscillator", "environment.levels": 8}],
+        ids=["qubit-exchange", "oscillator-8"],
+    )
+    def test_long_open_run_memory_is_bounded(self, environment):
+        # at 10,000 steps a whole run holds its (N, D, D) step propagators and
+        # less than 10 MiB more: the work kicks are formed per chunk of steps,
+        # the states per block (the whole kick stack alone took 27 MiB)
+        import tracemalloc
+
+        from qworkstats import Scenario
+        from qworkstats.runner import run_scenario
+
+        scenario = Scenario.from_kind("open").with_overrides({"drive.steps": 10_000, **environment})
+        tracemalloc.start()
+        try:
+            run_scenario(scenario, tol_report=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dim = 16 if environment else 4
+        assert peak <= 10_000 * dim**2 * 16 + 10 * 2**20
 
     def test_batched_engine_memory_is_bounded(self):
         # the 8-level oscillator (D = 16) is the widest preset; batching all
